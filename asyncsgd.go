@@ -243,16 +243,16 @@ func AlphaAsync(cst Constants, eps, vartheta float64, tauMax, n, d int) float64 
 
 type (
 	// ParallelConfig parameterizes the real-goroutine runtime. Beyond
-	// workers/iterations/step size it carries the performance knobs:
-	// Layout pins the model's memory layout (the LayoutAuto default
-	// picks the cache-line-banked layout at d ≥ hogwild.BankedAbove and
-	// honors Padded below it), and PinWorkers locks each worker
-	// goroutine to an OS thread for stable cache/NUMA placement.
+	// workers/iterations/step size it carries the synchronization
+	// discipline (Strategy; nil runs lock-free Algorithm 1) and the
+	// performance knobs: Layout pins the model's memory layout (the
+	// LayoutAuto default picks the cache-line-banked layout at d ≥
+	// hogwild.BankedAbove and the packed one below it), and PinWorkers
+	// locks each worker goroutine to an OS thread for stable cache/NUMA
+	// placement.
 	ParallelConfig = hogwild.Config
 	// ParallelResult is its outcome.
 	ParallelResult = hogwild.Result
-	// Mode selects a built-in synchronization discipline.
-	Mode = hogwild.Mode
 	// ModelLayout selects the shared model's memory layout in
 	// ParallelConfig (auto, packed, cache-line-banked or padded).
 	ModelLayout = hogwild.Layout
@@ -262,30 +262,16 @@ type (
 	Strategy = hogwild.Strategy
 	// Stepper executes SGD iterations for one worker under a Strategy.
 	Stepper = hogwild.Stepper
-	// BulkApplier is the optional Strategy capability for applying a
-	// dense gradient in amortized coordinate runs instead of d
-	// per-coordinate calls; the built-in lock-free and striped-lock
-	// strategies implement it.
-	BulkApplier = hogwild.BulkApplier
 )
 
 // Model layout choices for ParallelConfig.Layout. LayoutAuto (the zero
-// value) derives the layout from Padded and the dimension: banked at
-// d ≥ hogwild.BankedAbove, padded when requested below it, packed
-// otherwise.
+// value) derives the layout from the dimension: banked at
+// d ≥ hogwild.BankedAbove, packed otherwise.
 const (
 	LayoutAuto   = hogwild.LayoutAuto
 	LayoutPacked = hogwild.LayoutPacked
 	LayoutBanked = hogwild.LayoutBanked
 	LayoutPadded = hogwild.LayoutPadded
-)
-
-// Real-thread synchronization modes.
-const (
-	LockFree       = hogwild.LockFree
-	CoarseLock     = hogwild.CoarseLock
-	ShardedLock    = hogwild.ShardedLock
-	SparseLockFree = hogwild.SparseLockFree
 )
 
 // NewLockFreeStrategy returns the Algorithm-1 lock-free strategy.

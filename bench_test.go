@@ -207,20 +207,20 @@ func BenchmarkSequentialSGD(b *testing.B) {
 // packed vs cache-line-padded layout, uncontended and contended — the
 // ablation for the paper's fetch&add primitive on real hardware.
 func BenchmarkAtomicFloatFetchAdd(b *testing.B) {
-	layouts := map[string]func(int) *atomicfloat.Vector{
-		"packed": atomicfloat.NewVector,
-		"padded": atomicfloat.NewPaddedVector,
+	layouts := map[string]atomicfloat.Layout{
+		"packed": atomicfloat.Packed,
+		"padded": atomicfloat.Padded,
 	}
-	for name, mk := range layouts {
+	for name, layout := range layouts {
 		b.Run(name+"/uncontended", func(b *testing.B) {
-			v := mk(16)
+			v := atomicfloat.New(16, layout)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v.FetchAdd(i&15, 1)
 			}
 		})
 		b.Run(name+"/contended", func(b *testing.B) {
-			v := mk(16)
+			v := atomicfloat.New(16, layout)
 			var wg sync.WaitGroup
 			const workers = 4
 			b.ResetTimer()
@@ -285,16 +285,16 @@ func BenchmarkContentionTracker(b *testing.B) {
 // layout. Run with -benchmem; all paths are allocation-free.
 func BenchmarkSnapshot(b *testing.B) {
 	const d = 256
-	layouts := map[string]func(int) *atomicfloat.Vector{
-		"packed": atomicfloat.NewVector,
-		"padded": atomicfloat.NewPaddedVector,
+	layouts := map[string]atomicfloat.Layout{
+		"packed": atomicfloat.Packed,
+		"padded": atomicfloat.Padded,
 	}
 	idx := make([]int, 0, d/8)
 	for j := 3; j < d; j += 8 {
 		idx = append(idx, j)
 	}
-	for name, mk := range layouts {
-		v := mk(d)
+	for name, layout := range layouts {
+		v := atomicfloat.New(d, layout)
 		b.Run(name+"/loadall", func(b *testing.B) {
 			dst := make([]float64, d)
 			b.ResetTimer()
@@ -319,12 +319,15 @@ func BenchmarkHogwildModes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []hogwild.Mode{hogwild.LockFree, hogwild.CoarseLock, hogwild.ShardedLock} {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, mk := range []func() hogwild.Strategy{
+		hogwild.NewLockFree, hogwild.NewCoarseLock,
+		func() hogwild.Strategy { return hogwild.NewStripedLock(0) },
+	} {
+		b.Run(mk().Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := hogwild.Run(hogwild.Config{
 					Workers: 4, TotalIters: 20000, Alpha: 0.02,
-					Oracle: q, Seed: uint64(i), Mode: mode,
+					Oracle: q, Seed: uint64(i), Strategy: mk(),
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -354,13 +357,13 @@ func BenchmarkSparseVsDense(b *testing.B) {
 		b.Fatal(err)
 	}
 	alpha := 0.5 / sls.Constants().L
-	for _, mode := range []hogwild.Mode{hogwild.LockFree, hogwild.SparseLockFree} {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, mk := range []func() hogwild.Strategy{hogwild.NewLockFree, hogwild.NewSparseLockFree} {
+		b.Run(mk().Name(), func(b *testing.B) {
 			var coordOps, iters int64
 			for i := 0; i < b.N; i++ {
 				res, err := hogwild.Run(hogwild.Config{
 					Workers: 4, TotalIters: 20000, Alpha: alpha,
-					Oracle: sls, Seed: uint64(i), Mode: mode,
+					Oracle: sls, Seed: uint64(i), Strategy: mk(),
 				})
 				if err != nil {
 					b.Fatal(err)

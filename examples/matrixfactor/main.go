@@ -37,7 +37,7 @@ func run() error {
 	fmt.Printf("initial RMSE: %.4f\n\n", mf.RMSE(x0))
 
 	fmt.Printf("%-12s %8s %14s %10s\n", "mode", "workers", "updates/sec", "RMSE")
-	for _, mode := range []asyncsgd.Mode{asyncsgd.LockFree, asyncsgd.CoarseLock} {
+	for _, strategy := range []func() asyncsgd.Strategy{asyncsgd.NewLockFreeStrategy, asyncsgd.NewCoarseLockStrategy} {
 		for _, workers := range []int{1, 4} {
 			res, err := asyncsgd.RunParallel(asyncsgd.ParallelConfig{
 				Workers:    workers,
@@ -45,14 +45,14 @@ func run() error {
 				Alpha:      0.05,
 				Oracle:     mf,
 				Seed:       9,
-				Mode:       mode,
+				Strategy:   strategy(),
 				X0:         x0,
 			})
 			if err != nil {
 				return err
 			}
 			fmt.Printf("%-12s %8d %14.0f %10.4f\n",
-				mode, workers, res.UpdatesPerSec, mf.RMSE(res.Final))
+				res.Strategy, workers, res.UpdatesPerSec, mf.RMSE(res.Final))
 		}
 	}
 	fmt.Println("\nWith 2r-sparse updates, concurrent lock-free writers rarely")

@@ -54,18 +54,19 @@ func run() error {
 
 	fmt.Printf("%-12s %8s %14s %12s %14s\n",
 		"mode", "workers", "updates/sec", "‖x−x*‖²", "avg staleness")
-	for _, mode := range []asyncsgd.Mode{asyncsgd.LockFree, asyncsgd.CoarseLock} {
+	for _, cfg := range []asyncsgd.ParallelConfig{
+		// The lock-free arm measures throughput: pad out false sharing.
+		{Strategy: asyncsgd.NewLockFreeStrategy(), Layout: asyncsgd.LayoutPadded},
+		{Strategy: asyncsgd.NewCoarseLockStrategy()},
+	} {
 		for _, workers := range []int{1, 4} {
-			res, err := asyncsgd.RunParallel(asyncsgd.ParallelConfig{
-				Workers:         workers,
-				TotalIters:      iters,
-				Alpha:           alpha,
-				Oracle:          oracle,
-				Seed:            3,
-				Mode:            mode,
-				Padded:          mode == asyncsgd.LockFree,
-				SampleStaleness: true,
-			})
+			cfg.Workers = workers
+			cfg.TotalIters = iters
+			cfg.Alpha = alpha
+			cfg.Oracle = oracle
+			cfg.Seed = 3
+			cfg.SampleStaleness = true
+			res, err := asyncsgd.RunParallel(cfg)
 			if err != nil {
 				return err
 			}
@@ -76,7 +77,7 @@ func run() error {
 				d2 += dlt * dlt
 			}
 			fmt.Printf("%-12s %8d %14.0f %12.5f %14.2f\n",
-				mode, workers, res.UpdatesPerSec, d2, res.AvgStaleness)
+				res.Strategy, workers, res.UpdatesPerSec, d2, res.AvgStaleness)
 		}
 	}
 	fmt.Println("\nOn a multi-core host the lock-free rows scale with workers while")

@@ -44,8 +44,8 @@ func run() error {
 
 	alpha := 0.5 / oracle.Constants().L
 	for _, cfg := range []asyncsgd.ParallelConfig{
-		{Mode: asyncsgd.LockFree},
-		{Mode: asyncsgd.SparseLockFree},
+		{Strategy: asyncsgd.NewLockFreeStrategy()},
+		{Strategy: asyncsgd.NewSparseLockFreeStrategy()},
 		{Strategy: asyncsgd.NewStripedLockStrategy(16)},
 	} {
 		cfg.Workers = 4

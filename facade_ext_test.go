@@ -171,7 +171,7 @@ func TestPublicAPISparsePipeline(t *testing.T) {
 	}
 	sparse, err := RunParallel(ParallelConfig{
 		Workers: 2, TotalIters: 4000, Alpha: alpha, Oracle: sls, Seed: 23,
-		Mode: SparseLockFree,
+		Strategy: NewSparseLockFreeStrategy(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -131,38 +131,17 @@ func alignedCells(n int) []Float64 {
 }
 
 // New returns an all-zero atomic vector of dimension d in the given
-// layout.
+// layout (see Layout for what each costs and guarantees; MemBytes reports
+// Padded's exact 8x).
 func New(d int, layout Layout) *Vector {
 	switch layout {
 	case Banked:
-		return NewBankedVector(d)
+		return &Vector{cells: alignedCells(d), layout: Banked}
 	case Padded:
-		return NewPaddedVector(d)
+		return &Vector{cells: alignedCells(d << padShift), shift: padShift, layout: Padded}
 	default:
-		return NewVector(d)
+		return &Vector{cells: make([]Float64, d), layout: Packed}
 	}
-}
-
-// NewVector returns a packed atomic vector of dimension d, all zeros.
-func NewVector(d int) *Vector {
-	return &Vector{cells: make([]Float64, d), layout: Packed}
-}
-
-// NewBankedVector returns a cache-line-aligned packed atomic vector of
-// dimension d: coordinates are contiguous, the allocation starts on a
-// 64-byte boundary, and every aligned run of 8 coordinates occupies
-// exactly one cache line (one bank).
-func NewBankedVector(d int) *Vector {
-	return &Vector{cells: alignedCells(d), layout: Banked}
-}
-
-// NewPaddedVector returns a cache-line-padded atomic vector of dimension
-// d: each coordinate occupies its own aligned 64-byte line, eliminating
-// false sharing at ~8x the memory of the packed/banked layouts (MemBytes
-// reports exactly 8x). Use for small, write-hot models; prefer Banked
-// once the model outgrows the last-level cache.
-func NewPaddedVector(d int) *Vector {
-	return &Vector{cells: alignedCells(d << padShift), shift: padShift, layout: Padded}
 }
 
 // Dim returns the dimension.
@@ -236,45 +215,16 @@ func (v *Vector) GatherInto(dst []float64, idx []int) {
 	}
 }
 
-// Snapshot is LoadAll under its historical name: it documents the
-// "inconsistent snapshot" reading of the bulk load and is what the
-// end-of-run result extraction calls.
-func (v *Vector) Snapshot(dst []float64) { v.LoadAll(dst) }
-
-// FetchAddRun atomically adds deltas[k] to coordinate start+k for every
-// k, in ascending coordinate order — the bulk dense-apply primitive. Each
-// coordinate's fetch&add is individually atomic (the run as a whole is
-// not a transaction, matching the paper's per-register model); the win
-// over len(deltas) FetchAdd calls is that the shift and bounds work is
-// hoisted out of the inner loop, leaving a unit-stride CAS scan in the
-// packed/banked layouts. Panics if the run [start, start+len(deltas))
-// leaves [0, Dim).
-//
-//asgd:hotpath
-func (v *Vector) FetchAddRun(start int, deltas []float64) {
-	if v.shift == 0 {
-		cells := v.cells[start : start+len(deltas)] // one bounds check for the run
-		for k, dk := range deltas {
-			cells[k].Add(dk)
-		}
-		return
-	}
-	s := v.shift
-	if start < 0 || start+len(deltas) > v.Dim() {
-		panic("atomicfloat: FetchAddRun out of range")
-	}
-	for k, dk := range deltas {
-		v.cells[(start+k)<<s].Add(dk)
-	}
-}
-
 // FetchAddScaledRun atomically adds scale·src[k] to coordinate start+k
-// for every k, in ascending coordinate order. It is the fused form of
-// staging scale·src in a scratch buffer and calling FetchAddRun: the
-// per-coordinate arithmetic is exactly Add(scale*src[k]), so the stored
-// bits are identical to the staged form — what changes is that the
-// deltas never round-trip through memory, which at d = 10⁶ removes two
-// full vector traversals from every dense apply. Panics if the run
+// for every k, in ascending coordinate order — the bulk apply primitive.
+// Each coordinate's fetch&add is individually atomic (the run as a whole
+// is not a transaction, matching the paper's per-register model) and its
+// arithmetic is exactly Add(scale*src[k]), so the stored bits equal those
+// of len(src) FetchAdd calls. The win is that the shift and bounds work
+// is hoisted out of the inner loop, leaving a unit-stride CAS scan in the
+// packed/banked layouts, and that the scaled deltas never round-trip
+// through a scratch buffer, which at d = 10⁶ removes two full vector
+// traversals from every dense apply. Panics if the run
 // [start, start+len(src)) leaves [0, Dim).
 //
 //asgd:hotpath
@@ -298,7 +248,7 @@ func (v *Vector) FetchAddScaledRun(start int, src []float64, scale float64) {
 // StoreRun stores src[k] into coordinate start+k for every k, in
 // ascending coordinate order — the bulk store primitive behind StoreAll
 // and the batch-flush paths. The same hoisted-bounds, unit-stride
-// structure as FetchAddRun; panics if the run leaves [0, Dim).
+// structure as FetchAddScaledRun; panics if the run leaves [0, Dim).
 //
 //asgd:hotpath
 func (v *Vector) StoreRun(start int, src []float64) {

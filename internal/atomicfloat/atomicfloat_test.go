@@ -65,8 +65,8 @@ func TestConcurrentAddNoLostUpdates(t *testing.T) {
 }
 
 func TestVectorBasics(t *testing.T) {
-	for _, mk := range []func(int) *Vector{NewVector, NewPaddedVector} {
-		v := mk(4)
+	for _, layout := range []Layout{Packed, Padded} {
+		v := New(4, layout)
 		if v.Dim() != 4 {
 			t.Fatalf("Dim = %d", v.Dim())
 		}
@@ -81,9 +81,9 @@ func TestVectorBasics(t *testing.T) {
 			t.Errorf("after FetchAdd = %v", v.Load(2))
 		}
 		dst := make([]float64, 4)
-		v.Snapshot(dst)
+		v.LoadAll(dst)
 		if dst[2] != 4 || dst[0] != 0 {
-			t.Errorf("Snapshot = %v", dst)
+			t.Errorf("LoadAll = %v", dst)
 		}
 		v.StoreAll([]float64{1, 2, 3, 4})
 		if v.Load(0) != 1 || v.Load(3) != 4 {
@@ -99,9 +99,9 @@ func TestVectorBasics(t *testing.T) {
 }
 
 func TestVectorPanics(t *testing.T) {
-	v := NewVector(2)
+	v := New(2, Packed)
 	for name, fn := range map[string]func(){
-		"snapshot": func() { v.Snapshot(make([]float64, 3)) },
+		"loadall":  func() { v.LoadAll(make([]float64, 3)) },
 		"storeall": func() { v.StoreAll(make([]float64, 1)) },
 	} {
 		func() {
@@ -116,7 +116,7 @@ func TestVectorPanics(t *testing.T) {
 }
 
 func TestConcurrentVectorFetchAdd(t *testing.T) {
-	v := NewPaddedVector(8)
+	v := New(8, Padded)
 	const workers, perWorker = 4, 5000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -139,15 +139,14 @@ func TestConcurrentVectorFetchAdd(t *testing.T) {
 	}
 }
 
-// layouts is the constructor matrix shared by the layout-generic tests.
+// layouts is the layout matrix shared by the layout-generic tests.
 var layouts = []struct {
 	name string
 	kind Layout
-	mk   func(int) *Vector
 }{
-	{"packed", Packed, NewVector},
-	{"banked", Banked, NewBankedVector},
-	{"padded", Padded, NewPaddedVector},
+	{"packed", Packed},
+	{"banked", Banked},
+	{"padded", Padded},
 }
 
 func TestNewSelectsLayout(t *testing.T) {
@@ -171,7 +170,7 @@ func TestAlignedLayoutsStartOnCacheLine(t *testing.T) {
 			continue
 		}
 		for _, d := range []int{1, 7, 8, 9, 63, 64, 100, 1 << 12} {
-			v := l.mk(d)
+			v := New(d, l.kind)
 			addr := uintptr(unsafe.Pointer(&v.cells[0]))
 			if addr%cacheLineBytes != 0 {
 				t.Errorf("%s d=%d: cells[0] at %#x not %d-byte aligned",
@@ -179,7 +178,7 @@ func TestAlignedLayoutsStartOnCacheLine(t *testing.T) {
 			}
 		}
 	}
-	if v := NewBankedVector(0); v.Dim() != 0 || v.MemBytes() != 0 {
+	if v := New(0, Banked); v.Dim() != 0 || v.MemBytes() != 0 {
 		t.Errorf("empty banked vector: Dim=%d MemBytes=%d", v.Dim(), v.MemBytes())
 	}
 }
@@ -188,7 +187,7 @@ func TestAlignedLayoutsStartOnCacheLine(t *testing.T) {
 // MemBytes is 8 bytes per coordinate for Packed/Banked and 64 for Padded.
 func TestPaddedMemoryCostIs8x(t *testing.T) {
 	const d = 1024
-	packed, banked, padded := NewVector(d), NewBankedVector(d), NewPaddedVector(d)
+	packed, banked, padded := New(d, Packed), New(d, Banked), New(d, Padded)
 	if packed.MemBytes() != 8*d || banked.MemBytes() != 8*d {
 		t.Errorf("packed/banked MemBytes = %d/%d, want %d",
 			packed.MemBytes(), banked.MemBytes(), 8*d)
@@ -201,13 +200,13 @@ func TestPaddedMemoryCostIs8x(t *testing.T) {
 	}
 }
 
-// FetchAddRun/StoreRun must agree with the per-coordinate primitives on
+// FetchAddScaledRun/StoreRun must agree with the per-coordinate primitives on
 // every layout, including runs at odd offsets and lengths that straddle
 // bank boundaries.
 func TestBulkRunsMatchScalarOps(t *testing.T) {
 	const d = 37 // deliberately not a multiple of the bank width
 	for _, l := range layouts {
-		v := l.mk(d)
+		v := New(d, l.kind)
 		ref := make([]float64, d)
 		init := make([]float64, d)
 		for i := range init {
@@ -222,7 +221,7 @@ func TestBulkRunsMatchScalarOps(t *testing.T) {
 			for k := range deltas {
 				deltas[k] = float64(run.start+k) + 0.5
 			}
-			v.FetchAddRun(run.start, deltas)
+			v.FetchAddScaledRun(run.start, deltas, 1)
 			for k, dk := range deltas {
 				ref[run.start+k] += dk
 			}
@@ -231,7 +230,7 @@ func TestBulkRunsMatchScalarOps(t *testing.T) {
 		v.LoadAll(got)
 		for i := range ref {
 			if got[i] != ref[i] {
-				t.Errorf("%s: after FetchAddRun, v[%d] = %v, want %v", l.name, i, got[i], ref[i])
+				t.Errorf("%s: after FetchAddScaledRun(…, 1), v[%d] = %v, want %v", l.name, i, got[i], ref[i])
 			}
 		}
 		v.StoreRun(5, []float64{-1, -2, -3})
@@ -261,14 +260,14 @@ func TestBulkRunsMatchScalarOps(t *testing.T) {
 
 func TestBulkRunsPanicOutOfRange(t *testing.T) {
 	for _, l := range layouts {
-		v := l.mk(8)
+		v := New(8, l.kind)
 		for name, fn := range map[string]func(){
-			"fetchaddrun-past-end": func() { v.FetchAddRun(5, make([]float64, 4)) },
-			"fetchaddrun-negative": func() { v.FetchAddRun(-1, make([]float64, 2)) },
-			"storerun-past-end":    func() { v.StoreRun(7, make([]float64, 2)) },
-			"storerun-negative":    func() { v.StoreRun(-2, make([]float64, 1)) },
-			"scaledrun-past-end":   func() { v.FetchAddScaledRun(6, make([]float64, 3), 2) },
-			"scaledrun-negative":   func() { v.FetchAddScaledRun(-1, make([]float64, 1), 2) },
+			"unitrun-past-end":   func() { v.FetchAddScaledRun(5, make([]float64, 4), 1) },
+			"unitrun-negative":   func() { v.FetchAddScaledRun(-1, make([]float64, 2), 1) },
+			"storerun-past-end":  func() { v.StoreRun(7, make([]float64, 2)) },
+			"storerun-negative":  func() { v.StoreRun(-2, make([]float64, 1)) },
+			"scaledrun-past-end": func() { v.FetchAddScaledRun(6, make([]float64, 3), 2) },
+			"scaledrun-negative": func() { v.FetchAddScaledRun(-1, make([]float64, 1), 2) },
 		} {
 			func() {
 				defer func() {
@@ -287,13 +286,12 @@ func TestBulkRunsPanicOutOfRange(t *testing.T) {
 func TestBulkRunsAllocFree(t *testing.T) {
 	const d = 256
 	for _, l := range layouts {
-		v := l.mk(d)
+		v := New(d, l.kind)
 		deltas := make([]float64, d)
 		dst := make([]float64, d)
 		idx := []int{0, 3, 17, 42, 200, d - 1}
 		gath := make([]float64, len(idx))
 		if n := testing.AllocsPerRun(100, func() {
-			v.FetchAddRun(0, deltas)
 			v.FetchAddScaledRun(0, deltas, -0.5)
 			v.StoreRun(0, deltas)
 			v.LoadAll(dst)

@@ -3,11 +3,11 @@ package atomicfloat
 import "testing"
 
 // FuzzVectorOpsAcrossLayouts drives the same operation sequence —
-// FetchAdd, Store, FetchAddRun, FetchAddScaledRun, StoreRun at odd
-// offsets and lengths, LoadAll, GatherInto — through all three layouts
-// and a plain []float64 reference, and demands bit-identical state
-// everywhere after every op. Out-of-range runs must panic on every
-// layout without corrupting state.
+// FetchAdd, Store, FetchAddScaledRun (at scale 1 and at a fractional
+// scale), StoreRun at odd offsets and lengths, LoadAll, GatherInto —
+// through all three layouts and a plain []float64 reference, and demands
+// bit-identical state everywhere after every op. Out-of-range runs must
+// panic on every layout without corrupting state.
 func FuzzVectorOpsAcrossLayouts(f *testing.F) {
 	f.Add(uint8(8), []byte{})                                 // empty program
 	f.Add(uint8(8), []byte{0, 2, 12, 1, 5, 200})              // scalar add/store
@@ -18,7 +18,7 @@ func FuzzVectorOpsAcrossLayouts(f *testing.F) {
 	f.Add(uint8(24), []byte{4, 2, 11, 4, 120, 5})             // scaled runs, incl. out of range
 	f.Fuzz(func(t *testing.T, dim uint8, data []byte) {
 		d := int(dim)%96 + 1
-		vecs := []*Vector{NewVector(d), NewBankedVector(d), NewPaddedVector(d)}
+		vecs := []*Vector{New(d, Packed), New(d, Banked), New(d, Padded)}
 		ref := make([]float64, d)
 		buf := make([]float64, d)
 		check := func(op int) {
@@ -48,13 +48,16 @@ func FuzzVectorOpsAcrossLayouts(f *testing.F) {
 					v.Store(i, val)
 				}
 				ref[i] = val
-			case 2, 3, 4: // FetchAddRun / StoreRun / FetchAddScaledRun, possibly out of range
+			case 2, 3, 4: // FetchAddScaledRun(…, 1) / StoreRun / FetchAddScaledRun, possibly out of range
 				n := (int(data[k+2]) % (d + 2))
 				run := make([]float64, n)
 				for j := range run {
 					run[j] = float64(int8(data[k+1]+byte(j))) / 8
 				}
-				const scale = -0.25
+				scale := -0.25
+				if opcode == 2 {
+					scale = 1
+				}
 				inRange := pos >= 0 && pos+n <= d
 				for _, v := range vecs {
 					func() {
@@ -64,24 +67,18 @@ func FuzzVectorOpsAcrossLayouts(f *testing.F) {
 									k/3, v.Layout(), pos, n, r != nil, inRange)
 							}
 						}()
-						switch opcode {
-						case 2:
-							v.FetchAddRun(pos, run)
-						case 3:
+						if opcode == 3 {
 							v.StoreRun(pos, run)
-						default:
+						} else {
 							v.FetchAddScaledRun(pos, run, scale)
 						}
 					}()
 				}
 				if inRange {
 					for j, x := range run {
-						switch opcode {
-						case 2:
-							ref[pos+j] += x
-						case 3:
+						if opcode == 3 {
 							ref[pos+j] = x
-						default:
+						} else {
 							ref[pos+j] += scale * x
 						}
 					}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -249,6 +250,91 @@ func TestClusterThreeWorkersShuffledReportOrderByteIdentity(t *testing.T) {
 	checkCoverage(t, got, req)
 	if g, w := stripTiming(got), stripTiming(localDocument(t, req)); g != w {
 		t.Fatalf("shuffled-order cluster document diverges beyond timing:\n--- cluster\n%s\n--- local\n%s", g, w)
+	}
+}
+
+// gatedDispatcher is the coordinator with a hook run inside every cell
+// callback, before the event reaches the server.
+type gatedDispatcher struct {
+	*Coordinator
+	gate func()
+}
+
+func (g gatedDispatcher) DispatchSweep(ctx context.Context, jobID string, req serve.SweepRequest,
+	onCell func(sweep.CellResult), onTelemetry func(sweep.TelemetrySample)) (*serve.Report, error) {
+	return g.Coordinator.DispatchSweep(ctx, jobID, req, func(r sweep.CellResult) {
+		g.gate()
+		onCell(r)
+	}, onTelemetry)
+}
+
+// TestClusterTwoReportStreamsDeliverEveryCellEvent: with two report
+// streams, the one holding the job's last cell must not complete the job
+// while its peer is still inside the cell callback — the server would
+// append the terminal event first and drop the peer's cell event as
+// post-terminal. Stream A is held inside the callback of its last cell
+// until stream B has applied every other cell, the final one included.
+func TestClusterTwoReportStreamsDeliverEveryCellEvent(t *testing.T) {
+	req := testRequest()
+	cells, err := req.CellCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(Config{BatchSize: cells / 2, LeaseTTL: time.Minute})
+	defer c.Close()
+	var (
+		events  atomic.Int64
+		held    = make(chan struct{})
+		release = make(chan struct{})
+	)
+	srv := serve.New(serve.Config{Journal: c, Dispatcher: gatedDispatcher{c, func() {
+		if int(events.Add(1)) == cells/2 { // stream A's last cell
+			close(held)
+			<-release
+		}
+	}}})
+	defer srv.Close()
+
+	job, err := srv.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsA := leaseWithRetry(t, c, c.register(RegisterRequest{Name: "stream-a"}).WorkerID)
+	lsB := leaseWithRetry(t, c, c.register(RegisterRequest{Name: "stream-b"}).WorkerID)
+	resA, resB := executeLease(t, lsA), executeLease(t, lsB)
+
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		for _, r := range resA {
+			if _, err := c.applyResult(lsA.LeaseID, r); err != nil {
+				t.Errorf("stream A cell %d: %v", r.Index, err)
+			}
+		}
+	}()
+	<-held
+	reportAll(t, c, lsB.LeaseID, resB)
+
+	c.mu.Lock()
+	active := c.jobs[job.ID()] // nil once DispatchSweep has returned
+	c.mu.Unlock()
+	released := active == nil
+	if !released {
+		select {
+		case <-active.done:
+			released = true
+		default:
+		}
+	}
+	if released {
+		t.Error("job completed while a cell callback was still in flight")
+	}
+	close(release)
+	<-aDone
+
+	checkCoverage(t, waitResult(t, job), req)
+	if got := job.Status().Completed; got != cells {
+		t.Fatalf("job streamed %d cell events before its aggregate, want %d", got, cells)
 	}
 }
 

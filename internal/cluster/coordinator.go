@@ -73,7 +73,9 @@ type batch struct {
 	cells []int
 }
 
-// activeJob is one sweep currently dispatching on the cluster.
+// activeJob is one sweep currently dispatching on the cluster. delivered
+// counts the cells whose onCell callback has returned (recovered cells
+// included); done closes when it reaches total.
 type activeJob struct {
 	id        string
 	req       serve.SweepRequest
@@ -81,7 +83,7 @@ type activeJob struct {
 	pending   []batch
 	results   map[int]sweep.CellResult
 	total     int
-	completed int
+	delivered int
 	onCell    func(sweep.CellResult)
 	done      chan struct{}
 }
@@ -386,7 +388,7 @@ func (c *Coordinator) DispatchSweep(ctx context.Context, jobID string, req serve
 	for idx, res := range recovered {
 		if idx >= 0 && idx < total {
 			job.results[idx] = res
-			job.completed++
+			job.delivered++
 		}
 	}
 	// Queue the incomplete cells as per-leg batches in index order.
@@ -409,7 +411,7 @@ func (c *Coordinator) DispatchSweep(ctx context.Context, jobID string, req serve
 		}
 		flush()
 	}
-	allDone := job.completed == job.total
+	allDone := job.delivered == job.total
 	if allDone {
 		close(job.done)
 	}
@@ -600,8 +602,6 @@ func (c *Coordinator) applyResult(leaseID string, res sweep.CellResult) (bool, e
 	}
 	res.Index = global
 	job.results[global] = res
-	job.completed++
-	last := job.completed == job.total
 	onCell := job.onCell
 	log := c.cfg.Log
 	c.mu.Unlock()
@@ -613,6 +613,13 @@ func (c *Coordinator) applyResult(leaseID string, res sweep.CellResult) (bool, e
 	if onCell != nil {
 		onCell(res)
 	}
+	// Count the cell only now: with several report streams, the stream
+	// holding the last cell must not release DispatchSweep (and with it
+	// the job's terminal event) while a peer is still inside onCell.
+	c.mu.Lock()
+	job.delivered++
+	last := job.delivered == job.total
+	c.mu.Unlock()
 	if last {
 		close(job.done)
 	}

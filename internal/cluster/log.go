@@ -67,9 +67,8 @@ type Record struct {
 // synced to disk before returning, so every acknowledged record survives
 // a crash.
 type JobLog struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	mu sync.Mutex
+	f  *os.File
 }
 
 // OpenJobLog opens (creating if absent) the log at path, replays the
@@ -96,7 +95,7 @@ func OpenJobLog(path string) (*JobLog, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("cluster: seeking job log: %w", err)
 	}
-	return &JobLog{f: f, path: path}, records, nil
+	return &JobLog{f: f}, records, nil
 }
 
 // readRecords parses length-prefixed records from the start of f,
@@ -159,9 +158,6 @@ func (l *JobLog) Append(rec Record) error {
 	}
 	return nil
 }
-
-// Path returns the log's file path.
-func (l *JobLog) Path() string { return l.path }
 
 // Close closes the underlying file. Further appends fail.
 func (l *JobLog) Close() error {

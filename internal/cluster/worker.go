@@ -317,39 +317,14 @@ func (a *httpAPI) register(ctx context.Context, req RegisterRequest) (RegisterRe
 	return resp, err
 }
 
+// lease asks for a batch. A 204 leaves the zero LeaseResponse, whose
+// empty LeaseID means no work is queued.
 func (a *httpAPI) lease(ctx context.Context, req LeaseRequest) (*LeaseResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
+	var ls LeaseResponse
+	if err := a.postJSON(ctx, "/cluster/v1/lease", req, &ls); err != nil || ls.LeaseID == "" {
 		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, a.base+"/cluster/v1/lease", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := a.client.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var ls LeaseResponse
-		if err := json.NewDecoder(resp.Body).Decode(&ls); err != nil {
-			return nil, err
-		}
-		return &ls, nil
-	case http.StatusNoContent:
-		return nil, nil
-	case http.StatusGone:
-		return nil, ErrUnknownWorker
-	default:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return nil, fmt.Errorf("cluster: lease: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
+	return &ls, nil
 }
 
 // report streams the results channel to POST /cluster/v1/report/{lease}

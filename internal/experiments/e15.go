@@ -52,10 +52,10 @@ func E15SparsePipeline(s Scale) ([]*report.Table, error) {
 		name string
 		cfg  hogwild.Config
 	}{
-		{"lock-free (dense)", hogwild.Config{Mode: hogwild.LockFree}},
-		{"sparse-lock-free", hogwild.Config{Mode: hogwild.SparseLockFree}},
+		{"lock-free (dense)", hogwild.Config{Strategy: hogwild.NewLockFree()}},
+		{"sparse-lock-free", hogwild.Config{Strategy: hogwild.NewSparseLockFree()}},
 		{"striped-lock/64", hogwild.Config{Strategy: hogwild.NewStripedLock(64)}},
-		{"coarse-lock", hogwild.Config{Mode: hogwild.CoarseLock}},
+		{"coarse-lock", hogwild.Config{Strategy: hogwild.NewCoarseLock()}},
 	}
 	for _, rn := range runs {
 		cfg := rn.cfg

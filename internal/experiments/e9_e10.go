@@ -8,6 +8,7 @@ import (
 	"asyncsgd/internal/contention"
 	"asyncsgd/internal/core"
 	"asyncsgd/internal/grad"
+	"asyncsgd/internal/hogwild"
 	"asyncsgd/internal/report"
 	"asyncsgd/internal/sched"
 	"asyncsgd/internal/shm"
@@ -206,7 +207,7 @@ func RenderFigure1(tr *contention.Tracker, d, horizon int) string {
 
 // E10Throughput is the Section-8 practical story on real threads: updates
 // per second and solution quality for lock-free vs coarse-lock vs
-// sharded-lock across worker counts. On a single-core host the absolute
+// striped-lock across worker counts. On a single-core host the absolute
 // numbers compress; the recorded shape claim is that lock-free never loses
 // to coarse locking and the gap widens with workers and contention.
 //
@@ -216,14 +217,14 @@ func RenderFigure1(tr *contention.Tracker, d, horizon int) string {
 // other), and returns results in deterministic cell order.
 func E10Throughput(s Scale) ([]*report.Table, error) {
 	lockFree := sweep.LockFree()
-	lockFree.Padded = true // the lock-free arm measures throughput: pad out false sharing
+	lockFree.Layout = hogwild.LayoutPadded // the lock-free arm measures throughput: pad out false sharing
 	results, err := sweep.Run(sweep.Spec{
 		Name:    "e10-throughput",
 		Seed:    31,
 		Oracles: []sweep.Oracle{isoQuadOracle16()},
 		Strategies: []sweep.Strategy{
 			lockFree,
-			sweep.StripedLock(16), // the ShardedLock compatibility mapping at d=16
+			sweep.StripedLock(16), // one lock per coordinate at d=16
 			sweep.CoarseLock(),
 		},
 		Workers: []int{1, 2, 4, 8},

@@ -51,7 +51,7 @@ func TestStepperStepAllocFree(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			strat := tc.mk()
-			model := atomicfloat.NewVector(tc.oracle.Dim())
+			model := atomicfloat.New(tc.oracle.Dim(), atomicfloat.Packed)
 			if err := strat.Bind(model, 0.01); err != nil {
 				t.Fatal(err)
 			}
@@ -86,9 +86,9 @@ func TestVectorBulkPathsAllocFree(t *testing.T) {
 		name string
 		v    *atomicfloat.Vector
 	}{
-		{"packed", atomicfloat.NewVector(64)},
-		{"banked", atomicfloat.NewBankedVector(64)},
-		{"padded", atomicfloat.NewPaddedVector(64)},
+		{"packed", atomicfloat.New(64, atomicfloat.Packed)},
+		{"banked", atomicfloat.New(64, atomicfloat.Banked)},
+		{"padded", atomicfloat.New(64, atomicfloat.Padded)},
 	} {
 		dst := make([]float64, 64)
 		idx := []int{0, 7, 31, 63}
@@ -98,7 +98,7 @@ func TestVectorBulkPathsAllocFree(t *testing.T) {
 			tc.v.LoadAll(dst)
 			tc.v.GatherInto(gath, idx)
 			tc.v.FetchAdd(11, 0.5)
-			tc.v.FetchAddRun(3, run)
+			tc.v.FetchAddScaledRun(3, run, 1)
 			tc.v.FetchAddScaledRun(3, run, -0.25)
 			tc.v.StoreRun(40, run)
 		})

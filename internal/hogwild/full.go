@@ -21,8 +21,7 @@ type FullConfig struct {
 	ItersPerEpoch int
 	Oracle        grad.Oracle
 	Seed          uint64
-	Mode          Mode
-	Strategy      Strategy // optional; overrides Mode (re-Bind-ed every epoch)
+	Strategy      Strategy // nil ⇒ lock-free (re-Bind-ed every epoch)
 	Epochs        int      // 0 ⇒ the Corollary-7.1 count ⌈log₂(α²Mn/√ε)⌉
 	// Layout and PinWorkers are forwarded to every epoch's Run — see
 	// Config. Each epoch allocates a fresh model in the chosen layout.
@@ -78,7 +77,6 @@ func RunFull(cfg FullConfig) (*FullResult, error) {
 			Alpha:      alpha,
 			Oracle:     cfg.Oracle,
 			Seed:       cfg.Seed + uint64(e)*0x9E3779B9,
-			Mode:       cfg.Mode,
 			Strategy:   cfg.Strategy,
 			Layout:     cfg.Layout,
 			PinWorkers: cfg.PinWorkers,

@@ -53,7 +53,7 @@ func TestRunFullEpochOverride(t *testing.T) {
 	}
 	res, err := RunFull(FullConfig{
 		Workers: 2, Epsilon: 0.1, Alpha0: 0.3, ItersPerEpoch: 500,
-		Oracle: q, Seed: 9, Epochs: 5, Mode: CoarseLock,
+		Oracle: q, Seed: 9, Epochs: 5, Strategy: NewCoarseLock(),
 	})
 	if err != nil {
 		t.Fatal(err)

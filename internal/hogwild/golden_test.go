@@ -52,6 +52,7 @@ func TestGoldenSingleWorkerStrategies(t *testing.T) {
 		{"lock-free", NewLockFree, lockStepBits},
 		{"coarse-lock", NewCoarseLock, lockStepBits},
 		{"striped-lock", func() Strategy { return NewStripedLock(8) }, lockStepBits},
+		{"striped-lock-default", func() Strategy { return NewStripedLock(0) }, lockStepBits},
 		{"bounded-staleness", func() Strategy { return NewBoundedStaleness(2) }, lockStepBits},
 		{"epoch-fence", func() Strategy { return NewEpochFence(8) }, lockStepBits},
 		{"update-batching", func() Strategy { return NewUpdateBatching(4) }, []uint64{
@@ -88,7 +89,7 @@ func TestGoldenSingleWorkerSparse(t *testing.T) {
 	}
 	res, err := Run(Config{
 		Workers: 1, TotalIters: 1000, Alpha: 0.01,
-		Oracle: sls, Seed: 11, Mode: SparseLockFree,
+		Oracle: sls, Seed: 11, Strategy: NewSparseLockFree(),
 	})
 	if err != nil {
 		t.Fatal(err)

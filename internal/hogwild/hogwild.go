@@ -7,13 +7,12 @@
 // disciplines of disciplines.go: bounded-staleness, update batching and
 // epoch fencing.
 //
-// The synchronization discipline is a pluggable Strategy (see strategy.go);
-// the legacy Mode enum maps onto the built-in strategies. The discrete
-// simulator (internal/core) is the vehicle for the paper's worst-case
-// claims — a real scheduler cannot be made adversarial — while this
-// package demonstrates the §8 practical story: throughput and convergence
-// under OS scheduling. On a single-core host the numbers show shape only;
-// EXPERIMENTS.md records that caveat.
+// The synchronization discipline is a pluggable Strategy (see strategy.go).
+// The discrete simulator (internal/core) is the vehicle for the paper's
+// worst-case claims — a real scheduler cannot be made adversarial — while
+// this package demonstrates the §8 practical story: throughput and
+// convergence under OS scheduling. On a single-core host the numbers show
+// shape only; EXPERIMENTS.md records that caveat.
 package hogwild
 
 import (
@@ -30,46 +29,6 @@ import (
 	"asyncsgd/internal/vec"
 )
 
-// Mode selects a built-in synchronization discipline. It predates the
-// Strategy interface and is kept as the concise way to pick one of the
-// standard disciplines; Config.Strategy overrides it.
-type Mode uint8
-
-// Synchronization modes.
-const (
-	// LockFree is Algorithm 1: atomic per-coordinate fetch&add, no locks.
-	LockFree Mode = iota + 1
-	// CoarseLock serializes whole iterations under one mutex (the
-	// consistent baseline of Langford et al. the paper's introduction
-	// discusses).
-	CoarseLock
-	// ShardedLock guards coordinates with a striped lock table:
-	// consistent per-coordinate access, inconsistent views — an
-	// intermediate design. (Historically one mutex per coordinate; now
-	// backed by the configurable striped-lock strategy.)
-	ShardedLock
-	// SparseLockFree is the sparse-aware Algorithm 1: the oracle
-	// announces each gradient's support and the runtime touches only
-	// those coordinates. Requires a grad.SparseOracle.
-	SparseLockFree
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case LockFree:
-		return "lock-free"
-	case CoarseLock:
-		return "coarse-lock"
-	case ShardedLock:
-		return "sharded-lock"
-	case SparseLockFree:
-		return "sparse-lock-free"
-	default:
-		return fmt.Sprintf("Mode(%d)", uint8(m))
-	}
-}
-
 // Config parameterizes a run.
 type Config struct {
 	Workers    int
@@ -77,11 +36,11 @@ type Config struct {
 	Alpha      float64
 	Oracle     grad.Oracle
 	Seed       uint64
-	Mode       Mode
-	// Strategy overrides Mode with a custom synchronization discipline.
-	// The value is Bind-ed by Run and must not be shared by concurrent
-	// runs — Run enforces this and fails fast with ErrStrategyBusy when a
-	// concurrent run already holds the value (sequential reuse is fine).
+	// Strategy is the synchronization discipline (nil ⇒ NewLockFree(),
+	// Algorithm 1). The value is Bind-ed by Run and must not be shared by
+	// concurrent runs — Run enforces this and fails fast with
+	// ErrStrategyBusy when a concurrent run already holds the value
+	// (sequential reuse is fine).
 	Strategy Strategy
 	// Faults injects a deterministic crash/rejoin plan at the stepper
 	// boundary: each planned victim dies after completing its configured
@@ -103,19 +62,9 @@ type Config struct {
 	// Byzantine workers of their share. The yield costs throughput, never
 	// changes convergence semantics, and is implied by Faults.
 	FairYield bool
-	// Stripes sets the lock-table size for Mode ShardedLock
-	// (0 ⇒ min(d, DefaultStripes)). Ignored when Strategy is set.
-	Stripes int
-	// Padded requests the cache-line-padded model layout (one aligned
-	// 64-byte line per coordinate, ~8x the memory — see
-	// atomicfloat.NewPaddedVector). Honored only below BankedAbove:
-	// above the threshold the auto-pick overrides it with the banked
-	// layout, whose memory cost is flat. Ignored when Layout is set.
-	Padded bool
-	// Layout pins the model's memory layout explicitly, overriding both
-	// Padded and the dimension-based auto-pick (LayoutAuto, the zero
-	// value, keeps them). Benchmarks use this to hold the layout fixed
-	// while varying everything else.
+	// Layout pins the model's memory layout explicitly, overriding the
+	// dimension-based auto-pick (LayoutAuto, the zero value). Benchmarks
+	// use this to hold the layout fixed while varying everything else.
 	Layout Layout
 	// PinWorkers wires each worker goroutine to its own OS thread
 	// (runtime.LockOSThread) for the duration of the run. On a
@@ -183,8 +132,7 @@ type progressSlot struct {
 type Layout uint8
 
 // Model layout choices. The zero value (LayoutAuto) derives the layout
-// from Config.Padded and the dimension: padded when requested and d <
-// BankedAbove, banked when d ≥ BankedAbove, packed otherwise.
+// from the dimension: banked when d ≥ BankedAbove, packed otherwise.
 const (
 	LayoutAuto Layout = iota
 	// LayoutPacked is the compact unaligned layout (atomicfloat.Packed).
@@ -193,16 +141,17 @@ const (
 	// (atomicfloat.Banked): same memory as packed, unit-stride banks.
 	LayoutBanked
 	// LayoutPadded is one aligned cache line per coordinate
-	// (atomicfloat.Padded, ~8x memory).
+	// (atomicfloat.Padded, ~8x memory): no false sharing between
+	// coordinates, viable for small write-hot models only.
 	LayoutPadded
 )
 
 // BankedAbove is the dimension threshold of the LayoutAuto pick: at and
-// above it the model uses the banked layout regardless of Config.Padded.
-// Rationale: padding costs 64 bytes per coordinate, so a d = 65536
-// padded model (4 MiB) already overflows typical per-core L2 — past
-// that point false-sharing relief is paid for with an 8x larger working
-// set, and the aligned compact layout wins.
+// above it the model uses the banked layout. It is also where
+// LayoutPadded stops paying: padding costs 64 bytes per coordinate, so a
+// d = 65536 padded model (4 MiB) already overflows typical per-core L2 —
+// past that point false-sharing relief is paid for with an 8x larger
+// working set, and the aligned compact layout wins.
 const BankedAbove = 1 << 16
 
 // modelLayout resolves a Config's layout choice to an atomicfloat layout.
@@ -217,9 +166,6 @@ func modelLayout(cfg *Config, d int) atomicfloat.Layout {
 	}
 	if d >= BankedAbove {
 		return atomicfloat.Banked
-	}
-	if cfg.Padded {
-		return atomicfloat.Padded
 	}
 	return atomicfloat.Packed
 }
@@ -284,18 +230,7 @@ func Run(cfg Config) (*Result, error) {
 
 	strat := cfg.Strategy
 	if strat == nil {
-		mode := cfg.Mode
-		if mode == 0 {
-			mode = LockFree
-		}
-		if mode == ShardedLock && cfg.Stripes != 0 {
-			strat = NewStripedLock(cfg.Stripes)
-		} else {
-			var err error
-			if strat, err = StrategyFor(mode, d); err != nil {
-				return nil, err
-			}
-		}
+		strat = NewLockFree()
 	}
 
 	plan := cfg.Faults
@@ -597,7 +532,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	final := vec.NewDense(d)
-	model.Snapshot(final)
+	model.LoadAll(final)
 	res := &Result{
 		Final:            final,
 		Iters:            int(done.Load()),

@@ -44,16 +44,22 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// lockDisciplines are the paper's lock-free Algorithm 1 and the two
+// locking baselines it is contrasted with.
+var lockDisciplines = []func() Strategy{
+	NewLockFree, NewCoarseLock, func() Strategy { return NewStripedLock(0) },
+}
+
 func TestNoLostUpdatesAllModes(t *testing.T) {
 	// With a constant gradient, X_final[j] = −α·T exactly; any lost update
 	// would show up as a deficit. This is the fetch&add guarantee the
 	// paper says is necessary (a delayed plain write could erase work).
 	const T, alpha = 20000, 0.001
-	for _, mode := range []Mode{LockFree, CoarseLock, ShardedLock} {
-		for _, padded := range []bool{false, true} {
+	for _, mk := range lockDisciplines {
+		for _, layout := range []Layout{LayoutAuto, LayoutPadded} {
 			res, err := Run(Config{
 				Workers: 8, TotalIters: T, Alpha: alpha,
-				Oracle: constOracle{d: 4}, Mode: mode, Padded: padded,
+				Oracle: constOracle{d: 4}, Strategy: mk(), Layout: layout,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -61,8 +67,8 @@ func TestNoLostUpdatesAllModes(t *testing.T) {
 			want := -alpha * T
 			for j, got := range res.Final {
 				if math.Abs(got-want) > 1e-6*math.Abs(want) {
-					t.Errorf("%v padded=%v: X[%d] = %v, want %v (lost updates)",
-						mode, padded, j, got, want)
+					t.Errorf("%v layout=%v: X[%d] = %v, want %v (lost updates)",
+						res.Strategy, layout, j, got, want)
 				}
 			}
 		}
@@ -74,10 +80,10 @@ func TestConvergesOnQuadraticAllModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Mode{LockFree, CoarseLock, ShardedLock} {
+	for _, mk := range lockDisciplines {
 		res, err := Run(Config{
 			Workers: 4, TotalIters: 3000, Alpha: 0.05,
-			Oracle: q, Seed: 3, Mode: mode,
+			Oracle: q, Seed: 3, Strategy: mk(),
 			X0: vec.Dense{2, -2, 2, -2},
 		})
 		if err != nil {
@@ -88,10 +94,10 @@ func TestConvergesOnQuadraticAllModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if d2 > 0.5 {
-			t.Errorf("%v: final dist² = %v", mode, d2)
+			t.Errorf("%v: final dist² = %v", res.Strategy, d2)
 		}
 		if res.UpdatesPerSec <= 0 || res.Iters != 3000 {
-			t.Errorf("%v: result stats = %+v", mode, res)
+			t.Errorf("%v: result stats = %+v", res.Strategy, res)
 		}
 	}
 }
@@ -113,7 +119,7 @@ func TestStalenessProbe(t *testing.T) {
 }
 
 func TestSingleWorkerMatchesSequential(t *testing.T) {
-	// One worker, LockFree: must follow the exact sequential trajectory of
+	// One worker, lock-free: must follow the exact sequential trajectory of
 	// baseline SGD with the same stream (worker streams use Seed,id+1).
 	q, err := grad.NewIsoQuadratic(2, 1, 0.3, 4, nil)
 	if err != nil {
@@ -139,14 +145,29 @@ func TestSingleWorkerMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	for m, want := range map[Mode]string{
-		LockFree: "lock-free", CoarseLock: "coarse-lock",
-		ShardedLock: "sharded-lock", SparseLockFree: "sparse-lock-free",
-		Mode(9): "Mode(9)",
-	} {
-		if got := m.String(); got != want {
-			t.Errorf("String(%d) = %q, want %q", m, got, want)
+// TestNilStrategyIsLockFree: a Config without a Strategy runs Algorithm 1
+// — the same bits as an explicit NewLockFree(), under the same name.
+func TestNilStrategyIsLockFree(t *testing.T) {
+	q, err := grad.NewIsoQuadratic(8, 1, 0.3, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workers: 1, TotalIters: 500, Alpha: 0.02, Oracle: q, Seed: 11}
+	implicit, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Strategy = NewLockFree()
+	explicit, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if implicit.Strategy != "lock-free" {
+		t.Errorf("nil Strategy ran %q, want lock-free", implicit.Strategy)
+	}
+	for i := range explicit.Final {
+		if math.Float64bits(implicit.Final[i]) != math.Float64bits(explicit.Final[i]) {
+			t.Errorf("coord %d: nil Strategy %v vs NewLockFree %v", i, implicit.Final[i], explicit.Final[i])
 		}
 	}
 }

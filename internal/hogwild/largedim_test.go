@@ -135,10 +135,9 @@ func TestLayoutsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAutoLayoutPicksBanked pins the LayoutAuto policy: banked at and
-// above BankedAbove (even when padding was requested — the 8x memory
-// cliff is exactly what the threshold protects against), padded/packed
-// below it per Config.Padded.
+// TestAutoLayoutPicksBanked pins the LayoutAuto policy — banked at and
+// above BankedAbove, packed below it — and that an explicit Layout wins
+// over it on either side of the threshold.
 func TestAutoLayoutPicksBanked(t *testing.T) {
 	cases := []struct {
 		cfg  Config
@@ -146,16 +145,15 @@ func TestAutoLayoutPicksBanked(t *testing.T) {
 		want string
 	}{
 		{Config{}, 128, "packed"},
-		{Config{Padded: true}, 128, "padded"},
+		{Config{Layout: LayoutPadded}, 128, "padded"},
 		{Config{}, BankedAbove, "banked"},
-		{Config{Padded: true}, BankedAbove, "banked"},
 		{Config{Layout: LayoutPadded}, BankedAbove, "padded"},
-		{Config{Layout: LayoutPacked, Padded: true}, 128, "packed"},
+		{Config{Layout: LayoutPacked}, 128, "packed"},
 	}
 	for _, tc := range cases {
 		if got := modelLayout(&tc.cfg, tc.d).String(); got != tc.want {
-			t.Errorf("modelLayout(Padded=%v, Layout=%v, d=%d) = %s, want %s",
-				tc.cfg.Padded, tc.cfg.Layout, tc.d, got, tc.want)
+			t.Errorf("modelLayout(Layout=%v, d=%d) = %s, want %s",
+				tc.cfg.Layout, tc.d, got, tc.want)
 		}
 	}
 }
@@ -226,7 +224,7 @@ func TestLargeDimStepAllocFree(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			strat := tc.mk()
-			model := atomicfloat.NewBankedVector(d)
+			model := atomicfloat.New(d, atomicfloat.Banked)
 			if err := strat.Bind(model, 0.001); err != nil {
 				t.Fatal(err)
 			}
@@ -392,7 +390,7 @@ func BenchmarkLargeDimSparse(b *testing.B) {
 				res, err := Run(Config{
 					Workers: 8, TotalIters: iters, Alpha: 0.001,
 					Oracle: oracle, Seed: 7, Layout: l.layout,
-					Mode: SparseLockFree,
+					Strategy: NewSparseLockFree(),
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -41,22 +41,6 @@ type Stepper interface {
 	Step() int
 }
 
-// BulkApplier is an optional Strategy capability: the strategy can apply
-// a dense gradient to the shared model in amortized coordinate runs
-// instead of d independent per-coordinate calls. At large d this is the
-// difference between paying the index-shift/bounds/lock overhead once
-// per cache line and paying it once per coordinate.
-//
-// ApplyDense subtracts alpha·g from the model for every non-zero g[j],
-// in ascending coordinate order with exactly the per-coordinate float
-// arithmetic of the scalar path — callers may rely on bit-identical
-// results. The return value is the number of coordinate writes issued
-// (the write half of the Step ops count). Bind must have been called
-// first.
-type BulkApplier interface {
-	ApplyDense(g []float64) int
-}
-
 // applyDenseRuns is the lock-free bulk dense-apply kernel shared by the
 // strategies: it walks g for maximal runs of non-zero coordinates and
 // issues one FetchAddScaledRun per run, scaling by -alpha in the fused
@@ -107,31 +91,9 @@ func scatterRuns(m *atomicfloat.Vector, alpha float64, idx []int, vals []float64
 	return n
 }
 
-// StrategyFor returns the built-in strategy for a legacy Mode value.
-// ShardedLock maps to a striped-lock table with min(d, DefaultStripes)
-// stripes — per-coordinate locking for the model sizes the experiments
-// use, bounded table size beyond that.
-func StrategyFor(mode Mode, d int) (Strategy, error) {
-	switch mode {
-	case LockFree:
-		return NewLockFree(), nil
-	case CoarseLock:
-		return NewCoarseLock(), nil
-	case ShardedLock:
-		stripes := d
-		if stripes > DefaultStripes {
-			stripes = DefaultStripes
-		}
-		return NewStripedLock(stripes), nil
-	case SparseLockFree:
-		return NewSparseLockFree(), nil
-	default:
-		return nil, fmt.Errorf("%w: unknown mode %v", ErrBadConfig, mode)
-	}
-}
-
-// DefaultStripes caps the lock table of the ShardedLock compatibility
-// mapping (and is the default for NewStripedLock(0)).
+// DefaultStripes is the lock-table size of NewStripedLock(0): one lock
+// per coordinate for the model sizes the experiments use (d ≤ 256), a
+// bounded table beyond that.
 const DefaultStripes = 256
 
 // --- lock-free -------------------------------------------------------------
@@ -159,12 +121,6 @@ func (s *lockFree) NewStepper(_ int, oracle grad.Oracle, r *rng.Rand) (Stepper, 
 		s: s, oracle: oracle, r: r,
 		view: vec.NewDense(d), g: vec.NewDense(d),
 	}, nil
-}
-
-// ApplyDense implements BulkApplier: runs of non-zero gradient
-// coordinates become single FetchAddScaledRun calls.
-func (s *lockFree) ApplyDense(g []float64) int {
-	return applyDenseRuns(s.model, s.alpha, g)
 }
 
 type lockFreeStepper struct {
@@ -237,8 +193,8 @@ func (w *coarseLockStepper) Step() int {
 
 // stripedLock guards coordinates with a fixed table of lock stripes
 // (coordinate j maps to stripe j mod stripes): consistent per-coordinate
-// access, inconsistent cross-coordinate views. With stripes ≥ d it is the
-// old per-coordinate ShardedLock; smaller tables trade contention for
+// access, inconsistent cross-coordinate views. With stripes ≥ d it is
+// one lock per coordinate; smaller tables trade contention for
 // memory — one mutex per coordinate at d = 10⁶ is not a real design.
 type stripedLock struct {
 	model   *atomicfloat.Vector
@@ -291,14 +247,15 @@ func (s *stripedLock) loadView(view []float64) {
 	}
 }
 
-// ApplyDense implements BulkApplier for the striped table: the write
-// pass visits each stripe once, holding its lock across all the
-// stripe's non-zero gradient coordinates — O(min(n,d)) lock acquisitions
-// per iteration instead of O(nnz). Per-coordinate arithmetic is the
-// scalar path's read-modify-write, so single-worker trajectories keep
-// their exact bits (coordinate updates commute across the reordering
-// because each touches only its own register).
-func (s *stripedLock) ApplyDense(g []float64) int {
+// applyDense subtracts alpha·g from the model and returns the number of
+// coordinate writes. The write pass visits each stripe once, holding its
+// lock across all the stripe's non-zero gradient coordinates —
+// O(min(n,d)) lock acquisitions per iteration instead of O(nnz).
+// Per-coordinate arithmetic is the scalar path's read-modify-write, so
+// single-worker trajectories keep their exact bits (coordinate updates
+// commute across the reordering because each touches only its own
+// register).
+func (s *stripedLock) applyDense(g []float64) int {
 	writes := 0
 	d := len(g)
 	for st := 0; st < s.n && st < d; st++ {
@@ -334,7 +291,7 @@ func (w *stripedLockStepper) Step() int {
 	s := w.s
 	s.loadView(w.view)
 	w.oracle.Grad(w.g, w.view, w.r)
-	return len(w.view) + s.ApplyDense(w.g)
+	return len(w.view) + s.applyDense(w.g)
 }
 
 // --- sparse lock-free ------------------------------------------------------

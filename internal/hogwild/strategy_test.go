@@ -52,7 +52,7 @@ func TestSparseLockFreeNoLostUpdates(t *testing.T) {
 	const T, alpha, k = 20000, 0.001, 3
 	res, err := Run(Config{
 		Workers: 8, TotalIters: T, Alpha: alpha,
-		Oracle: constSparseOracle{d: 16, k: k}, Mode: SparseLockFree,
+		Oracle: constSparseOracle{d: 16, k: k}, Strategy: NewSparseLockFree(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestSparseCoordOpsScaleWithNNZ(t *testing.T) {
 	for _, d := range []int{64, 512} {
 		sparse, err := Run(Config{
 			Workers: 2, TotalIters: T, Alpha: 0.01,
-			Oracle: constSparseOracle{d: d, k: k}, Mode: SparseLockFree,
+			Oracle: constSparseOracle{d: d, k: k}, Strategy: NewSparseLockFree(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func TestSparseCoordOpsScaleWithNNZ(t *testing.T) {
 		}
 		dense, err := Run(Config{
 			Workers: 2, TotalIters: T, Alpha: 0.01,
-			Oracle: constSparseOracle{d: d, k: k}, Mode: LockFree,
+			Oracle: constSparseOracle{d: d, k: k}, Strategy: NewLockFree(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -107,16 +107,10 @@ func TestSparseStrategyNeedsCapability(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Run(Config{
-		Workers: 2, TotalIters: 100, Alpha: 0.05, Oracle: q, Mode: SparseLockFree,
+		Workers: 2, TotalIters: 100, Alpha: 0.05, Oracle: q, Strategy: NewSparseLockFree(),
 	})
 	if !errors.Is(err, ErrBadConfig) {
 		t.Errorf("dense oracle accepted by sparse strategy: %v", err)
-	}
-}
-
-func TestStrategyForUnknownMode(t *testing.T) {
-	if _, err := StrategyFor(Mode(42), 4); !errors.Is(err, ErrBadConfig) {
-		t.Error("unknown mode accepted")
 	}
 }
 
@@ -139,13 +133,13 @@ func TestCustomStrategyAndStripes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Explicit strategy, and the Stripes knob through Mode ShardedLock:
-	// both must converge like any other consistent-locking discipline.
+	// Stripe counts below d (several coordinates per lock) must converge
+	// like any other consistent-locking discipline.
 	cfgs := []Config{
 		{Workers: 4, TotalIters: 3000, Alpha: 0.05, Oracle: q, Seed: 3,
 			Strategy: NewStripedLock(4), X0: vec.Constant(8, 1)},
 		{Workers: 4, TotalIters: 3000, Alpha: 0.05, Oracle: q, Seed: 3,
-			Mode: ShardedLock, Stripes: 2, X0: vec.Constant(8, 1)},
+			Strategy: NewStripedLock(2), X0: vec.Constant(8, 1)},
 	}
 	for i, cfg := range cfgs {
 		res, err := Run(cfg)

@@ -332,19 +332,6 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 	return g
 }
 
-// GaugeVec is a gauge family split by a fixed label set.
-type GaugeVec struct{ f *family }
-
-// NewGaugeVec registers a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labelKeys ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, "gauge", labelKeys)}
-}
-
-// With returns the gauge for one label-value tuple.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.child(values, func() renderable { return &Gauge{} }).(*Gauge)
-}
-
 // NewGaugeFunc registers a gauge whose value is computed by fn at scrape
 // time — the right shape for values that already live under someone
 // else's lock (queue depth, cache size).

@@ -91,9 +91,6 @@ func (r *Rand) next32() uint32 {
 	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
 }
 
-// Uint32 returns 32 uniformly random bits.
-func (r *Rand) Uint32() uint32 { return r.next32() }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 // Lemire's nearly-divisionless bounded sampling is used to avoid modulo
 // bias.

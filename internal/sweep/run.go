@@ -231,8 +231,8 @@ func runCellSafe(s *Spec, c Cell) (res CellResult) {
 // result rather than aborting the sweep: one bad grid point (say, a
 // sparse strategy crossed with a dense-only oracle) should not cost the
 // other 99 cells their work.
-func runCell(s *Spec, c Cell) (res CellResult) {
-	res = CellResult{Cell: c, MaxStaleness: -1}
+func runCell(s *Spec, c Cell) CellResult {
+	res := CellResult{Cell: c, MaxStaleness: -1}
 	oracle, x0, err := c.oracle.Make(c.Dim, rng.NewStream(c.Seed, oracleStream))
 	if err != nil {
 		res.Err = fmt.Sprintf("oracle %s: %v", c.Oracle, err)
@@ -261,138 +261,146 @@ func runCell(s *Spec, c Cell) (res CellResult) {
 		}
 		clipMeter, _ = oracle.(grad.ClipMeter)
 	}
-	defer func() {
-		// The meters are shared across every worker clone, so the wrapper
-		// handles read run totals.
-		if corrMeter != nil {
-			res.CorruptedUpdates = corrMeter.CorruptedUpdates()
-		}
-		if clipMeter != nil {
-			res.ClippedUpdates = clipMeter.ClippedUpdates()
-		}
-	}()
+	run := runMachine // Spec.Cells admits exactly the two runtimes
+	if c.runtime == Hogwild {
+		run = runHogwild
+	}
 	//asgdvet:allow nondet(feeds elapsed/updates_per_sec, the two documented nondeterministic report fields)
 	start := time.Now()
-	switch c.runtime {
-	case Hogwild:
-		if c.strategy.Hogwild == nil {
-			res.Err = fmt.Sprintf("strategy %s has no real-thread implementation", c.Strategy)
-			return res
-		}
-		var strat hogwild.Strategy
-		if c.defense != nil && c.defense.Median {
-			strat = hogwild.NewMedianAggregate()
-		} else {
-			strat = c.strategy.Hogwild()
-		}
-		cfg := hogwild.Config{
-			Workers:         c.Workers,
-			TotalIters:      s.Iters,
-			Alpha:           c.Alpha,
-			Oracle:          oracle,
-			Seed:            c.Seed,
-			Strategy:        strat,
-			Padded:          c.strategy.Padded,
-			PinWorkers:      s.PinWorkers,
-			X0:              x0,
-			SampleStaleness: s.Probe,
-		}
-		if !c.faults.none() {
-			cfg.Faults = c.faults.hogwildPlan(c.Workers, rng.NewStream(c.Seed, faultStream))
-		}
-		// Robustness cells trade throughput for scheduling fairness: on
-		// hosts with fewer cores than workers, one worker could otherwise
-		// swallow the whole iteration budget before the planned victims or
-		// the Byzantine roster ever run.
-		cfg.FairYield = !c.faults.none() || !c.byz.none() ||
-			(c.defense != nil && !c.defense.none())
-		if s.OnTelemetry != nil {
-			emit := s.OnTelemetry
-			cell := c
-			cfg.TelemetryEvery = s.TelemetryEvery
-			cfg.OnTelemetry = func(t hogwild.Telemetry) {
-				emit(TelemetrySample{
-					Cell:         cell,
-					Seconds:      t.Elapsed.Seconds(),
-					Iters:        t.Iters,
-					CoordOps:     t.CoordOps,
-					MaxStaleness: t.MaxStaleness,
-					AvgStaleness: t.AvgStaleness,
-					Done:         t.Done,
-				})
-			}
-		}
-		out, err := hogwild.Run(cfg)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		res.Iters = out.Iters
-		res.CoordOps = out.CoordOps
-		res.AvgStaleness = out.AvgStaleness
-		if _, gauged := strat.(hogwild.StalenessBounded); gauged || s.Probe {
-			res.MaxStaleness = out.MaxStaleness
-		}
-		res.Crashed = out.Crashed
-		res.Rejoined = out.Rejoined
-		res.RecoveredTickets = int64(out.RecoveredTickets)
-		//asgdvet:allow nondet(feeds elapsed/updates_per_sec, the two documented nondeterministic report fields)
-		res.fill(oracle, out.Final, time.Since(start))
-	case Machine:
-		if c.strategy.Machine == nil {
-			res.Err = fmt.Sprintf("strategy %s has no machine implementation", c.Strategy)
-			return res
-		}
-		if c.defense != nil && c.defense.Median {
-			res.Err = fmt.Sprintf("defense %s has no machine implementation (a round-membership barrier has no meaning under one-op-at-a-time scheduling)", c.Defense)
-			return res
-		}
-		cfg := core.EpochConfig{
-			Threads:    c.Workers,
-			TotalIters: s.Iters,
-			Alpha:      c.Alpha,
-			Oracle:     oracle,
-			Seed:       c.Seed,
-			X0:         x0,
-			Track:      true,
-		}
-		if s.Policy != nil {
-			cfg.Policy = s.Policy(c.Workers, rng.NewStream(c.Seed, policyStream))
-		} else {
-			cfg.Policy = &sched.RoundRobin{}
-		}
-		// An armed fault axis replaces the cell's scheduling policy with
-		// the crash adversary and arms gate-ticket recovery; replacement
-		// threads join as parked spares above the original worker ids.
-		if !c.faults.none() {
-			if faulty, spares := c.faults.machineFaulty(c.Workers, rng.NewStream(c.Seed, faultStream)); faulty != nil {
-				cfg.Policy = faulty
-				cfg.Threads = c.Workers + spares
-				cfg.CrashRecovery = true
-			}
-		}
-		c.strategy.Machine(&cfg)
-		out, err := core.RunEpoch(cfg)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		res.Iters = out.Tracker.Completed()
-		res.CoordOps = out.CoordOps
-		res.MaxStaleness = out.Tracker.MaxAdmissionsDuring()
-		res.Crashed = out.Stats.Crashed
-		res.Stalled = out.Stats.Stalled
-		res.RecoveredTickets = out.RecoveredTickets
-		if c.faults != nil && c.faults.Rejoin {
-			// Each fired crash activates one parked spare.
-			res.Rejoined = out.Stats.Crashed
-		}
-		//asgdvet:allow nondet(feeds elapsed/updates_per_sec, the two documented nondeterministic report fields)
-		res.fill(oracle, out.FinalX, time.Since(start))
-	default:
-		res.Err = fmt.Sprintf("unknown runtime %v", c.runtime)
+	final, err := run(s, c, oracle, x0, &res)
+	//asgdvet:allow nondet(feeds elapsed/updates_per_sec, the two documented nondeterministic report fields)
+	elapsed := time.Since(start)
+	// The meters are shared across every worker clone, so the wrapper
+	// handles read run totals.
+	if corrMeter != nil {
+		res.CorruptedUpdates = corrMeter.CorruptedUpdates()
 	}
+	if clipMeter != nil {
+		res.ClippedUpdates = clipMeter.ClippedUpdates()
+	}
+	if err != nil {
+		res.Err = err.Error()
+		return res
+	}
+	res.fill(oracle, final, elapsed)
 	return res
+}
+
+// runHogwild is the real-thread adapter: it runs the cell through
+// hogwild.Run, writes the run's counters into res and returns the final
+// model.
+func runHogwild(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResult) (vec.Dense, error) {
+	if c.strategy.Hogwild == nil {
+		return nil, fmt.Errorf("strategy %s has no real-thread implementation", c.Strategy)
+	}
+	var strat hogwild.Strategy
+	if c.defense != nil && c.defense.Median {
+		strat = hogwild.NewMedianAggregate()
+	} else {
+		strat = c.strategy.Hogwild()
+	}
+	cfg := hogwild.Config{
+		Workers:         c.Workers,
+		TotalIters:      s.Iters,
+		Alpha:           c.Alpha,
+		Oracle:          oracle,
+		Seed:            c.Seed,
+		Strategy:        strat,
+		Layout:          c.strategy.Layout,
+		PinWorkers:      s.PinWorkers,
+		X0:              x0,
+		SampleStaleness: s.Probe,
+	}
+	if !c.faults.none() {
+		cfg.Faults = c.faults.hogwildPlan(c.Workers, rng.NewStream(c.Seed, faultStream))
+	}
+	// Robustness cells trade throughput for scheduling fairness: on
+	// hosts with fewer cores than workers, one worker could otherwise
+	// swallow the whole iteration budget before the planned victims or
+	// the Byzantine roster ever run.
+	cfg.FairYield = !c.faults.none() || !c.byz.none() ||
+		(c.defense != nil && !c.defense.none())
+	if s.OnTelemetry != nil {
+		emit := s.OnTelemetry
+		cfg.TelemetryEvery = s.TelemetryEvery
+		cfg.OnTelemetry = func(t hogwild.Telemetry) {
+			emit(TelemetrySample{
+				Cell:         c,
+				Seconds:      t.Elapsed.Seconds(),
+				Iters:        t.Iters,
+				CoordOps:     t.CoordOps,
+				MaxStaleness: t.MaxStaleness,
+				AvgStaleness: t.AvgStaleness,
+				Done:         t.Done,
+			})
+		}
+	}
+	out, err := hogwild.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Iters = out.Iters
+	res.CoordOps = out.CoordOps
+	res.AvgStaleness = out.AvgStaleness
+	if _, gauged := strat.(hogwild.StalenessBounded); gauged || s.Probe {
+		res.MaxStaleness = out.MaxStaleness
+	}
+	res.Crashed = out.Crashed
+	res.Rejoined = out.Rejoined
+	res.RecoveredTickets = int64(out.RecoveredTickets)
+	return out.Final, nil
+}
+
+// runMachine is the simulator adapter: it runs the cell through
+// core.RunEpoch, writes the run's counters into res and returns the
+// final model.
+func runMachine(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResult) (vec.Dense, error) {
+	if c.strategy.Machine == nil {
+		return nil, fmt.Errorf("strategy %s has no machine implementation", c.Strategy)
+	}
+	if c.defense != nil && c.defense.Median {
+		return nil, fmt.Errorf("defense %s has no machine implementation (a round-membership barrier has no meaning under one-op-at-a-time scheduling)", c.Defense)
+	}
+	cfg := core.EpochConfig{
+		Threads:    c.Workers,
+		TotalIters: s.Iters,
+		Alpha:      c.Alpha,
+		Oracle:     oracle,
+		Seed:       c.Seed,
+		X0:         x0,
+		Track:      true,
+	}
+	if s.Policy != nil {
+		cfg.Policy = s.Policy(c.Workers, rng.NewStream(c.Seed, policyStream))
+	} else {
+		cfg.Policy = &sched.RoundRobin{}
+	}
+	// An armed fault axis replaces the cell's scheduling policy with
+	// the crash adversary and arms gate-ticket recovery; replacement
+	// threads join as parked spares above the original worker ids.
+	if !c.faults.none() {
+		if faulty, spares := c.faults.machineFaulty(c.Workers, rng.NewStream(c.Seed, faultStream)); faulty != nil {
+			cfg.Policy = faulty
+			cfg.Threads = c.Workers + spares
+			cfg.CrashRecovery = true
+		}
+	}
+	c.strategy.Machine(&cfg)
+	out, err := core.RunEpoch(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Iters = out.Tracker.Completed()
+	res.CoordOps = out.CoordOps
+	res.MaxStaleness = out.Tracker.MaxAdmissionsDuring()
+	res.Crashed = out.Stats.Crashed
+	res.Stalled = out.Stats.Stalled
+	res.RecoveredTickets = out.RecoveredTickets
+	if c.faults != nil && c.faults.Rejoin {
+		// Each fired crash activates one parked spare.
+		res.Rejoined = out.Stats.Crashed
+	}
+	return out.FinalX, nil
 }
 
 // fill computes the quality metrics and timing of a finished cell.

@@ -85,10 +85,10 @@ type Strategy struct {
 	Hogwild func() hogwild.Strategy
 	Machine func(cfg *core.EpochConfig)
 	Tau     int
-	// Padded cache-line-pads the hogwild atomic model vector for this
-	// strategy's cells (what lock-free throughput measurements want on
-	// multi-core hosts; irrelevant to Machine cells).
-	Padded bool
+	// Layout pins the hogwild atomic model vector's layout for this
+	// strategy's cells — LayoutPadded is what lock-free throughput
+	// measurements want on multi-core hosts. Irrelevant to Machine cells.
+	Layout hogwild.Layout
 }
 
 // Built-in strategy-axis entries, mirroring the hogwild roster and its
