@@ -12,18 +12,17 @@
 //     the Section-5 lower-bound closed forms),
 //   - the experiment drivers (E1–E19) that regenerate every quantitative
 //     claim in the paper,
-//   - a fault-injection layer (DESIGN.md §8): crash/rejoin scheduling
-//     with crash-safe ticket reclamation on both runtimes, plus a
-//     Byzantine-gradient adversary with norm-clipping and
-//     coordinate-median defenses,
 //   - the concurrent scenario-sweep engine (RunSweep) that executes
 //     parameter grids on a GOMAXPROCS-aware pool with deterministic
 //     per-cell seeds, and
 //   - the sweep-as-a-service layer (Serve, SweepRequest): a streaming
 //     HTTP job server over the sweep engine with an LRU result cache.
 //
-// This package is a facade: it re-exports the stable API surface of the
-// internal packages so that applications depend on a single import.
+// This package is a facade: it re-exports the part of the internal
+// packages that the examples use, so that applications depend on a single
+// import; everything else (the fault-injection layer of DESIGN.md §8, the
+// distributed cluster of §10) is reached through the internal packages and
+// the commands.
 // See README.md for the project map, DESIGN.md for the architecture and
 // EXPERIMENTS.md for the recorded reproduction results. The Example
 // functions in example_test.go are compiled, executed quickstarts.
@@ -34,14 +33,12 @@ import (
 	"io"
 
 	"asyncsgd/internal/baseline"
-	"asyncsgd/internal/cluster"
 	"asyncsgd/internal/core"
 	"asyncsgd/internal/data"
 	"asyncsgd/internal/experiments"
 	"asyncsgd/internal/grad"
 	"asyncsgd/internal/hogwild"
 	"asyncsgd/internal/martingale"
-	"asyncsgd/internal/report"
 	"asyncsgd/internal/rng"
 	"asyncsgd/internal/sched"
 	"asyncsgd/internal/serve"
@@ -55,22 +52,12 @@ import (
 type (
 	// Dense is a dense float64 vector.
 	Dense = vec.Dense
-	// Sparse is a sparse vector in coordinate (index/value) form, the
-	// representation the sparse update pipeline moves through oracles,
-	// runtimes and the contention tracker.
-	Sparse = vec.Sparse
 	// Rand is the deterministic splittable PRNG used everywhere.
 	Rand = rng.Rand
 )
 
 // NewDense returns a zero vector of dimension d.
 func NewDense(d int) Dense { return vec.NewDense(d) }
-
-// NewSparse builds a Sparse of dimension d from parallel index/value
-// slices (copied, sorted, zeros dropped).
-func NewSparse(d int, indices []int, values []float64) (Sparse, error) {
-	return vec.NewSparse(d, indices, values)
-}
 
 // NewRand returns a seeded deterministic generator.
 func NewRand(seed uint64) *Rand { return rng.New(seed) }
@@ -90,8 +77,6 @@ type (
 	Dataset = data.Dataset
 	// LinearConfig parameterizes synthetic linear-regression data.
 	LinearConfig = data.LinearConfig
-	// LogisticConfig parameterizes synthetic classification data.
-	LogisticConfig = data.LogisticConfig
 )
 
 // NewQuad1D returns the paper's Section-5 objective f(x)=½x² with noisy
@@ -104,24 +89,10 @@ func NewIsoQuadratic(d int, c, sigma, r0 float64, xstar Dense) (Oracle, error) {
 	return grad.NewIsoQuadratic(d, c, sigma, r0, xstar)
 }
 
-// NewQuadratic returns an anisotropic quadratic with spectrum lambda.
-func NewQuadratic(lambda, xstar Dense, sigma, r0 float64) (Oracle, error) {
-	return grad.NewQuadratic(lambda, xstar, sigma, r0)
-}
-
 // NewLeastSquares builds the least-squares oracle over a dataset.
 func NewLeastSquares(ds *Dataset, r0 float64) (Oracle, error) {
 	return grad.NewLeastSquares(ds, r0)
 }
-
-// NewLogistic builds the ℓ2-regularized logistic-regression oracle.
-func NewLogistic(ds *Dataset, lambda, r0 float64) (Oracle, error) {
-	return grad.NewLogistic(ds, lambda, r0)
-}
-
-// NewSingleCoordinate wraps an oracle so gradients have a single non-zero
-// entry (the sparsity regime of the prior De Sa et al. analysis).
-func NewSingleCoordinate(base Oracle) Oracle { return grad.NewSingleCoordinate(base) }
 
 // NewSparseLeastSquares builds least squares over sparse feature rows —
 // the workload where the sparse pipeline's O(nnz) updates beat the dense
@@ -155,9 +126,6 @@ func NewMatrixFactorization(cfg MFConfig, r *Rand) (*grad.MatrixFactorization, e
 // GenLinear generates a synthetic linear-regression dataset.
 func GenLinear(cfg LinearConfig, r *Rand) (*Dataset, error) { return data.GenLinear(cfg, r) }
 
-// GenLogistic generates a synthetic classification dataset.
-func GenLogistic(cfg LogisticConfig, r *Rand) (*Dataset, error) { return data.GenLogistic(cfg, r) }
-
 // --- the shared-memory model and schedulers ------------------------------
 
 type (
@@ -165,37 +133,12 @@ type (
 	Policy = shm.Policy
 	// RoundRobin is the fair baseline scheduler.
 	RoundRobin = sched.RoundRobin
-	// Random schedules a uniformly random live thread each step.
-	Random = sched.Random
-	// GeometricPause injects stochastic geometric delays.
-	GeometricPause = sched.GeometricPause
 	// StaleGradient is the Section-5 lower-bound adversary.
 	StaleGradient = sched.StaleGradient
 	// MaxStale is the budgeted maximum-staleness adaptive adversary.
 	MaxStale = sched.MaxStale
-	// CrashAt crashes chosen threads at chosen times.
-	CrashAt = sched.CrashAt
 	// Quantum models OS-style preemptive quanta (bursty benign schedules).
 	Quantum = sched.Quantum
-	// Faulty is the crash-fault adversary: it kills chosen threads at
-	// chosen points inside an iteration (see CrashPoint) and can park
-	// spare thread ids that rejoin after a crash. Pair ticket crashes
-	// with EpochConfig.CrashRecovery to exercise the reclamation
-	// protocol (DESIGN.md §8).
-	Faulty = sched.Faulty
-	// ThreadCrash is one planned crash in a Faulty policy.
-	ThreadCrash = sched.ThreadCrash
-	// CrashPoint selects where inside an iteration a ThreadCrash fires.
-	CrashPoint = sched.CrashPoint
-)
-
-// Crash points of the Faulty adversary. CrashHoldingTicket — dying with
-// a claimed, unpublished staleness ticket — is the one that wedges a
-// gated discipline unless EpochConfig.CrashRecovery is armed.
-const (
-	CrashAtBoundary    = sched.CrashAtBoundary
-	CrashAtGate        = sched.CrashAtGate
-	CrashHoldingTicket = sched.CrashHoldingTicket
 )
 
 // --- the paper's algorithms ----------------------------------------------
@@ -209,8 +152,6 @@ type (
 	FullConfig = core.FullConfig
 	// FullResult is the outcome of Algorithm 2.
 	FullResult = core.FullResult
-	// IterRecord captures one completed SGD iteration.
-	IterRecord = core.IterRecord
 	// SeqConfig parameterizes the sequential baseline.
 	SeqConfig = baseline.SeqConfig
 	// SeqResult is the sequential baseline outcome.
@@ -246,33 +187,22 @@ type (
 	// workers/iterations/step size it carries the synchronization
 	// discipline (Strategy; nil runs lock-free Algorithm 1) and the
 	// performance knobs: Layout pins the model's memory layout (the
-	// LayoutAuto default picks the cache-line-banked layout at d ≥
-	// hogwild.BankedAbove and the packed one below it), and PinWorkers
+	// hogwild.LayoutAuto default picks the cache-line-banked layout at
+	// d ≥ hogwild.BankedAbove and the packed one below it), and PinWorkers
 	// locks each worker goroutine to an OS thread for stable cache/NUMA
 	// placement.
 	ParallelConfig = hogwild.Config
 	// ParallelResult is its outcome.
 	ParallelResult = hogwild.Result
-	// ModelLayout selects the shared model's memory layout in
-	// ParallelConfig (auto, packed, cache-line-banked or padded).
-	ModelLayout = hogwild.Layout
 	// Strategy is the pluggable synchronization discipline of the
 	// real-thread runtime; implement it to add new disciplines without
 	// touching RunParallel.
 	Strategy = hogwild.Strategy
-	// Stepper executes SGD iterations for one worker under a Strategy.
-	Stepper = hogwild.Stepper
 )
 
-// Model layout choices for ParallelConfig.Layout. LayoutAuto (the zero
-// value) derives the layout from the dimension: banked at
-// d ≥ hogwild.BankedAbove, packed otherwise.
-const (
-	LayoutAuto   = hogwild.LayoutAuto
-	LayoutPacked = hogwild.LayoutPacked
-	LayoutBanked = hogwild.LayoutBanked
-	LayoutPadded = hogwild.LayoutPadded
-)
+// LayoutPadded gives every model coordinate its own cache line
+// (ParallelConfig.Layout), the choice for a small write-hot model.
+const LayoutPadded = hogwild.LayoutPadded
 
 // NewLockFreeStrategy returns the Algorithm-1 lock-free strategy.
 func NewLockFreeStrategy() Strategy { return hogwild.NewLockFree() }
@@ -319,63 +249,6 @@ func NewEpochFenceStrategy(every int) Strategy { return hogwild.NewEpochFence(ev
 // RunParallel executes lock-free (or lock-based) SGD on real goroutines.
 func RunParallel(cfg ParallelConfig) (*ParallelResult, error) { return hogwild.Run(cfg) }
 
-// --- fault injection -------------------------------------------------------
-
-type (
-	// FaultPlan is the real-thread crash schedule (ParallelConfig.Faults):
-	// seeded, deterministic per plan, validated against the worker count.
-	// Recover arms supervisor-side ticket reclamation — required for
-	// in-flight crashes under a gated strategy, which would otherwise
-	// deadlock the survivors at the ≤ τ admission (DESIGN.md §8).
-	FaultPlan = hogwild.FaultPlan
-	// WorkerFault is one planned worker crash in a FaultPlan.
-	WorkerFault = hogwild.WorkerFault
-	// ByzantineMode selects a gradient-corruption transform.
-	ByzantineMode = grad.ByzantineMode
-	// CorruptionMeter is implemented by the Byzantine oracle wrapper:
-	// the count of corrupted gradients delivered, shared across clones.
-	CorruptionMeter = grad.CorruptionMeter
-	// ClipMeter is implemented by the norm-clip wrapper: the count of
-	// gradients it modified (rescaled or sanitized).
-	ClipMeter = grad.ClipMeter
-)
-
-// Byzantine corruption modes. SignFlip is norm-plausible (clipping
-// cannot see it; coordinate-median aggregation can), ScaleBlowup and
-// NaNInject are norm-visible (per-update clipping defuses both).
-const (
-	SignFlip    = grad.SignFlip
-	ScaleBlowup = grad.ScaleBlowup
-	NaNInject   = grad.NaNInject
-)
-
-// ErrStrategyBusy reports a Strategy value bound by a concurrent run; a
-// Strategy may be reused sequentially but never concurrently.
-var ErrStrategyBusy = hogwild.ErrStrategyBusy
-
-// NewByzantine wraps an oracle so that a seeded roster of f of the n
-// worker clones corrupts every stochastic gradient it returns (Value
-// stays honest; the SparseOracle capability is preserved). The wrapper
-// implements CorruptionMeter.
-func NewByzantine(base Oracle, mode ByzantineMode, f, n int, scale float64, seed uint64) (Oracle, error) {
-	return grad.NewByzantine(base, mode, f, n, scale, seed)
-}
-
-// NewNormClip wraps an oracle with per-update gradient norm clipping:
-// oversized gradients rescale to limit preserving direction, non-finite
-// coordinates zero out. The wrapper implements ClipMeter.
-func NewNormClip(base Oracle, limit float64) (Oracle, error) {
-	return grad.NewNormClip(base, limit)
-}
-
-// NewMedianAggregateStrategy returns the coordinate-median aggregation
-// defense: each round every live worker deposits a proposed update and
-// one leader applies the coordinate-wise median, so a Byzantine
-// minority's gradients are outvoted — including the norm-plausible
-// sign-flip that clipping cannot detect. Real threads only (no machine
-// counterpart); the round barrier is crash-aware.
-func NewMedianAggregateStrategy() Strategy { return hogwild.NewMedianAggregate() }
-
 // ParallelFullConfig parameterizes Algorithm 2 on real goroutines.
 type ParallelFullConfig = hogwild.FullConfig
 
@@ -389,11 +262,6 @@ func RunParallelFull(cfg ParallelFullConfig) (*ParallelFullResult, error) {
 }
 
 // --- analysis --------------------------------------------------------------
-
-// BoundSequential is the Theorem-3.1 failure-probability bound.
-func BoundSequential(cst Constants, eps, vartheta float64, T int, x0DistSq float64) float64 {
-	return martingale.BoundSequential(cst, eps, vartheta, T, x0DistSq)
-}
 
 // BoundAsync is the Corollary-6.7 failure-probability bound.
 func BoundAsync(cst Constants, eps, vartheta float64, tauMax, n, d, T int, x0DistSq float64) float64 {
@@ -421,105 +289,33 @@ type (
 	// SweepOracle is one oracle-family axis entry (a named factory).
 	SweepOracle = sweep.Oracle
 	// SweepStrategy is one strategy/discipline axis entry, mapped onto
-	// both runtimes; the SweepLockFree/SweepBoundedStaleness/… helpers
-	// below build the standard roster.
+	// both runtimes (SweepBoundedStaleness builds one).
 	SweepStrategy = sweep.Strategy
-	// SweepCell is one fully resolved grid coordinate with its split seed.
-	SweepCell = sweep.Cell
 	// SweepCellResult is one cell's outcome (deterministic except timing
 	// fields on the machine runtime).
 	SweepCellResult = sweep.CellResult
 	// SweepPointStat aggregates a grid point's seed replicates (Welford
 	// mean/variance of loss and dist², worst staleness).
 	SweepPointStat = sweep.PointStat
-	// SweepTelemetry is one live progress snapshot of a running hogwild
-	// cell, delivered through SweepSpec.OnTelemetry: the cell's
-	// coordinates plus its staleness gauge, contention counters and
-	// iteration progress at sampling time. Wall-clock-dependent — never
-	// part of a result document.
-	SweepTelemetry = sweep.TelemetrySample
-	// ParallelTelemetry is the raw hogwild-runtime snapshot SweepTelemetry
-	// is built from (ParallelConfig.OnTelemetry when driving the runtime
-	// directly).
-	ParallelTelemetry = hogwild.Telemetry
-	// SweepFaults is one crash-fault axis entry of a SweepSpec
-	// ("none", "crash/k[/rejoin]", "ticket/k[/rejoin]").
-	SweepFaults = sweep.Faults
-	// SweepByzantine is one gradient-corruption axis entry
-	// ("none", "signflip/f", "scale/f", "nan/f").
-	SweepByzantine = sweep.Byzantine
-	// SweepDefense is one defense axis entry ("none", "clip/L",
-	// "median"; median requires the hogwild runtime).
-	SweepDefense = sweep.Defense
 )
 
-// ParseSweepFaults parses a crash-fault axis label.
-func ParseSweepFaults(s string) (SweepFaults, error) { return sweep.ParseFaults(s) }
+// SweepMachine is the deterministic simulated-machine sweep runtime.
+const SweepMachine = sweep.Machine
 
-// ParseSweepByzantine parses a gradient-corruption axis label.
-func ParseSweepByzantine(s string) (SweepByzantine, error) { return sweep.ParseByzantine(s) }
-
-// ParseSweepDefense parses a defense axis label.
-func ParseSweepDefense(s string) (SweepDefense, error) { return sweep.ParseDefense(s) }
-
-// Sweep runtimes.
-const (
-	SweepHogwild = sweep.Hogwild
-	SweepMachine = sweep.Machine
-)
-
-// The standard strategy-axis roster, mapped onto both runtimes (the
+// SweepBoundedStaleness is the τ-gated discipline on both runtimes (the
 // same strategy↔machine-discipline pairing the differential harness
 // checks).
-
-// SweepLockFree is plain dense Algorithm 1 on both runtimes.
-func SweepLockFree() SweepStrategy { return sweep.LockFree() }
-
-// SweepCoarseLock is the consistent locking baseline.
-func SweepCoarseLock() SweepStrategy { return sweep.CoarseLock() }
-
-// SweepStripedLock guards coordinates with a striped lock table.
-func SweepStripedLock(stripes int) SweepStrategy { return sweep.StripedLock(stripes) }
-
-// SweepSparseLockFree is the sparse-aware Algorithm 1 (O(nnz) shared
-// ops; requires SparseOracle-capable oracle families).
-func SweepSparseLockFree() SweepStrategy { return sweep.SparseLockFree() }
-
-// SweepBoundedStaleness is the τ-gated discipline on both runtimes.
 func SweepBoundedStaleness(tau int) SweepStrategy { return sweep.BoundedStaleness(tau) }
-
-// SweepUpdateBatching buffers b gradients per worker before one scatter
-// pass.
-func SweepUpdateBatching(b int) SweepStrategy { return sweep.UpdateBatching(b) }
-
-// SweepEpochFence fences the iteration stream into epochs of the given
-// length.
-func SweepEpochFence(every int) SweepStrategy { return sweep.EpochFence(every) }
 
 // RunSweep expands the spec into cells with deterministic per-cell seeds
 // and executes them on a bounded GOMAXPROCS-aware pool, returning results
 // in cell-index order. See internal/sweep (DESIGN.md §5).
 func RunSweep(s SweepSpec) ([]SweepCellResult, error) { return sweep.Run(s) }
 
-// RunSweepContext is RunSweep with job-scoped cancellation: canceling
-// ctx stops admitting cells (in-flight cells finish), never-started
-// cells record sweep.ErrCanceled, and the error is ctx.Err().
-func RunSweepContext(ctx context.Context, s SweepSpec) ([]SweepCellResult, error) {
-	return sweep.RunContext(ctx, s)
-}
-
 // AggregateSweep groups cell results by grid point, folding seed
 // replicates into Welford accumulators.
 func AggregateSweep(results []SweepCellResult) []SweepPointStat {
 	return sweep.Aggregate(results)
-}
-
-// SweepFaultTable renders aggregated results as the robustness table:
-// the fault/byzantine/defense labels plus the crash, reclamation,
-// corruption and divergence counters (E19's format). The returned
-// table prints via its String method.
-func SweepFaultTable(title string, stats []SweepPointStat) *report.Table {
-	return sweep.FaultTable(title, stats)
 }
 
 // --- sweep-as-a-service ------------------------------------------------------
@@ -543,15 +339,7 @@ type (
 	// ServeConfig parameterizes the sweep job server (queue depth, LRU
 	// result-cache size, retained history, drain timeout).
 	ServeConfig = serve.Config
-	// SweepServer is the embeddable job server: a bounded FIFO job
-	// queue over the sweep engine with streaming results and an LRU
-	// result cache. Mount Handler on any mux; stop with Drain/Close.
-	SweepServer = serve.Server
 )
-
-// NewSweepServer starts a sweep job server (its executor goroutine runs
-// until Drain or Close).
-func NewSweepServer(cfg ServeConfig) *SweepServer { return serve.New(cfg) }
 
 // Serve runs the sweep-as-a-service HTTP server on addr until ctx is
 // canceled, then drains gracefully: submissions are refused while queued
@@ -569,69 +357,14 @@ func RunSweepRequest(ctx context.Context, req SweepRequest, onResult func(SweepC
 	return serve.RunRequest(ctx, req, onResult)
 }
 
-// RunSweepRequestStream is RunSweepRequest with a live telemetry tap:
-// when onTelemetry is non-nil and req.TelemetryMS > 0, running hogwild
-// cells are sampled at that period and the snapshots stream through
-// onTelemetry, serialized with onResult. Telemetry never changes the
-// returned report.
-func RunSweepRequestStream(ctx context.Context, req SweepRequest, onResult func(SweepCellResult), onTelemetry func(SweepTelemetry)) (*SweepReport, error) {
-	return serve.RunRequestStream(ctx, req, onResult, onTelemetry)
-}
-
-// --- distributed sweep cluster -----------------------------------------------
-
-type (
-	// ClusterConfig parameterizes a cluster coordinator: lease TTL, cells
-	// per lease, worker poll interval, and the optional durable job log.
-	ClusterConfig = cluster.Config
-	// ClusterCoordinator owns cluster-side sweep dispatch: plug it into a
-	// SweepServer as both Dispatcher and Journal (ServeConfig fields),
-	// mount its worker protocol with Mount, and call Recover after
-	// NewSweepServer to resubmit jobs replayed from the durable log.
-	ClusterCoordinator = cluster.Coordinator
-	// ClusterWorkerConfig parameterizes a worker node (coordinator URL,
-	// label, pool concurrency, poll interval).
-	ClusterWorkerConfig = cluster.WorkerConfig
-	// ClusterWorker is one leased execution node; Run drives the
-	// register/lease/execute/report loop until its context is canceled.
-	ClusterWorker = cluster.Worker
-)
-
-// NewClusterCoordinator builds a coordinator with a volatile (in-memory)
-// job queue. See internal/cluster (DESIGN.md §10).
-func NewClusterCoordinator(cfg ClusterConfig) *ClusterCoordinator {
-	return cluster.NewCoordinator(cfg)
-}
-
-// NewClusterCoordinatorWithLog opens (or creates) the durable job log at
-// path and builds a coordinator that replays and journals through it, so
-// a restarted coordinator finishes interrupted sweeps byte-identically.
-func NewClusterCoordinatorWithLog(cfg ClusterConfig, path string) (*ClusterCoordinator, error) {
-	return cluster.NewCoordinatorWithLog(cfg, path)
-}
-
-// NewClusterWorker builds a worker node speaking HTTP to the coordinator
-// (the library form of `cmd/asgdworker`).
-func NewClusterWorker(cfg ClusterWorkerConfig) (*ClusterWorker, error) {
-	return cluster.NewWorker(cfg)
-}
-
-// NewLocalClusterWorker builds an in-process worker calling the
-// coordinator directly (the `asgdserve -local-workers` fleet).
-func NewLocalClusterWorker(c *ClusterCoordinator, cfg ClusterWorkerConfig) *ClusterWorker {
-	return cluster.NewLocalWorker(c, cfg)
-}
-
 // --- experiments ------------------------------------------------------------
 
 // ExperimentScale selects Quick (tests) or Full (reproduction runs).
 type ExperimentScale = experiments.Scale
 
-// Experiment scales.
-const (
-	Quick     = experiments.Quick
-	FullScale = experiments.Full
-)
+// Quick is the experiment scale the tests run (cmd/asgdbench -scale full
+// runs the reproduction scale).
+const Quick = experiments.Quick
 
 // ExperimentIDs lists the available experiments (e1..e19).
 func ExperimentIDs() []string { return experiments.IDs() }
@@ -639,9 +372,4 @@ func ExperimentIDs() []string { return experiments.IDs() }
 // RunExperiment executes one experiment and writes its tables to w.
 func RunExperiment(id string, scale ExperimentScale, w io.Writer) error {
 	return experiments.Run(id, scale, w)
-}
-
-// RunAllExperiments executes every experiment in order.
-func RunAllExperiments(scale ExperimentScale, w io.Writer) error {
-	return experiments.RunAll(scale, w)
 }

@@ -2,7 +2,14 @@ package asyncsgd
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
+	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -129,5 +136,128 @@ func TestPublicAPIDataAndExperiments(t *testing.T) {
 	}
 	if seq.Final == nil {
 		t.Error("sequential run returned nil model")
+	}
+}
+
+// TestFacadeExportsOnlyWhatIsUsed keeps asyncsgd.go from regrowing dead
+// aliases: every exported name must be referenced by an example, by
+// example_test.go, by the facade tests or by a command, or name a type
+// in the signature of an exported function that is itself kept.
+func TestFacadeExportsOnlyWhatIsUsed(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(path string) *ast.File {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+
+	facade := parse("asyncsgd.go")
+	exported := map[string]bool{}
+	export := func(id *ast.Ident) {
+		if id.IsExported() {
+			exported[id.Name] = true
+		}
+	}
+	var funcs []*ast.FuncDecl
+	for _, decl := range facade.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				export(d.Name)
+				funcs = append(funcs, d)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					export(s.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						export(n)
+					}
+				}
+			}
+		}
+	}
+
+	used := map[string]bool{}
+	// In-package facade tests name the facade's identifiers bare.
+	for _, path := range []string{"facade_test.go", "facade_ext_test.go"} {
+		ast.Inspect(parse(path), func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				ast.Inspect(x.X, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						used[id.Name] = true
+					}
+					return true
+				})
+				return false
+			case *ast.Ident:
+				used[x.Name] = true
+			}
+			return true
+		})
+	}
+	// External callers go through the package's import name.
+	external := []string{"example_test.go"}
+	for _, root := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				external = append(external, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range external {
+		f := parse(path)
+		local := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "asyncsgd" {
+				local = "asyncsgd"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == local {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	// A kept function's signature keeps the types it names.
+	for _, fn := range funcs {
+		if !used[fn.Name.Name] {
+			continue
+		}
+		ast.Inspect(fn.Type, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && exported[id.Name] {
+				used[id.Name] = true
+			}
+			return true
+		})
+	}
+
+	var dead []string
+	for name := range exported {
+		if !used[name] {
+			dead = append(dead, name)
+		}
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Errorf("asyncsgd.go exports %d names nothing uses: %s", len(dead), strings.Join(dead, ", "))
 	}
 }

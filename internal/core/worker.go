@@ -165,10 +165,7 @@ type worker struct {
 	cur IterRecord // record under construction
 }
 
-var (
-	_ shm.Program        = (*worker)(nil)
-	_ shm.InplaceProgram = (*worker)(nil)
-)
+var _ shm.Program = (*worker)(nil)
 
 func newWorker(id int, alpha float64, budget int, o grad.Oracle, sparse bool, r *rng.Rand, rec *recorder, accumulate bool, opts workerOpts) *worker {
 	d := o.Dim()
@@ -204,16 +201,7 @@ func newWorker(id int, alpha float64, budget int, o grad.Oracle, sparse bool, r 
 	return w
 }
 
-// Next implements shm.Program by delegating to NextInto (kept for
-// non-hot-path callers and interface completeness; the machine uses the
-// in-place path).
-func (w *worker) Next(prev shm.Result) (shm.Request, bool) {
-	var req shm.Request
-	done := w.NextInto(prev, &req)
-	return req, done
-}
-
-// NextInto implements shm.InplaceProgram, advancing the Algorithm-1 state
+// NextInto implements shm.Program, advancing the Algorithm-1 state
 // machine by one shared-memory operation. The next request is written
 // directly into *req (the machine's pending slot), so issuing an
 // operation is a handful of stores — no Request copies on the hot path.

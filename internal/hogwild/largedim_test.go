@@ -12,7 +12,8 @@ import (
 
 // This file holds the large-dimension hot-path coverage: layout
 // cross-checks, the striped-gate race smoke at d = 10⁵, and the
-// BenchmarkLargeDim* rows recorded in BENCH_pr6.json.
+// BenchmarkLargeDim* rows behind README's "Performance trajectory" d = 10⁶
+// entries.
 //
 // The benchmarks use deliberately cheap oracles. grad.Quadratic draws a
 // Normal() per coordinate per gradient — at d = 10⁶ the RNG would cost
@@ -245,9 +246,10 @@ func TestLargeDimStepAllocFree(t *testing.T) {
 // legacyScalar reproduces the pre-PR dense apply byte for byte: one
 // FetchAdd call per non-zero gradient coordinate, no run batching. Runs
 // against the padded layout (what the old code allocated whenever
-// padding was requested), it is the "before" row of BENCH_pr6.json's
-// dense benchmarks; the arithmetic is identical to the bulk kernel, so
-// before/after compare pure code-path + layout cost.
+// padding was requested), it is the "before" row of the historical
+// d = 10⁶ dense benchmarks in README's "Performance trajectory"; the
+// arithmetic is identical to the bulk kernel, so before/after compare
+// pure code-path + layout cost.
 type legacyScalar struct {
 	model *atomicfloat.Vector
 	alpha float64
@@ -288,7 +290,7 @@ func (w *legacyScalarStepper) Step() int {
 	return ops
 }
 
-// benchDenseVariants maps the BENCH_pr6.json before/after rows:
+// benchDenseVariants maps the historical d = 10⁶ before/after rows:
 // padded-scalar is the pre-PR hot path (padded layout, per-coordinate
 // FetchAdd), padded isolates the bulk kernel on the old layout, banked
 // is what the auto-pick now runs at large d.

@@ -1,14 +1,16 @@
 package shm
 
-// Func adapts an ordinary Go function into a Program. The body runs on its
-// own goroutine and performs shared-memory operations through the blocking
-// methods of T; each call hands control back to the machine until the
-// scheduler grants the step. The adapter guarantees the goroutine is
-// released when the machine stops early (MaxSteps, policy halt, error):
-// Machine.Run calls Stop, which unwinds the body via a recovered panic.
+// Func is the Program adapter for ordinary Go functions. The body runs on
+// its own goroutine and performs shared-memory operations through the
+// blocking methods of T; each call hands control back to the machine until
+// the scheduler grants the step, and the adapter's NextInto writes the
+// body's next operation into the pending slot. The adapter guarantees the
+// goroutine is released when the machine stops early (MaxSteps, policy
+// halt, error): Machine.Run calls Stop, which unwinds the body via a
+// recovered panic.
 //
 // Func programs are convenient for tests, examples and baselines. Hot-path
-// workloads (the SGD iteration loop in internal/core) implement Program
+// workloads (the SGD iteration loop in internal/core) implement NextInto
 // directly as a state machine to avoid per-step channel handoffs.
 func Func(body func(*T)) Program {
 	return &funcProgram{
@@ -91,9 +93,9 @@ type def = func(*T)
 var _ Program = (*funcProgram)(nil)
 var _ Stopper = (*funcProgram)(nil)
 
-// Next implements Program by relaying results/requests to the body
-// goroutine.
-func (p *funcProgram) Next(prev Result) (Request, bool) {
+// NextInto implements Program by relaying results/requests to the body
+// goroutine, storing the body's next request into *req.
+func (p *funcProgram) NextInto(prev Result, req *Request) bool {
 	if !p.started {
 		p.started = true
 		go func() {
@@ -111,14 +113,14 @@ func (p *funcProgram) Next(prev Result) (Request, bool) {
 		select {
 		case p.t.resCh <- prev:
 		case <-p.doneCh:
-			return Request{}, true
+			return true
 		}
 	}
 	select {
-	case req := <-p.t.reqCh:
-		return req, false
+	case *req = <-p.t.reqCh:
+		return false
 	case <-p.doneCh:
-		return Request{}, true
+		return true
 	}
 }
 

@@ -134,29 +134,17 @@ type Step struct {
 	Res    Result
 }
 
-// Program is a resumable thread. Next receives the Result of the thread's
-// previously executed operation (Valid=false on the first call) and returns
-// the next operation to issue, or done=true when the thread terminates.
-// Implementations must be deterministic given their inputs; any randomness
-// must come from a seeded generator owned by the program.
+// Program is a resumable thread. NextInto receives the Result of the
+// thread's previously executed operation (Valid=false on the first call)
+// and writes the next operation to issue into *req, the thread's pending
+// slot in the machine; it returns done=true when the thread terminates, and
+// the slot's contents are then ignored. *req still holds the previously
+// issued request on entry (the zero Request on the first call), so an
+// implementation may update only the fields that change and must overwrite
+// every field it relies on. Implementations must be deterministic given
+// their inputs; any randomness must come from a seeded generator owned by
+// the program. Func adapts an ordinary blocking function into a Program.
 type Program interface {
-	Next(prev Result) (req Request, done bool)
-}
-
-// InplaceProgram is an optional Program extension for hot-path thread
-// bodies: NextInto writes the thread's next request directly into *req —
-// the machine passes a pointer to the thread's pending slot — instead of
-// returning it by value. This removes two Request copies per step (the
-// return-value fill and the pending-slot store; Request is several words
-// now that Tag is embedded concretely). Implementations must overwrite
-// every field they rely on: *req still holds the previously issued
-// request on entry. When NextInto returns true the thread has terminated
-// and the slot's contents are ignored.
-//
-// The machine detects the extension once at construction; Programs that
-// don't implement it go through Next as before.
-type InplaceProgram interface {
-	Program
 	NextInto(prev Result, req *Request) (done bool)
 }
 
@@ -254,7 +242,6 @@ type Machine struct {
 	cfg        Config
 	policy     Policy
 	progs      []Program
-	inplace    []InplaceProgram // inplace[i] non-nil ⇒ progs[i] supports NextInto
 	mem        []float64
 	pending    []Request
 	done       []bool
@@ -292,17 +279,10 @@ func New(cfg Config, policy Policy, progs ...Program) (*Machine, error) {
 		}
 		copy(mem, cfg.InitMem)
 	}
-	inplace := make([]InplaceProgram, len(progs))
-	for i, p := range progs {
-		if ip, ok := p.(InplaceProgram); ok {
-			inplace[i] = ip
-		}
-	}
 	return &Machine{
 		cfg:     cfg,
 		policy:  policy,
 		progs:   progs,
-		inplace: inplace,
 		mem:     mem,
 		pending: make([]Request, len(progs)),
 		done:    make([]bool, len(progs)),
@@ -349,18 +329,9 @@ func (m *Machine) Run() (RunStats, error) {
 
 	// Prime every thread with its first request.
 	for i, p := range m.progs {
-		if ip := m.inplace[i]; ip != nil {
-			if ip.NextInto(Result{}, &m.pending[i]) {
-				m.done[i] = true
-			}
-			continue
-		}
-		req, done := p.Next(Result{})
-		if done {
+		if p.NextInto(Result{}, &m.pending[i]) {
 			m.done[i] = true
-			continue
 		}
-		m.pending[i] = req
 	}
 	m.live = 0
 	for i := range m.progs {
@@ -426,17 +397,7 @@ func (m *Machine) Run() (RunStats, error) {
 		if hook != nil {
 			hook(Step{Time: m.steps, Thread: tid, Req: *req, Res: res})
 		}
-		var done bool
-		if ip := m.inplace[tid]; ip != nil {
-			done = ip.NextInto(res, req)
-		} else {
-			var next Request
-			next, done = m.progs[tid].Next(res)
-			if !done {
-				m.pending[tid] = next
-			}
-		}
-		if done {
+		if m.progs[tid].NextInto(res, req) {
 			m.done[tid] = true
 			m.live--
 		}

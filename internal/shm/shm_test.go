@@ -289,6 +289,59 @@ func TestTraceAndOnStep(t *testing.T) {
 	if tr[0].Time != 1 || tr[1].Time != 2 {
 		t.Errorf("times = %d, %d", tr[0].Time, tr[1].Time)
 	}
+
+	// The in-place contract: a hand-written state machine that rewrites
+	// only Tag.Iter, relying on *req still holding its previous request,
+	// must trace exactly like the same counter workload written with Func.
+	const threads, per = 3, 4
+	trace := func(progs []Program) []Step {
+		m, err := New(Config{MemSize: 1, Trace: true}, &rrPolicy{}, progs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Trace()
+	}
+	funcs := make([]Program, threads)
+	states := make([]Program, threads)
+	for id := 0; id < threads; id++ {
+		funcs[id] = Func(func(th *T) {
+			for k := 0; k < per; k++ {
+				th.Annotate(Tag{Thread: id, Iter: k, Role: RoleCounter})
+				th.FAA(0, 1)
+			}
+		})
+		states[id] = &inplaceCounter{id: id, per: per}
+	}
+	want, got := trace(funcs), trace(states)
+	if len(want) != threads*per || len(got) != len(want) {
+		t.Fatalf("trace lengths: func %d, in-place %d, want %d", len(want), len(got), threads*per)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("step %d: in-place %+v, func %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// inplaceCounter issues per tagged fetch&adds on register 0. After the
+// first request it rewrites only Tag.Iter, so it depends on the machine
+// leaving the previous request in the pending slot.
+type inplaceCounter struct{ id, per, issued int }
+
+func (c *inplaceCounter) NextInto(_ Result, req *Request) bool {
+	if c.issued == c.per {
+		return true
+	}
+	if c.issued == 0 {
+		*req = Request{Kind: OpFAA, Addr: 0, Val: 1, Tag: Tag{Thread: c.id, Role: RoleCounter}}
+	} else {
+		req.Tag.Iter = c.issued
+	}
+	c.issued++
+	return false
 }
 
 // Sequential consistency smoke test: with two writers to distinct
