@@ -6,12 +6,9 @@ import (
 	"errors"
 	"net/http"
 
+	"asyncsgd/internal/serve"
 	"asyncsgd/internal/sweep"
 )
-
-// maxBodyBytes bounds the control-plane request bodies (register, lease,
-// heartbeat). Report streams are line-bounded instead.
-const maxBodyBytes = 1 << 20
 
 // maxReportLine bounds one NDJSON CellResult line in a report stream.
 const maxReportLine = 4 << 20
@@ -24,7 +21,8 @@ func writeClusterJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func decodeClusterJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	// Report streams are line-bounded instead (maxReportLine).
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)

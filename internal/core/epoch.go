@@ -35,7 +35,9 @@ type EpochConfig struct {
 	// Track is set; the same tracker must not be used by concurrent runs.
 	// Because the next run's Reset wipes it, the EpochResult.Tracker of
 	// every earlier epoch is invalidated: read (or copy) an epoch's
-	// statistics before starting the next one.
+	// statistics before starting the next one. The sweep engine's machine
+	// cells are the caller: they draw trackers from a sync.Pool and read
+	// Completed and MaxAdmissionsDuring before returning one.
 	Tracker *contention.Tracker
 
 	// Sparse switches workers to the sparse update pipeline: each

@@ -71,7 +71,8 @@ func NewLeastSquares(ds *data.Dataset, r0 float64) (*LeastSquares, error) {
 }
 
 // solveNormalEquations solves G·x = (1/m)Aᵀb by Gaussian elimination with
-// partial pivoting (d is small).
+// partial pivoting and back substitution: O(d³), about (2/3)·d³ flops,
+// the same order as the eigenvalue solve beside it in NewLeastSquares.
 func solveNormalEquations(ds *data.Dataset, g *vec.Sym) (vec.Dense, error) {
 	d := ds.Dim()
 	rhs := vec.NewDense(d)
@@ -81,7 +82,7 @@ func solveNormalEquations(ds *data.Dataset, g *vec.Sym) (vec.Dense, error) {
 			return nil, err
 		}
 	}
-	// Dense LU solve on a copy of G.
+	// Eliminate on a copy of G; G itself stays intact.
 	m := make([]float64, d*d)
 	copy(m, g.Data)
 	x := rhs.Clone()

@@ -57,10 +57,22 @@ func TestLeastSquaresConstantsBoundReality(t *testing.T) {
 }
 
 func TestLeastSquaresSingularRejected(t *testing.T) {
-	// Fewer samples than dimensions ⇒ singular Gram.
-	ds := genDS(t, 3, 5, 0, 41)
-	if _, err := NewLeastSquares(ds, 1); !errors.Is(err, ErrBadParam) {
-		t.Errorf("singular data accepted: %v", err)
+	// Fewer samples than dimensions ⇒ singular Gram, whose zero
+	// eigenvalues the solver must resolve below the 1e-12 threshold,
+	// dense or sparsified, small or at the sweep's dimensions.
+	for _, c := range []struct {
+		m, d int
+		keep float64
+	}{{3, 5, 1}, {31, 32, 1}, {20, 32, 0.3}, {100, 128, 0.15}} {
+		ds := genDS(t, c.m, c.d, 0, 41)
+		if c.keep < 1 {
+			if err := data.SparsifyRows(ds, c.keep, rng.New(42)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := NewLeastSquares(ds, 1); !errors.Is(err, ErrBadParam) {
+			t.Errorf("m=%d d=%d keep=%v: singular data accepted: %v", c.m, c.d, c.keep, err)
+		}
 	}
 }
 

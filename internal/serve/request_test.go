@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -141,6 +143,49 @@ func TestRunRequestDeterministicDocument(t *testing.T) {
 	}
 	if stripTiming(docs[0]) != stripTiming(docs[1]) {
 		t.Fatalf("documents differ beyond timing fields:\n%s\n---\n%s", docs[0], docs[1])
+	}
+}
+
+// raceBuild is set by race_test.go in -race builds.
+var raceBuild bool
+
+// TestRunRequestCellAllocations is the counted allocation gate of the
+// sweep cell path: after one warm-up op (which fills the engine's pooled
+// contention trackers), the default 108-cell machine grid through
+// RunRequest must allocate at most 1,000 objects and 250 KB per cell.
+// A fresh contention tracker per cell alone breaks it about six times
+// over.
+func TestRunRequestCellAllocations(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector drops sync.Pool entries at random and instruments allocations")
+	}
+	run := func() int {
+		rep, err := RunRequest(context.Background(), SweepRequest{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.FailedCells() != 0 {
+			t.Fatalf("%d failed cells", rep.FailedCells())
+		}
+		return len(rep.Sweep.Results)
+	}
+	// The collector empties sync.Pools, so with it running the count
+	// would depend on when it happened to run; the gate counts the
+	// code's allocations.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cells := run()
+	runtime.ReadMemStats(&after)
+	mallocs := float64(after.Mallocs-before.Mallocs) / float64(cells)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(cells)
+	t.Logf("%d cells: %.0f mallocs, %.1f KB per cell", cells, mallocs, bytes/1000)
+	if mallocs > 1000 {
+		t.Errorf("%.0f mallocs per cell, want ≤ 1000", mallocs)
+	}
+	if bytes > 250e3 {
+		t.Errorf("%.1f KB allocated per cell, want ≤ 250 KB", bytes/1000)
 	}
 }
 

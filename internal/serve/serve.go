@@ -58,6 +58,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// MaxBodyBytes bounds a JSON request body: POST /v1/sweeps here, and the
+// cluster coordinator's control-plane bodies (register, lease,
+// heartbeat). A larger body is refused before it is buffered.
+const MaxBodyBytes = 1 << 20
+
+// readHeaderTimeout bounds how long the listener waits for a request's
+// headers, so a client that opens connections and never finishes them
+// cannot pin goroutines and file descriptors.
+const readHeaderTimeout = 10 * time.Second
+
 // Submission failure modes (mapped to HTTP statuses by the handler).
 var (
 	// ErrDraining: the server is draining (SIGTERM) and accepts no new
@@ -506,10 +516,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	job, err := s.Submit(req)
@@ -673,7 +688,7 @@ func ListenAndServe(ctx context.Context, addr string, cfg Config) error {
 // function: submissions refused, queued and running jobs finish bounded
 // by Config.DrainTimeout, then the listener shuts down gracefully.
 func (s *Server) ListenAndServe(ctx context.Context, addr string, handler http.Handler) error {
-	hs := &http.Server{Addr: addr, Handler: handler}
+	hs := &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {

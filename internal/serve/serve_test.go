@@ -560,24 +560,32 @@ func TestHistoryPruning(t *testing.T) {
 	}
 }
 
-// TestBadSubmissions: malformed JSON and unknown fields are 400s.
+// TestBadSubmissions: malformed JSON and unknown fields are 400s, a body
+// over MaxBodyBytes is a 413, and the server keeps serving after each.
 func TestBadSubmissions(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
-	for name, body := range map[string]string{
-		"malformed":     `{"taus": [1,`,
-		"unknown field": `{"gpu": true}`,
-		"bad runtime":   `{"runtime": "quantum"}`,
+	// A well-formed prefix, so only the size limit stops the decoder.
+	huge := `{"taus": [` + strings.Repeat("1,", MaxBodyBytes/2) + `1]}`
+	for name, c := range map[string]struct {
+		body string
+		want int
+	}{
+		"malformed":     {`{"taus": [1,`, http.StatusBadRequest},
+		"unknown field": {`{"gpu": true}`, http.StatusBadRequest},
+		"bad runtime":   {`{"runtime": "quantum"}`, http.StatusBadRequest},
+		"over limit":    {huge, http.StatusRequestEntityTooLarge},
 	} {
-		resp, err := http.Post(hs.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		resp, err := http.Post(hs.URL+"/v1/sweeps", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d", name, resp.StatusCode, c.want)
 		}
 	}
+	submit(t, hs.URL, tinyRequest(3))
 }
 
 // TestListenAndServeDrainsOnCancel drives the cmd/asgdserve code path:

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/core"
 	"asyncsgd/internal/grad"
 	"asyncsgd/internal/hogwild"
@@ -351,6 +352,13 @@ func runHogwild(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResu
 	return out.Final, nil
 }
 
+// trackers recycles contention trackers across machine cells. A fresh
+// tracker was most of a cell's allocations (one iteration record and two
+// touched-coordinate lists per SGD iteration); a pooled one handed in as
+// EpochConfig.Tracker is Reset, which keeps those records and their
+// capacity for the next cell.
+var trackers = sync.Pool{New: func() any { return contention.NewTracker(0) }}
+
 // runMachine is the simulator adapter: it runs the cell through
 // core.RunEpoch, writes the run's counters into res and returns the
 // final model.
@@ -369,7 +377,9 @@ func runMachine(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResu
 		Seed:       c.Seed,
 		X0:         x0,
 		Track:      true,
+		Tracker:    trackers.Get().(*contention.Tracker),
 	}
+	defer trackers.Put(cfg.Tracker)
 	if s.Policy != nil {
 		cfg.Policy = s.Policy(c.Workers, rng.NewStream(c.Seed, policyStream))
 	} else {

@@ -3,11 +3,13 @@ package vec
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
-// Sym is a dense symmetric d×d matrix stored in full. It exists to compute
-// the analytic constants (strong convexity c = λmin, gradient Lipschitz
-// L = λmax) of data-defined objectives such as least squares.
+// Sym is a dense symmetric d×d matrix stored in full. It exists to
+// accumulate the Gram matrix of a dataset (AddOuter) and read off its
+// smallest eigenvalue (Eigenvalues), the strong-convexity constant c of
+// least squares and its full-rank test.
 type Sym struct {
 	N    int
 	Data []float64 // row-major, length N*N
@@ -28,15 +30,31 @@ func (s *Sym) Set(i, j int, v float64) {
 }
 
 // AddOuter performs s += w·x·xᵀ (rank-one update), used to accumulate Gram
-// matrices.
+// matrices. Terms with a zero x entry are skipped, so a sparse row costs
+// O(nnz²), not O(d²). For finite w and x this is bit-identical to the
+// full product: a skipped term is ±0, and adding ±0 changes only a −0
+// entry, which a matrix built from NewSym by AddOuter never holds.
 func (s *Sym) AddOuter(w float64, x Dense) error {
 	if len(x) != s.N {
 		return fmt.Errorf("outer: dim %d vs %d: %w", len(x), s.N, ErrDimMismatch)
 	}
-	for i := 0; i < s.N; i++ {
+	// Gather the support once: a zero test inside the d² loop mispredicts
+	// at the sweep's row densities and costs more than it saves.
+	var buf [64]int
+	nz := buf[:0]
+	if len(x) > len(buf) {
+		nz = make([]int, 0, len(x))
+	}
+	for i, v := range x {
+		if v != 0 {
+			nz = append(nz, i)
+		}
+	}
+	for _, i := range nz {
 		xi := w * x[i]
-		for j := 0; j < s.N; j++ {
-			s.Data[i*s.N+j] += xi * x[j]
+		row := s.Data[i*s.N : (i+1)*s.N]
+		for _, j := range nz {
+			row[j] += xi * x[j]
 		}
 	}
 	return nil
@@ -58,58 +76,155 @@ func (s *Sym) MulVec(dst, x Dense) error {
 	return nil
 }
 
-// Eigenvalues returns all eigenvalues of s in ascending order, computed by
-// the cyclic Jacobi rotation method. The method is robust for the small
-// dimensions used here (d ≤ a few hundred). maxSweeps bounds the number of
-// full sweeps; 30 is far more than needed for convergence to ~1e-12.
+// Eigenvalues returns all eigenvalues of s in ascending order. It
+// reduces s to tridiagonal form by Householder reflections and then
+// diagonalises the tridiagonal matrix by QL iteration with implicit
+// Wilkinson shifts (EISPACK tred1 + tql1: eigenvalues only, no vectors).
+// The cost is O(d³) with a small constant, about (4/3)·d³ flops for the
+// reduction plus O(d²) for QL.
+//
+// The accuracy is absolute, not relative: every eigenvalue is correct to
+// a small multiple of machine epsilon times ‖s‖, so eigenvalues much
+// smaller than λmax carry no relative accuracy. That suffices for the
+// only use, the analytic constants of a data-defined objective: a
+// singularity test λmin ≤ 1e-12 and the strong-convexity constant C.
+//
+// It returns an error, never loops, when QL does not converge within a
+// fixed number of iterations per eigenvalue (non-finite input).
 func (s *Sym) Eigenvalues() ([]float64, error) {
 	n := s.N
 	a := make([]float64, len(s.Data))
 	copy(a, s.Data)
-	const maxSweeps = 64
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		// Off-diagonal Frobenius norm.
-		var off float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += 2 * a[i*n+j] * a[i*n+j]
+	d := make([]float64, n) // diagonal, then eigenvalues
+	e := make([]float64, n) // sub-diagonal: e[i] couples rows i-1 and i
+	tridiagonalize(a, n, d, e)
+	if err := tql1(d, e); err != nil {
+		return nil, err
+	}
+	slices.Sort(d)
+	return d, nil
+}
+
+// tridiagonalize reduces the symmetric n×n row-major matrix a (its lower
+// triangle is read; a is overwritten) to tridiagonal form by Householder
+// reflections, writing the diagonal to d and the sub-diagonal to e[1:]
+// (e[0] is scratch).
+func tridiagonalize(a []float64, n int, d, e []float64) {
+	for i := n - 1; i > 0; i-- {
+		l := i - 1
+		ri := a[i*n : i*n+i] // row i left of the diagonal
+		var scale float64
+		if l > 0 {
+			for _, v := range ri {
+				scale += math.Abs(v)
 			}
 		}
-		if math.Sqrt(off) < 1e-13*(1+frob(a)) {
-			break
+		if scale == 0 {
+			// Nothing to annihilate: row i is already tridiagonal.
+			e[i] = ri[l]
+			continue
 		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := a[p*n+q]
-				if math.Abs(apq) < 1e-300 {
-					continue
-				}
-				app, aqq := a[p*n+p], a[q*n+q]
-				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) /
-					(math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
-				sn := t * c
-				// Apply rotation G(p,q,θ) on both sides.
-				for k := 0; k < n; k++ {
-					akp, akq := a[k*n+p], a[k*n+q]
-					a[k*n+p] = c*akp - sn*akq
-					a[k*n+q] = sn*akp + c*akq
-				}
-				for k := 0; k < n; k++ {
-					apk, aqk := a[p*n+k], a[q*n+k]
-					a[p*n+k] = c*apk - sn*aqk
-					a[q*n+k] = sn*apk + c*aqk
-				}
+		var h float64
+		for k := range ri {
+			ri[k] /= scale
+			h += ri[k] * ri[k]
+		}
+		f := ri[l]
+		g := -math.Copysign(math.Sqrt(h), f)
+		e[i] = scale * g
+		h -= f * g
+		ri[l] = f - g
+		// p = A·u/h into e[0:i], then K = uᵀp/2h.
+		f = 0
+		for j := 0; j <= l; j++ {
+			g = 0
+			for k := 0; k <= j; k++ {
+				g += a[j*n+k] * ri[k]
+			}
+			for k := j + 1; k <= l; k++ {
+				g += a[k*n+j] * ri[k]
+			}
+			e[j] = g / h
+			f += e[j] * ri[j]
+		}
+		hh := f / (h + h)
+		// A ← A − u·qᵀ − q·uᵀ with q = p − K·u (lower triangle only).
+		for j := 0; j <= l; j++ {
+			f = ri[j]
+			g = e[j] - hh*f
+			e[j] = g
+			rj := a[j*n : j*n+j+1]
+			for k := range rj {
+				rj[k] -= f*e[k] + g*ri[k]
 			}
 		}
 	}
-	eig := make([]float64, n)
 	for i := 0; i < n; i++ {
-		eig[i] = a[i*n+i]
+		d[i] = a[i*n+i]
 	}
-	sortFloats(eig)
-	return eig, nil
+}
+
+// qlMaxIters caps the QL iterations spent on any one eigenvalue; it
+// converges in two or three for finite input.
+const qlMaxIters = 60
+
+// tql1 overwrites d with the eigenvalues (unordered) of the symmetric
+// tridiagonal matrix with diagonal d and sub-diagonal e[1:], by QL
+// iteration with implicit shifts. e is destroyed.
+func tql1(d, e []float64) error {
+	n := len(d)
+	if n == 0 {
+		return nil
+	}
+	copy(e, e[1:])
+	e[n-1] = 0
+	for l := 0; l < n; l++ {
+	sweep:
+		for iter := 0; ; iter++ {
+			// Find the first negligible sub-diagonal element at or after l.
+			m := l
+			for ; m < n-1; m++ {
+				dd := math.Abs(d[m]) + math.Abs(d[m+1])
+				if math.Abs(e[m]) <= 0x1p-52*dd {
+					break
+				}
+			}
+			if m == l {
+				break
+			}
+			if iter == qlMaxIters {
+				return fmt.Errorf("eigenvalues: QL did not converge after %d iterations", qlMaxIters)
+			}
+			// Wilkinson shift from the leading 2×2 block.
+			g := (d[l+1] - d[l]) / (2 * e[l])
+			r := math.Hypot(g, 1)
+			g = d[m] - d[l] + e[l]/(g+math.Copysign(r, g))
+			s, c, p := 1.0, 1.0, 0.0
+			for i := m - 1; i >= l; i-- {
+				f := s * e[i]
+				b := c * e[i]
+				r = math.Hypot(f, g)
+				e[i+1] = r
+				if r == 0 {
+					// Recover from underflow: deflate and restart.
+					d[i+1] -= p
+					e[m] = 0
+					continue sweep
+				}
+				s = f / r
+				c = g / r
+				g = d[i+1] - p
+				r = (d[i]-g)*s + 2*c*b
+				p = s * r
+				d[i+1] = g + p
+				g = c*r - b
+			}
+			d[l] -= p
+			e[l] = g
+			e[m] = 0
+		}
+	}
+	return nil
 }
 
 // ExtremeEigenvalues returns (λmin, λmax).
@@ -119,25 +234,4 @@ func (s *Sym) ExtremeEigenvalues() (lo, hi float64, err error) {
 		return 0, 0, err
 	}
 	return eig[0], eig[len(eig)-1], nil
-}
-
-func frob(a []float64) float64 {
-	var f float64
-	for _, v := range a {
-		f += v * v
-	}
-	return math.Sqrt(f)
-}
-
-func sortFloats(xs []float64) {
-	// Insertion sort: eigenvalue vectors are short.
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > v {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
 }

@@ -1,6 +1,8 @@
 package vec
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -46,18 +48,60 @@ func TestAddOuterGram(t *testing.T) {
 }
 
 func TestEigenvaluesDiagonal(t *testing.T) {
-	s := NewSym(3)
-	s.Set(0, 0, 3)
-	s.Set(1, 1, 1)
-	s.Set(2, 2, 2)
-	eig, err := s.Eigenvalues()
-	if err != nil {
-		t.Fatal(err)
+	// Each case is a matrix with a closed-form spectrum, checked within
+	// 1e-12·λmax (an absolute 1e-12 for the zero matrix).
+	diag := func(vals ...float64) *Sym {
+		s := NewSym(len(vals))
+		for i, v := range vals {
+			s.Set(i, i, v)
+		}
+		return s
 	}
-	want := []float64{1, 2, 3}
-	for i, w := range want {
-		if math.Abs(eig[i]-w) > 1e-10 {
-			t.Errorf("eig[%d] = %v, want %v", i, eig[i], w)
+	// The (2, −1) tridiagonal Toeplitz matrix of order n has eigenvalues
+	// 2 − 2cos(kπ/(n+1)), k = 1..n (ascending in k).
+	toeplitz := func(n int) (*Sym, []float64) {
+		s := NewSym(n)
+		want := make([]float64, n)
+		for i := 0; i < n; i++ {
+			s.Set(i, i, 2)
+			if i+1 < n {
+				s.Set(i, i+1, -1)
+			}
+			want[i] = 2 - 2*math.Cos(float64(i+1)*math.Pi/float64(n+1))
+		}
+		return s, want
+	}
+	type tc struct {
+		name string
+		s    *Sym
+		want []float64
+	}
+	cases := []tc{
+		{"distinct diagonal", diag(3, 1, 2), []float64{1, 2, 3}},
+		{"repeated diagonal", diag(5, 2, 5, 2, 5), []float64{2, 2, 5, 5, 5}},
+		{"zero", NewSym(6), make([]float64, 6)},
+		{"empty", NewSym(0), nil},
+	}
+	for _, n := range []int{1, 2, 64, 256} {
+		s, want := toeplitz(n)
+		cases = append(cases, tc{fmt.Sprintf("toeplitz n=%d", n), s, want})
+	}
+	for _, c := range cases {
+		eig, err := c.s.Eigenvalues()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(eig) != len(c.want) {
+			t.Fatalf("%s: %d eigenvalues, want %d", c.name, len(eig), len(c.want))
+		}
+		tol := 1e-12
+		if n := len(c.want); n > 0 {
+			tol *= math.Max(1, c.want[n-1])
+		}
+		for i, w := range c.want {
+			if math.Abs(eig[i]-w) > tol {
+				t.Errorf("%s: eig[%d] = %v, want %v", c.name, i, eig[i], w)
+			}
 		}
 	}
 }
@@ -74,6 +118,21 @@ func TestEigenvalues2x2Known(t *testing.T) {
 	}
 	if math.Abs(lo-1) > 1e-10 || math.Abs(hi-3) > 1e-10 {
 		t.Errorf("extremes = (%v, %v), want (1, 3)", lo, hi)
+	}
+}
+
+func TestEigenvaluesNonFiniteErrors(t *testing.T) {
+	// QL never converges on NaN or ±Inf; the iteration cap must turn
+	// that into an error rather than a hang or a silent NaN spectrum.
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		s := NewSym(3)
+		s.Set(0, 0, 1)
+		s.Set(1, 1, 1)
+		s.Set(2, 2, 1)
+		s.Set(0, 2, v)
+		if eig, err := s.Eigenvalues(); err == nil {
+			t.Errorf("entry %v: eigenvalues %v, want an error", v, eig)
+		}
 	}
 }
 
@@ -111,4 +170,48 @@ func TestEigenvaluesTraceAndPSD(t *testing.T) {
 	if eig[0] > 1e-9 {
 		t.Errorf("rank-deficient Gram should have zero eigenvalue, got %v", eig[0])
 	}
+}
+
+// FuzzAddOuterMatchesDense checks that AddOuter's zero skipping is
+// bit-exact: rows with zeros, negative zeros and negatives are
+// accumulated through AddOuter and through the full d×d rank-one
+// product, and every entry must agree in its bits, sign of zero included.
+func FuzzAddOuterMatchesDense(f *testing.F) {
+	f.Add(uint8(4), []byte{}, int8(4))
+	f.Add(uint8(4), []byte{1, 0, 4, 0, 0, 0, 0, 0}, int8(4))               // one sparse row, one all-zero row
+	f.Add(uint8(3), []byte{4, 5, 6, 7, 252, 251}, int8(-3))                // ±0 among negatives
+	f.Add(uint8(8), []byte{9, 130, 0, 17, 255, 3, 4, 8}, int8(0))          // w = 0
+	f.Add(uint8(69), bytes.Repeat([]byte{5, 0, 250, 128, 7}, 28), int8(2)) // d = 70, two rows
+	f.Fuzz(func(t *testing.T, dim uint8, data []byte, wRaw int8) {
+		d := int(dim)%96 + 1 // both sides of AddOuter's 64-entry stack buffer
+		w := float64(wRaw) / 4
+		got, want := NewSym(d), make([]float64, d*d)
+		for len(data) >= d {
+			x := make(Dense, d)
+			for k, b := range data[:d] {
+				// A quarter of the entries are ±0; the rest are small
+				// signed values with inexact products.
+				if b&3 == 0 {
+					x[k] = math.Copysign(0, float64(int8(b)))
+				} else {
+					x[k] = float64(int8(b)) / 3
+				}
+			}
+			data = data[d:]
+			if err := got.AddOuter(w, x); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < d; i++ {
+				xi := w * x[i]
+				for j := 0; j < d; j++ {
+					want[i*d+j] += xi * x[j]
+				}
+			}
+		}
+		for k, v := range want {
+			if math.Float64bits(got.Data[k]) != math.Float64bits(v) {
+				t.Fatalf("entry (%d,%d) = %v, want %v (bits differ)", k/d, k%d, got.Data[k], v)
+			}
+		}
+	})
 }

@@ -52,9 +52,22 @@ func NewSparse(d int, indices []int, values []float64) (Sparse, error) {
 	return out, nil
 }
 
-// FromDense converts a dense vector to sparse form, dropping zeros.
+// FromDense converts a dense vector to sparse form, dropping zeros. It
+// counts the non-zeros first so Indices and Values are allocated once at
+// their exact length (both nil for an all-zero x).
 func FromDense(x Dense) Sparse {
 	out := Sparse{Dim: len(x)}
+	nnz := 0
+	for _, v := range x {
+		if v != 0 {
+			nnz++
+		}
+	}
+	if nnz == 0 {
+		return out
+	}
+	out.Indices = make([]int, 0, nnz)
+	out.Values = make([]float64, 0, nnz)
 	for i, v := range x {
 		if v != 0 {
 			out.Indices = append(out.Indices, i)
