@@ -1,17 +1,14 @@
 package asyncsgd
 
-// Benchmark harness: one testing.B benchmark per reproduced experiment
-// (see DESIGN.md §3 for the experiment↔result index) plus microbenchmarks
-// for the substrates. Run:
+// Benchmark harness: the sweep engine and microbenchmarks for the
+// substrates. Run:
 //
 //	go test -bench=. -benchmem
 //
-// The experiment benchmarks execute the Quick-scale drivers — the same
-// code that regenerates the paper's tables — so their wall time is the
-// cost of reproducing each result. cmd/asgdbench runs the Full scale.
+// The paper's tables are regenerated by cmd/asgdbench; the end-to-end
+// ledger is `bash benchmark/run.sh`.
 
 import (
-	"io"
 	"sync"
 	"testing"
 
@@ -20,80 +17,12 @@ import (
 	"asyncsgd/internal/contention"
 	"asyncsgd/internal/core"
 	"asyncsgd/internal/data"
-	"asyncsgd/internal/experiments"
 	"asyncsgd/internal/grad"
 	"asyncsgd/internal/hogwild"
 	"asyncsgd/internal/rng"
 	"asyncsgd/internal/sched"
 	"asyncsgd/internal/vec"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if err := experiments.Run(id, experiments.Quick, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE1SequentialBound regenerates Theorem 3.1 (sequential failure
-// probability vs bound).
-func BenchmarkE1SequentialBound(b *testing.B) { benchExperiment(b, "e1") }
-
-// BenchmarkE2LowerBound regenerates Section 5 / Theorem 5.1 (adversarial
-// delay lower bound and merged-noise variance).
-func BenchmarkE2LowerBound(b *testing.B) { benchExperiment(b, "e2") }
-
-// BenchmarkE3BadIterations regenerates Lemma 6.2.
-func BenchmarkE3BadIterations(b *testing.B) { benchExperiment(b, "e3") }
-
-// BenchmarkE4DelaySum regenerates Lemma 6.4.
-func BenchmarkE4DelaySum(b *testing.B) { benchExperiment(b, "e4") }
-
-// BenchmarkE5UpperBound regenerates Theorem 6.5 / Corollary 6.7 (the
-// paper's main upper bound and the √(τmax·n) scaling).
-func BenchmarkE5UpperBound(b *testing.B) { benchExperiment(b, "e5") }
-
-// BenchmarkE6FullSGD regenerates Corollary 7.1 (Algorithm 2).
-func BenchmarkE6FullSGD(b *testing.B) { benchExperiment(b, "e6") }
-
-// BenchmarkE7AvgContention regenerates the τavg ≤ 2n claim.
-func BenchmarkE7AvgContention(b *testing.B) { benchExperiment(b, "e7") }
-
-// BenchmarkE8Tradeoff regenerates the Section-8 step-size/delay trade-off.
-func BenchmarkE8Tradeoff(b *testing.B) { benchExperiment(b, "e8") }
-
-// BenchmarkE9ViewConsistency regenerates Figure 1 and the Lemma 6.1
-// invariants.
-func BenchmarkE9ViewConsistency(b *testing.B) { benchExperiment(b, "e9") }
-
-// BenchmarkE10Throughput regenerates the real-thread throughput table.
-func BenchmarkE10Throughput(b *testing.B) { benchExperiment(b, "e10") }
-
-// BenchmarkE11SparsityAblation regenerates the dense vs single-non-zero
-// gradient ablation (the assumption the paper removes).
-func BenchmarkE11SparsityAblation(b *testing.B) { benchExperiment(b, "e11") }
-
-// BenchmarkE12Momentum regenerates the §8 momentum-under-delay extension.
-func BenchmarkE12Momentum(b *testing.B) { benchExperiment(b, "e12") }
-
-// BenchmarkE13StalenessAware regenerates the staleness-aware mitigation
-// vs adaptive adversary extension.
-func BenchmarkE13StalenessAware(b *testing.B) { benchExperiment(b, "e13") }
-
-// BenchmarkE15SparsePipeline regenerates the sparse-vs-dense update
-// pipeline comparison (O(nnz) work, touched-coordinate contention).
-func BenchmarkE15SparsePipeline(b *testing.B) { benchExperiment(b, "e15") }
-
-// BenchmarkE16StalenessGate regenerates the staleness-gate experiment
-// (capping the Section-5 adversary's τ at runtime).
-func BenchmarkE16StalenessGate(b *testing.B) { benchExperiment(b, "e16") }
-
-// BenchmarkE17PhaseDiagram regenerates the staleness phase diagram (the
-// sweep engine over a τ × workers × sparsity × replicates grid on both
-// runtimes).
-func BenchmarkE17PhaseDiagram(b *testing.B) { benchExperiment(b, "e17") }
 
 // BenchmarkSweepMachineGrid measures the sweep engine proper: one op is a
 // 24-cell deterministic machine grid (2 τ × 2 threads × 3 replicates ×

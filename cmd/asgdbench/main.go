@@ -156,19 +156,28 @@ Examples:
 // (-json).
 func runSweep(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("asgdbench sweep", flag.ContinueOnError)
-	taus := fs.String("taus", "1,2,4,8", "bounded-staleness gate values (comma list)")
-	workers := fs.String("workers", "1,2,4", "worker/thread counts (comma list)")
-	keeps := fs.String("sparsity", "0.15,0.3,0.6", "oracle row densities (comma list)")
-	dim := fs.Int("d", 32, "model dimension")
-	reps := fs.Int("reps", 3, "seed replicates per grid point")
-	iters := fs.Int("iters", 400, "iterations per cell")
-	seed := fs.Uint64("seed", 1701, "spec seed (per-cell seeds are split from it)")
-	adversary := fs.Int("adversary", 24, "machine runtime: MaxStale budget (0 = round-robin)")
-	runtimeName := fs.String("runtime", "machine", "cell runtime: machine, hogwild or both")
-	pin := fs.Bool("pin", false, "hogwild runtime: pin worker goroutines to OS threads")
-	faults := fs.String("faults", "none", "crash/rejoin axis: none, crash/<n>[/rejoin], ticket/<n>[/rejoin] (comma list)")
-	byz := fs.String("byzantine", "none", "gradient-corruption axis: none, signflip/<f>, scale/<f>, nan/<f> (comma list)")
-	defense := fs.String("defense", "none", "defense axis: none, clip/<limit>, median (comma list; median needs -runtime hogwild)")
+	// The axis flags write straight into the request; an absent one leaves
+	// its field empty and SweepRequest.Normalized supplies the default.
+	var req serve.SweepRequest
+	fs.Func("taus", "bounded-staleness gate values (comma list; default "+list(serve.DefaultTaus)+")",
+		func(s string) (err error) { req.Taus, err = parseList(s, strconv.Atoi); return err })
+	fs.Func("workers", "worker/thread counts (comma list; default "+list(serve.DefaultWorkers)+")",
+		func(s string) (err error) { req.Workers, err = parseList(s, strconv.Atoi); return err })
+	fs.Func("sparsity", "oracle row densities (comma list; default "+list(serve.DefaultSparsity)+")",
+		func(s string) (err error) { req.Sparsity, err = parseList(s, parseFloat); return err })
+	fs.IntVar(&req.Dim, "d", serve.DefaultDim, "model dimension")
+	fs.IntVar(&req.Replicates, "reps", serve.DefaultReplicates, "seed replicates per grid point")
+	fs.IntVar(&req.Iters, "iters", serve.DefaultIters, "iterations per cell")
+	req.Seed = fs.Uint64("seed", serve.DefaultSeed, "spec seed (per-cell seeds are split from it)")
+	req.Adversary = fs.Int("adversary", serve.DefaultAdversary, "machine runtime: MaxStale budget (0 = round-robin)")
+	fs.StringVar(&req.Runtime, "runtime", serve.DefaultRuntime, "cell runtime: machine, hogwild or both")
+	fs.BoolVar(&req.Pin, "pin", false, "hogwild runtime: pin worker goroutines to OS threads")
+	fs.Func("faults", "crash/rejoin axis: none, crash/<n>[/rejoin], ticket/<n>[/rejoin] (comma list; default none)",
+		func(s string) error { req.Faults = splitList(s); return nil })
+	fs.Func("byzantine", "gradient-corruption axis: none, signflip/<f>, scale/<f>, nan/<f> (comma list; default none)",
+		func(s string) error { req.Byzantine = splitList(s); return nil })
+	fs.Func("defense", "defense axis: none, clip/<limit>, median (comma list; default none; median needs -runtime hogwild)",
+		func(s string) error { req.Defenses = splitList(s); return nil })
 	asJSON := fs.Bool("json", false, "emit the asgdbench/v2 JSON document with per-cell records")
 	showVersion := fs.Bool("version", false, "print version and exit")
 	fs.Usage = func() {
@@ -195,44 +204,17 @@ Examples:
 		fmt.Fprintln(out, version.String("asgdbench"))
 		return nil
 	}
-	tauVals, err := parseInts(*taus)
-	if err != nil {
-		return fmt.Errorf("-taus: %w", err)
-	}
-	workerVals, err := parseInts(*workers)
-	if err != nil {
-		return fmt.Errorf("-workers: %w", err)
-	}
-	keepVals, err := parseFloats(*keeps)
-	if err != nil {
-		return fmt.Errorf("-sparsity: %w", err)
-	}
 	// SweepRequest treats zero numeric fields as "absent → default"
 	// (that is the right contract for a JSON body); an explicit CLI flag
 	// must not be silently replaced, so reject zeros here.
-	if *reps < 1 {
-		return fmt.Errorf("-reps %d: want ≥ 1", *reps)
+	if req.Replicates < 1 {
+		return fmt.Errorf("-reps %d: want ≥ 1", req.Replicates)
 	}
-	if *iters < 1 {
-		return fmt.Errorf("-iters %d: want ≥ 1", *iters)
+	if req.Iters < 1 {
+		return fmt.Errorf("-iters %d: want ≥ 1", req.Iters)
 	}
-	if *dim < 1 {
-		return fmt.Errorf("-d %d: want ≥ 1", *dim)
-	}
-	req := serve.SweepRequest{
-		Taus:       tauVals,
-		Workers:    workerVals,
-		Sparsity:   keepVals,
-		Dim:        *dim,
-		Replicates: *reps,
-		Iters:      *iters,
-		Seed:       seed,
-		Adversary:  adversary,
-		Runtime:    *runtimeName,
-		Pin:        *pin,
-		Faults:     splitList(*faults),
-		Byzantine:  splitList(*byz),
-		Defenses:   splitList(*defense),
+	if req.Dim < 1 {
+		return fmt.Errorf("-d %d: want ≥ 1", req.Dim)
 	}
 	start := time.Now()
 	report, err := serve.RunRequest(context.Background(), req, nil)
@@ -283,10 +265,11 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseInts(s string) ([]int, error) {
-	var out []int
+// parseList parses a comma-separated list of numbers.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
+		v, err := parse(strings.TrimSpace(f))
 		if err != nil {
 			return nil, err
 		}
@@ -295,14 +278,9 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
+// list renders a default axis the way its flag spells it: "1,2,4,8".
+func list[T any](vals []T) string {
+	return strings.ReplaceAll(strings.Trim(fmt.Sprint(vals), "[]"), " ", ",")
 }

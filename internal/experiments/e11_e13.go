@@ -34,7 +34,7 @@ func E11SparsityAblation(s Scale) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	x0DistSq, err := distSq(x0, base.Optimum())
+	x0DistSq, err := vec.Dist2Sq(x0, base.Optimum())
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"asyncsgd/internal/sweep"
-)
+import "testing"
 
 // TestE17PhaseDiagramBoundsHold: the quick-scale phase diagram must
 // produce all three tables with every gated cell inside its bound
@@ -22,36 +18,5 @@ func TestE17PhaseDiagramBoundsHold(t *testing.T) {
 		if len(tbl.Rows) == 0 {
 			t.Errorf("%s: no rows", tbl.Title)
 		}
-	}
-}
-
-// TestPhaseDiagramSpecShape: the spec builder produces the declared grid
-// and rejects empty axes.
-func TestPhaseDiagramSpecShape(t *testing.T) {
-	spec, err := PhaseDiagramSpec(PhaseOpts{
-		Runtime:    sweep.Machine,
-		Taus:       []int{1, 2},
-		Workers:    []int{2, 3},
-		Keeps:      []float64{0.2, 0.5},
-		Dim:        16,
-		Replicates: 3,
-		Iters:      50,
-		Seed:       8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := spec.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 2 * 2 * 2 * 3; len(cells) != want {
-		t.Fatalf("%d cells, want %d", len(cells), want)
-	}
-	if len(spec.Alphas) != 1 || spec.Alphas[0] <= 0 {
-		t.Fatalf("derived alpha axis %v", spec.Alphas)
-	}
-	if _, err := PhaseDiagramSpec(PhaseOpts{Runtime: sweep.Machine}); err == nil {
-		t.Error("empty axes accepted")
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"asyncsgd/internal/report"
+	"asyncsgd/internal/serve"
 	"asyncsgd/internal/sweep"
 )
 
@@ -31,70 +32,51 @@ import (
 //     it; NaN injection destroys the undefended model (loss goes NaN,
 //     reported as a degenerate gap) and both defenses defuse it.
 func E19FaultRecovery(s Scale) ([]*report.Table, error) {
-	mo := PhaseOpts{
-		Runtime:    sweep.Machine,
+	seeds := [3]uint64{1901, 1902, 1903}
+	roundRobin := 0 // a nil Adversary would select the MaxStale default
+	mo := serve.SweepRequest{
+		Runtime:    "machine",
 		Taus:       []int{4},
 		Workers:    []int{3},
-		Keeps:      []float64{0.6},
+		Sparsity:   []float64{0.6},
 		Dim:        s.pick(16, 24),
 		Replicates: s.pick(2, 3),
 		Iters:      s.pick(120, 900),
-		Seed:       1901,
+		Seed:       &seeds[0],
+		Adversary:  &roundRobin,
 		Faults:     []string{"none", "crash/1", "ticket/1", "ticket/1/rejoin"},
 	}
-	mspec, err := PhaseDiagramSpec(mo)
+	mstats, err := runPhaseLeg(mo)
 	if err != nil {
 		return nil, err
 	}
-	mres, err := sweep.Run(mspec)
-	if err != nil {
-		return nil, err
-	}
-	mt := sweep.FaultTable("E19a: crash faults × gate discipline, simulated machine",
-		sweep.Aggregate(mres))
+	mt := sweep.FaultTable("E19a: crash faults × gate discipline, simulated machine", mstats)
 	mt.Note = "bounded-staleness τ=4, 3 threads, crash after " + report.In(sweep.DefaultCrashAfter) +
 		" iterations; ticket crashes die holding a gate claim and survivors tombstone it (recovered)"
 
 	ho := mo
-	ho.Runtime = sweep.Hogwild
+	ho.Runtime = "hogwild"
 	ho.Workers = []int{4}
 	ho.Iters = s.pick(2000, 20000)
-	ho.Seed = 1902
-	hspec, err := PhaseDiagramSpec(ho)
+	ho.Seed = &seeds[1]
+	hstats, err := runPhaseLeg(ho)
 	if err != nil {
 		return nil, err
 	}
-	hres, err := sweep.Run(hspec)
-	if err != nil {
-		return nil, err
-	}
-	ht := sweep.FaultTable("E19b: crash faults × gate discipline, real threads",
-		sweep.Aggregate(hres))
+	ht := sweep.FaultTable("E19b: crash faults × gate discipline, real threads", hstats)
 	ht.Note = "same fault axis on goroutines: the supervisor reclaims abandoned tickets " +
 		"and replacement workers rejoin; the gated gauge must hold ≤ τ throughout"
 
-	bo := PhaseOpts{
-		Runtime:    sweep.Hogwild,
-		Taus:       []int{4},
-		Workers:    []int{4},
-		Keeps:      []float64{0.6},
-		Dim:        s.pick(16, 24),
-		Replicates: s.pick(2, 3),
-		Iters:      s.pick(2000, 20000),
-		Seed:       1903,
-		Byzantine:  []string{"none", "signflip/1", "nan/1"},
-		Defenses:   []string{"none", "clip/5", "median"},
-	}
-	bspec, err := PhaseDiagramSpec(bo)
+	bo := ho
+	bo.Seed = &seeds[2]
+	bo.Faults = nil
+	bo.Byzantine = []string{"none", "signflip/1", "nan/1"}
+	bo.Defenses = []string{"none", "clip/5", "median"}
+	bstats, err := runPhaseLeg(bo)
 	if err != nil {
 		return nil, err
 	}
-	bres, err := sweep.Run(bspec)
-	if err != nil {
-		return nil, err
-	}
-	bt := sweep.FaultTable("E19c: Byzantine gradients × defense, real threads",
-		sweep.Aggregate(bres))
+	bt := sweep.FaultTable("E19c: Byzantine gradients × defense, real threads", bstats)
 	bt.Note = "1 of 4 workers corrupt; clipping defuses NaN/scale blow-ups but not the " +
 		"norm-plausible sign-flip — that takes the coordinate-median aggregation"
 

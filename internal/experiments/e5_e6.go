@@ -9,6 +9,7 @@ import (
 	"asyncsgd/internal/report"
 	"asyncsgd/internal/sched"
 	"asyncsgd/internal/shm"
+	"asyncsgd/internal/vec"
 )
 
 // E5UpperBound regenerates the paper's main result (Theorem 6.5 /
@@ -32,7 +33,7 @@ func E5UpperBound(s Scale) ([]*report.Table, error) {
 	}
 	cst := q.Constants()
 	xstar := q.Optimum()
-	x0DistSq, err := distSq(x0, xstar)
+	x0DistSq, err := vec.Dist2Sq(x0, xstar)
 	if err != nil {
 		return nil, err
 	}
@@ -136,18 +137,6 @@ func epochFailureProbCount(mk func() core.EpochConfig, xstar []float64, eps floa
 		}
 	}
 	return fails, hits.Mean(), nil
-}
-
-func distSq(a, b []float64) (float64, error) {
-	var s float64
-	if len(a) != len(b) {
-		return 0, ErrUnknown
-	}
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s, nil
 }
 
 // E6FullSGD regenerates Corollary 7.1: Algorithm 2 (epoch halving with a

@@ -109,16 +109,6 @@ func Run(id string, scale Scale, w io.Writer) error {
 	return fmt.Errorf("%q: %w", id, ErrUnknown)
 }
 
-// RunAll executes every experiment in order.
-func RunAll(scale Scale, w io.Writer) error {
-	for _, e := range registry {
-		if err := Run(e.ID, scale, w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // --- shared workload helpers -------------------------------------------
 
 // isoQuadOracle16 is the shared real-thread sweep workload of E10 and

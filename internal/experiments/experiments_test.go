@@ -203,10 +203,7 @@ func TestE10Throughput(t *testing.T) {
 	}
 }
 
-func TestRunAndRunAllQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RunAll is slow; run without -short")
-	}
+func TestRunQuick(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Run("e3", Quick, &buf); err != nil {
 		t.Fatal(err)

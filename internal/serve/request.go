@@ -23,8 +23,13 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"asyncsgd/internal/experiments"
+	"asyncsgd/internal/data"
+	"asyncsgd/internal/grad"
+	"asyncsgd/internal/rng"
+	"asyncsgd/internal/sched"
+	"asyncsgd/internal/shm"
 	"asyncsgd/internal/sweep"
+	"asyncsgd/internal/vec"
 )
 
 // Default axis values of a SweepRequest: the `asgdbench sweep` flag
@@ -46,9 +51,9 @@ const (
 	DefaultRuntime    = "machine"
 )
 
-// SweepRequest is the JSON body of POST /v1/sweeps: the staleness
-// phase-diagram grid of experiments.PhaseDiagramSpec, one field per
-// `asgdbench sweep` flag. Zero/absent fields take the CLI defaults
+// SweepRequest is the JSON body of POST /v1/sweeps and the one
+// description of the staleness phase-diagram grid (Specs builds it), one
+// field per `asgdbench sweep` flag. Zero/absent fields take the CLI defaults
 // (Seed and Adversary are pointers because 0 is a meaningful value for
 // both: seed 0 is a valid spec seed, adversary 0 selects the round-robin
 // scheduler).
@@ -182,29 +187,46 @@ func (q SweepRequest) Normalized() (SweepRequest, error) {
 	if len(q.Defenses) == 0 {
 		q.Defenses = []string{"none"}
 	}
-	for _, label := range q.Faults {
-		if _, err := sweep.ParseFaults(label); err != nil {
-			return q, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
+	_, _, defenses, err := q.axes()
+	if err != nil {
+		return q, err
 	}
-	for _, label := range q.Byzantine {
-		if _, err := sweep.ParseByzantine(label); err != nil {
-			return q, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-	}
-	for _, label := range q.Defenses {
-		d, err := sweep.ParseDefense(label)
-		if err != nil {
-			return q, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
+	for _, d := range defenses {
 		// Coordinate-median aggregation is a round-membership barrier; it
 		// has no machine implementation, so a request whose machine leg
 		// would fail every median cell is rejected up front.
 		if d.Median && q.Runtime != "hogwild" {
-			return q, fmt.Errorf("%w: defense %q requires runtime \"hogwild\" (got %q)", ErrBadRequest, label, q.Runtime)
+			return q, fmt.Errorf("%w: defense %q requires runtime \"hogwild\" (got %q)", ErrBadRequest, d.Name, q.Runtime)
 		}
 	}
 	return q, nil
+}
+
+// axes parses the robustness-axis labels; it is the one place Faults,
+// Byzantine and Defenses are read.
+func (q SweepRequest) axes() (faults []sweep.Faults, byz []sweep.Byzantine, defenses []sweep.Defense, err error) {
+	for _, label := range q.Faults {
+		f, err := sweep.ParseFaults(label)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
+		faults = append(faults, f)
+	}
+	for _, label := range q.Byzantine {
+		b, err := sweep.ParseByzantine(label)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
+		byz = append(byz, b)
+	}
+	for _, label := range q.Defenses {
+		d, err := sweep.ParseDefense(label)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
+		defenses = append(defenses, d)
+	}
+	return faults, byz, defenses, nil
 }
 
 // runtimes expands the Runtime field in the CLI's fixed order
@@ -220,32 +242,88 @@ func (q SweepRequest) runtimes() []sweep.Runtime {
 	}
 }
 
-// Specs expands a normalized request into one phase-diagram sweep spec
-// per runtime leg, exactly as the `asgdbench sweep` subcommand does.
+// phaseOracle is one sparsity-axis entry: least squares over synthetic
+// linear data thinned to the given row density. Each cell draws its own
+// problem instance from its split seed.
+func phaseOracle(keep float64) sweep.Oracle {
+	return sweep.Oracle{
+		Name: fmt.Sprintf("sparse-ls/keep=%g", keep),
+		Make: func(d int, r *rng.Rand) (grad.Oracle, vec.Dense, error) {
+			ds, err := data.GenLinear(data.LinearConfig{
+				Samples: 6 * d, Dim: d, NoiseStd: 0.05,
+			}, r)
+			if err != nil {
+				return nil, nil, err
+			}
+			if err := data.SparsifyRows(ds, keep, r); err != nil {
+				return nil, nil, err
+			}
+			sls, err := grad.NewSparseLeastSquares(ds, 4)
+			if err != nil {
+				return nil, nil, err
+			}
+			return sls, vec.Constant(d, 0.5), nil
+		},
+	}
+}
+
+// Specs expands a request into one phase-diagram sweep spec per runtime
+// leg (named staleness-phase-diagram/<runtime>), exactly as the
+// `asgdbench sweep` subcommand does. The step size is derived once per
+// request from probe instances of the sparsity axis (SparsifyRows
+// rescales surviving entries by 1/keep, so the smallest keep dominates
+// the curvature L): α = 0.3/L_max, stable across the whole grid at a
+// safety margin over per-replicate L variation, and shared by both legs
+// under runtime "both".
 func (q SweepRequest) Specs() ([]sweep.Spec, error) {
 	q, err := q.Normalized()
 	if err != nil {
 		return nil, err
 	}
+	faults, byz, defenses, err := q.axes()
+	if err != nil {
+		return nil, err
+	}
+	oracles := make([]sweep.Oracle, 0, len(q.Sparsity))
+	var lmax float64
+	for i, keep := range q.Sparsity {
+		om := phaseOracle(keep)
+		probe, _, err := om.Make(q.Dim, rng.New(*q.Seed+uint64(i)*0x9E3779B9))
+		if err != nil {
+			return nil, fmt.Errorf("probe %s: %w", om.Name, err)
+		}
+		if l := probe.Constants().L; l > lmax {
+			lmax = l
+		}
+		oracles = append(oracles, om)
+	}
+	strategies := make([]sweep.Strategy, 0, len(q.Taus))
+	for _, tau := range q.Taus {
+		strategies = append(strategies, sweep.BoundedStaleness(tau))
+	}
 	var specs []sweep.Spec
 	for _, rt := range q.runtimes() {
-		spec, err := experiments.PhaseDiagramSpec(experiments.PhaseOpts{
-			Runtime:    rt,
-			Taus:       q.Taus,
+		spec := sweep.Spec{
+			Name:       "staleness-phase-diagram/" + rt.String(),
+			Seed:       *q.Seed,
+			Runtimes:   []sweep.Runtime{rt},
+			Oracles:    oracles,
+			Strategies: strategies,
 			Workers:    q.Workers,
-			Keeps:      q.Sparsity,
-			Dim:        q.Dim,
+			Dims:       []int{q.Dim},
+			Alphas:     []float64{0.3 / lmax},
 			Replicates: q.Replicates,
 			Iters:      q.Iters,
-			Seed:       *q.Seed,
-			Adversary:  *q.Adversary,
-			Pin:        q.Pin,
-			Faults:     q.Faults,
-			Byzantine:  q.Byzantine,
-			Defenses:   q.Defenses,
-		})
-		if err != nil {
-			return nil, err
+			PinWorkers: q.Pin,
+			Faults:     faults,
+			Byzantine:  byz,
+			Defenses:   defenses,
+		}
+		if rt == sweep.Machine && *q.Adversary > 0 {
+			budget := *q.Adversary
+			spec.Policy = func(int, *rng.Rand) shm.Policy {
+				return &sched.MaxStale{Budget: budget}
+			}
 		}
 		specs = append(specs, spec)
 	}

@@ -109,6 +109,73 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestSpecsShape: Specs builds the declared grid — one leg per runtime,
+// cells = the product of the axes, one positive α shared by every leg —
+// and under runtime "both" each leg expands cell for cell, seed for seed,
+// exactly as the single-runtime request does.
+func TestSpecsShape(t *testing.T) {
+	seed := uint64(8)
+	base := SweepRequest{
+		Taus: []int{1, 2}, Workers: []int{2, 3}, Sparsity: []float64{0.2, 0.5},
+		Dim: 16, Replicates: 3, Iters: 50, Seed: &seed,
+	}
+	for _, tc := range []struct {
+		runtime    string
+		faults     []string
+		legs, want int // runtime legs, cells per leg
+	}{
+		{"machine", nil, 1, 2 * 2 * 2 * 3},
+		{"hogwild", nil, 1, 2 * 2 * 2 * 3},
+		{"machine", []string{"none", "ticket/1"}, 1, 2 * 2 * 2 * 3 * 2},
+		{"both", nil, 2, 2 * 2 * 2 * 3},
+	} {
+		q := base
+		q.Runtime, q.Faults = tc.runtime, tc.faults
+		specs, err := q.Specs()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.runtime, err)
+		}
+		if len(specs) != tc.legs {
+			t.Fatalf("%s: %d legs, want %d", tc.runtime, len(specs), tc.legs)
+		}
+		for _, spec := range specs {
+			if len(spec.Alphas) != 1 || spec.Alphas[0] <= 0 || spec.Alphas[0] != specs[0].Alphas[0] {
+				t.Fatalf("%s: alpha axis %v, want one positive value shared by every leg", spec.Name, spec.Alphas)
+			}
+			cells, err := spec.Cells()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cells) != tc.want {
+				t.Fatalf("%s: %d cells, want %d", spec.Name, len(cells), tc.want)
+			}
+			if tc.runtime != "both" {
+				continue
+			}
+			single := q
+			single.Runtime = spec.Runtimes[0].String()
+			legs, err := single.Specs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := legs[0].Cells()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if legs[0].Name != spec.Name || legs[0].Alphas[0] != spec.Alphas[0] {
+				t.Fatalf("leg %s (α %g) differs from request %s (α %g)",
+					spec.Name, spec.Alphas[0], legs[0].Name, legs[0].Alphas[0])
+			}
+			for i := range cells {
+				if cells[i].Seed != want[i].Seed || cells[i].Alpha != want[i].Alpha {
+					t.Fatalf("%s cell %d: seed %d α %g, single-runtime request has seed %d α %g",
+						spec.Name, i, cells[i].Seed, cells[i].Alpha, want[i].Seed, want[i].Alpha)
+				}
+			}
+		}
+	}
+}
+
 func TestCacheableOnlyMachine(t *testing.T) {
 	for rt, want := range map[string]bool{"machine": true, "hogwild": false, "both": false} {
 		q, err := SweepRequest{Runtime: rt}.Normalized()
