@@ -116,3 +116,77 @@ func TestTrackerResetIsolation(t *testing.T) {
 		}
 	}
 }
+
+// recordLockstep drives an epoch in which every thread's iteration runs in
+// lockstep with the others' (all begin, then each coordinate is read by
+// every thread in turn, then updated likewise), so views miss their
+// predecessors' updates and τ is non-zero.
+func recordLockstep(tr *Tracker, threads, iters, d int) {
+	time := 0
+	for it := 0; it < iters; it++ {
+		for th := 0; th < threads; th++ {
+			time++
+			tr.Begin(th, it, time)
+		}
+		for c := 0; c < d; c++ {
+			for th := 0; th < threads; th++ {
+				time++
+				tr.Read(th, it, c, time)
+			}
+		}
+		for c := 0; c < d; c++ {
+			for th := 0; th < threads; th++ {
+				time++
+				tr.Update(th, it, c, time, c == 0)
+			}
+		}
+		for th := 0; th < threads; th++ {
+			tr.End(th, it, time)
+		}
+	}
+}
+
+// TestTrackerLazyTausSurviveReuse: the staleness sequence is computed on
+// first use after Finalize and memoised, so a reused tracker must drop the
+// memo in Reset — its second epoch's τ statistics must equal a fresh
+// tracker's. A tracker that was never finalized keeps the taus it holds.
+func TestTrackerLazyTausSurviveReuse(t *testing.T) {
+	const d = 3
+	fresh := NewTracker(d)
+	recordLockstep(fresh, 3, 4, d)
+	fresh.Finalize()
+
+	reused := NewTracker(d)
+	recordLockstep(reused, 2, 6, d) // a different first epoch, τ read
+	reused.Finalize()
+	if reused.TauMaxView() == 0 {
+		t.Fatal("first epoch has no staleness; the test would prove nothing")
+	}
+	reused.Reset(d)
+	recordLockstep(reused, 3, 4, d)
+	reused.Finalize()
+
+	if f, r := fresh.TauMaxView(), reused.TauMaxView(); f != r || f == 0 {
+		t.Errorf("TauMaxView: fresh %d vs reused %d (want equal and non-zero)", f, r)
+	}
+	if f, r := fresh.DelayIndicatorMax(), reused.DelayIndicatorMax(); f != r {
+		t.Errorf("DelayIndicatorMax: fresh %d vs reused %d", f, r)
+	}
+	ft, rt := fresh.Taus(), reused.Taus()
+	if len(ft) != len(rt) || len(ft) == 0 {
+		t.Fatalf("Taus length: fresh %d vs reused %d", len(ft), len(rt))
+	}
+	for i := range ft {
+		if ft[i] != rt[i] {
+			t.Errorf("Taus[%d]: fresh %d vs reused %d", i, ft[i], rt[i])
+		}
+	}
+
+	planted := &Tracker{taus: []int{0, 2, 1}}
+	if got := planted.TauMaxView(); got != 2 {
+		t.Errorf("unfinalized tracker TauMaxView = %d, want its planted 2", got)
+	}
+	if got := planted.Taus(); len(got) != 3 || got[1] != 2 {
+		t.Errorf("unfinalized tracker Taus = %v, want its planted [0 2 1]", got)
+	}
+}

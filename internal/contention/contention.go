@@ -91,7 +91,10 @@ func (it *iter) readTimeOf(coord int) int {
 
 // Tracker accumulates iteration timelines during a run and computes the
 // paper's contention statistics afterwards. Create with NewTracker, feed
-// with Begin/Read/Update/End (or Observe), then call Finalize once.
+// with Begin/Read/Update/End (or Observe), then call Finalize once. The
+// staleness sequence behind Taus, TauMaxView and DelayIndicatorMax is
+// computed on the first call to one of them, not by Finalize, since most
+// consumers (a sweep cell among them) never read it.
 // Tracker is not safe for concurrent use; the shm machine is sequential.
 //
 // The record path is allocation-free in steady state: iterations are
@@ -109,9 +112,9 @@ type Tracker struct {
 	final    bool
 	clockS   int // latest observed time, for incomplete iterations
 
-	// Populated by Finalize:
-	ordered []*iter // complete iterations in paper order
-	taus    []int   // taus[t-1] = τ_t for ordered iteration t (1-based)
+	ordered   []*iter // populated by Finalize: complete iterations in paper order
+	taus      []int   // taus[t-1] = τ_t for ordered iteration t (1-based)
+	tausReady bool    // taus holds computeTaus's result for ordered
 }
 
 // NewTracker returns a tracker for a model of dimension d.
@@ -137,6 +140,7 @@ func (tr *Tracker) Reset(d int) {
 	}
 	tr.ordered = tr.ordered[:0]
 	tr.taus = tr.taus[:0]
+	tr.tausReady = false
 	tr.final = false
 	tr.clockS = 0
 	tr.d = d
@@ -260,8 +264,8 @@ func (tr *Tracker) Completed() int {
 }
 
 // Finalize orders completed iterations by first model update (the paper's
-// total order) and computes staleness values. It must be called once,
-// after the run.
+// total order). It must be called once, after the run; the staleness
+// values are computed later, on first use (see staleness).
 func (tr *Tracker) Finalize() {
 	if tr.final {
 		return
@@ -278,7 +282,17 @@ func (tr *Tracker) Finalize() {
 	for i, it := range tr.ordered {
 		it.orderIdx = i + 1
 	}
-	tr.computeTaus()
+}
+
+// staleness returns τ_1..τ_T. On a finalized tracker the first call runs
+// computeTaus and the result is memoised until Reset; a tracker that was
+// never finalized returns taus as it stands.
+func (tr *Tracker) staleness() []int {
+	if tr.final && !tr.tausReady {
+		tr.computeTaus()
+		tr.tausReady = true
+	}
+	return tr.taus
 }
 
 // computeTaus evaluates τ_t for every ordered iteration t: the number of
@@ -351,9 +365,10 @@ func (tr *Tracker) missed(cur, pred *iter) bool {
 	return false
 }
 
-// Taus returns the staleness sequence τ_1..τ_T over ordered iterations.
-// Finalize must have been called.
-func (tr *Tracker) Taus() []int { return tr.taus }
+// Taus returns the staleness sequence τ_1..τ_T over ordered iterations,
+// computing it on the first call after Finalize (which must have been
+// called). The slice is owned by the tracker and reused after Reset.
+func (tr *Tracker) Taus() []int { return tr.staleness() }
 
 // MaxAdmissionsDuring returns the maximum, over completed iterations, of
 // the number of newer iterations (by claim order) whose view phase began
@@ -406,7 +421,7 @@ func (tr *Tracker) MaxAdmissionsDuring() int {
 // TauMaxView returns max_t τ_t, the maximum view staleness.
 func (tr *Tracker) TauMaxView() int {
 	m := 0
-	for _, v := range tr.taus {
+	for _, v := range tr.staleness() {
 		if v > m {
 			m = v
 		}
@@ -632,12 +647,13 @@ func (tr *Tracker) MaxBadCompletions(k, n int) int {
 // max_t Σ_{m≥1} 1{τ_{t+m} ≥ m}, computed over the measured staleness
 // sequence. The lemma bounds it by 2·sqrt(τmax·n).
 func (tr *Tracker) DelayIndicatorMax() int {
-	n := len(tr.taus)
+	taus := tr.staleness()
+	n := len(taus)
 	best := 0
 	for t := 0; t < n; t++ {
 		s := 0
 		for m := 1; t+m < n; m++ {
-			if tr.taus[t+m] >= m {
+			if taus[t+m] >= m {
 				s++
 			}
 		}

@@ -243,7 +243,7 @@ func RunEpoch(cfg EpochConfig) (*EpochResult, error) {
 	copy(initMem[ModelBase:], x0)
 
 	var tracker *contention.Tracker
-	var onStep func(shm.Step)
+	var onStep func(int, *shm.Request, shm.Result)
 	if cfg.Track {
 		if cfg.Tracker != nil {
 			tracker = cfg.Tracker
@@ -252,14 +252,14 @@ func RunEpoch(cfg EpochConfig) (*EpochResult, error) {
 			tracker = contention.NewTracker(d)
 		}
 		budget := float64(cfg.TotalIters)
-		onStep = func(s shm.Step) {
+		onStep = func(tid int, req *shm.Request, res shm.Result) {
 			// A counter claim that lands beyond the budget terminates the
 			// thread (line 3 of Algorithm 1); it is not an SGD iteration
 			// and must not register as a phantom start.
-			if s.Req.Tag.Role == contention.RoleCounter && s.Res.Val >= budget {
+			if req.Tag.Role == contention.RoleCounter && res.Val >= budget {
 				return
 			}
-			tracker.Observe(s.Thread, s.Req.Tag, s.Time)
+			tracker.Observe(tid, req.Tag, res.Time)
 		}
 	}
 

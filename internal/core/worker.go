@@ -695,10 +695,19 @@ func (w *worker) issueCounter(req *shm.Request) bool {
 	return false
 }
 
+// issueRead issues the view read at w.pos. After the iteration's first
+// read, *req still holds this worker's previous read of the same
+// iteration (shm.Program's NextInto contract), so only the coordinate
+// fields are rewritten.
 func (w *worker) issueRead(req *shm.Request) bool {
 	j := w.pos
 	if w.so != nil {
 		j = w.plan[w.pos]
+	}
+	if w.pos > 0 {
+		req.Addr = ModelBase + j
+		req.Tag.Coord = j
+		return false
 	}
 	*req = shm.Request{
 		Kind: shm.OpRead,
@@ -710,18 +719,28 @@ func (w *worker) issueRead(req *shm.Request) bool {
 	return false
 }
 
+// issueUpdate issues the model fetch&add at w.pos; like issueRead, every
+// update after the iteration's first rewrites only the fields that change.
 func (w *worker) issueUpdate(req *shm.Request) bool {
-	j := w.nz[w.pos]
+	j, val := w.nz[w.pos], -w.alphaEff*w.nzv[w.pos]
 	first := w.pos == 0
-	last := w.pos == len(w.nz)-1
 	w.pos++
+	last := w.pos == len(w.nz)
+	if !first {
+		req.Addr = ModelBase + j
+		req.Val = val
+		req.Tag.Coord = j
+		req.Tag.First = false
+		req.Tag.Last = last
+		return false
+	}
 	*req = shm.Request{
 		Kind: shm.OpFAA,
 		Addr: ModelBase + j,
-		Val:  -w.alphaEff * w.nzv[w.pos-1],
+		Val:  val,
 		Tag: contention.Tag{
 			Thread: w.id, Iter: w.iter, Role: contention.RoleUpdate,
-			Coord: j, First: first, Last: last,
+			Coord: j, First: true, Last: last,
 		},
 	}
 	return false

@@ -90,16 +90,14 @@ func GenLinear(cfg LinearConfig, r *rng.Rand) (*Dataset, error) {
 	scales := coordScales(cfg.Dim, cfg.CondExp)
 	truth := randomDirection(cfg.Dim, cfg.TruthNorm, r)
 	ds := &Dataset{
-		Rows:   make([]vec.Dense, cfg.Samples),
+		Rows:   newRows(cfg.Samples, cfg.Dim),
 		Labels: make([]float64, cfg.Samples),
 		Truth:  truth,
 	}
-	for i := 0; i < cfg.Samples; i++ {
-		row := vec.NewDense(cfg.Dim)
+	for i, row := range ds.Rows {
 		for j := range row {
 			row[j] = scales[j] * r.Normal()
 		}
-		ds.Rows[i] = row
 		ds.Labels[i] = vec.MustDot(row, truth) + cfg.NoiseStd*r.Normal()
 	}
 	return ds, nil
@@ -130,16 +128,14 @@ func GenLogistic(cfg LogisticConfig, r *rng.Rand) (*Dataset, error) {
 	scales := coordScales(cfg.Dim, cfg.CondExp)
 	truth := randomDirection(cfg.Dim, 1, r)
 	ds := &Dataset{
-		Rows:   make([]vec.Dense, cfg.Samples),
+		Rows:   newRows(cfg.Samples, cfg.Dim),
 		Labels: make([]float64, cfg.Samples),
 		Truth:  truth,
 	}
-	for i := 0; i < cfg.Samples; i++ {
-		row := vec.NewDense(cfg.Dim)
+	for i, row := range ds.Rows {
 		for j := range row {
 			row[j] = scales[j] * r.Normal()
 		}
-		ds.Rows[i] = row
 		p := 1 / (1 + math.Exp(-cfg.Margin*vec.MustDot(row, truth)))
 		y := -1.0
 		if r.Bernoulli(p) {
@@ -172,6 +168,18 @@ func SparsifyRows(ds *Dataset, keep float64, r *rng.Rand) error {
 		}
 	}
 	return nil
+}
+
+// newRows returns m zeroed rows of dimension d carved from one m×d slab,
+// one allocation instead of m. Each row's capacity ends at its own last
+// entry, so an append to one row can never write into the next.
+func newRows(m, d int) []vec.Dense {
+	slab := make([]float64, m*d)
+	rows := make([]vec.Dense, m)
+	for i := range rows {
+		rows[i] = slab[i*d : (i+1)*d : (i+1)*d]
+	}
+	return rows
 }
 
 func coordScales(d int, condExp float64) []float64 {

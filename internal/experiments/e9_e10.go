@@ -91,7 +91,7 @@ func (t traceTap) Next(v *shm.View) shm.Decision {
 	d := t.inner.Next(v)
 	if req, ok := v.Pending(d.Thread); ok {
 		*t.trace = append(*t.trace, shm.Step{
-			Time: v.Time() + 1, Thread: d.Thread, Req: req,
+			Time: v.Time() + 1, Thread: d.Thread, Req: *req,
 		})
 	}
 	return d

@@ -141,7 +141,11 @@ var _ SparseOracle = (*SparseLeastSquares)(nil)
 
 // NewSparseLeastSquares builds the oracle from a dataset (typically one
 // whose rows were thinned with data.SparsifyRows), storing rows in
-// coordinate form. r0 is the M² ball radius.
+// coordinate form. r0 is the M² ball radius. The rows are laid out as
+// CSR: every row's Indices and Values are sub-slices of one index slab and
+// one value slab, capacity-limited to the row so an append to one row can
+// never write into the next; an all-zero row has nil slices, exactly as
+// vec.FromDense returns it.
 func NewSparseLeastSquares(ds *data.Dataset, r0 float64) (*SparseLeastSquares, error) {
 	base, err := NewLeastSquares(ds, r0)
 	if err != nil {
@@ -154,8 +158,31 @@ func NewSparseLeastSquares(ds *data.Dataset, r0 float64) (*SparseLeastSquares, e
 		xstar:  base.xstar,
 		cst:    base.cst,
 	}
+	nnz := 0
+	for _, row := range ds.Rows {
+		for _, v := range row {
+			if v != 0 {
+				nnz++
+			}
+		}
+	}
+	idx := make([]int, nnz)
+	val := make([]float64, nnz)
+	off := 0
 	for i, row := range ds.Rows {
-		s.rows[i] = vec.FromDense(row)
+		sr := vec.Sparse{Dim: len(row)}
+		start := off
+		for j, v := range row {
+			if v != 0 {
+				idx[off], val[off] = j, v
+				off++
+			}
+		}
+		if off > start {
+			sr.Indices = idx[start:off:off]
+			sr.Values = val[start:off:off]
+		}
+		s.rows[i] = sr
 	}
 	return s, nil
 }

@@ -1,8 +1,10 @@
 package grad
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"asyncsgd/internal/data"
@@ -190,4 +192,65 @@ func (b badSupportOracle) CloneFor(int) Oracle              { return b }
 func (badSupportOracle) PlanSparse(*rng.Rand) []int         { return []int{7} }
 func (badSupportOracle) GradSparseAt(dst *vec.Sparse, _ []float64, _ *rng.Rand) {
 	dst.Reset(3)
+}
+
+// FuzzSparseLeastSquaresRows: the CSR rows NewSparseLeastSquares carves
+// from its two slabs must each equal vec.FromDense of the dataset row —
+// same Dim, Indices and Values, and nil slices for an all-zero row — and
+// an append to one row must never write into the next.
+func FuzzSparseLeastSquaresRows(f *testing.F) {
+	f.Add(uint8(3), []byte{})
+	f.Add(uint8(4), []byte{1, 0, 4, 0, 0, 0, 0, 0, 0, 9, 0, 0}) // a sparse row between all-zero ones
+	f.Add(uint8(2), []byte{128, 0, 4, 8, 0, 0})                 // -0 (dropped) and a full row
+	f.Add(uint8(7), bytes.Repeat([]byte{5, 0, 250, 128, 7, 0, 3}, 6))
+	f.Fuzz(func(t *testing.T, dim uint8, raw []byte) {
+		d := int(dim)%16 + 1
+		var rows []vec.Dense
+		for ; len(raw) >= d && len(rows) < 32; raw = raw[d:] {
+			row := make(vec.Dense, d)
+			for k, b := range raw[:d] {
+				if b&3 == 0 {
+					row[k] = math.Copysign(0, float64(int8(b)))
+				} else {
+					row[k] = float64(int8(b)) / 8
+				}
+			}
+			rows = append(rows, row)
+		}
+		// d unit rows make the Gram matrix non-singular whatever came
+		// before them.
+		for j := 0; j < d; j++ {
+			row := make(vec.Dense, d)
+			row[j] = 1
+			rows = append(rows, row)
+		}
+		ds := &data.Dataset{Rows: rows, Labels: make([]float64, len(rows))}
+		s, err := NewSparseLeastSquares(ds, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.rows) != len(rows) {
+			t.Fatalf("%d sparse rows for %d dataset rows", len(s.rows), len(rows))
+		}
+		for i, row := range rows {
+			got, want := s.rows[i], vec.FromDense(row)
+			if got.Dim != want.Dim || !reflect.DeepEqual(got.Indices, want.Indices) ||
+				!reflect.DeepEqual(got.Values, want.Values) {
+				t.Fatalf("row %d = %+v, want %+v", i, got, want)
+			}
+		}
+		for i := 0; i+1 < len(s.rows); i++ {
+			next := vec.Sparse{
+				Dim:     s.rows[i+1].Dim,
+				Indices: append([]int(nil), s.rows[i+1].Indices...),
+				Values:  append([]float64(nil), s.rows[i+1].Values...),
+			}
+			_ = append(s.rows[i].Indices, -1)
+			_ = append(s.rows[i].Values, math.Inf(1))
+			if !reflect.DeepEqual(s.rows[i+1].Indices, next.Indices) ||
+				!reflect.DeepEqual(s.rows[i+1].Values, next.Values) {
+				t.Fatalf("appending to row %d changed row %d to %+v (was %+v)", i, i+1, s.rows[i+1], next)
+			}
+		}
+	})
 }

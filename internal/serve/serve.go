@@ -68,6 +68,12 @@ const MaxBodyBytes = 1 << 20
 // cannot pin goroutines and file descriptors.
 const readHeaderTimeout = 10 * time.Second
 
+// idleTimeout closes a keep-alive connection that has carried no request
+// for this long, so idle clients cannot hold file descriptors without
+// limit. It does not cut a long response such as an event stream: the
+// connection is idle only between requests.
+const idleTimeout = 2 * time.Minute
+
 // Submission failure modes (mapped to HTTP statuses by the handler).
 var (
 	// ErrDraining: the server is draining (SIGTERM) and accepts no new
@@ -688,7 +694,12 @@ func ListenAndServe(ctx context.Context, addr string, cfg Config) error {
 // function: submissions refused, queued and running jobs finish bounded
 // by Config.DrainTimeout, then the listener shuts down gracefully.
 func (s *Server) ListenAndServe(ctx context.Context, addr string, handler http.Handler) error {
-	hs := &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+	hs := &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {

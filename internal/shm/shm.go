@@ -169,13 +169,16 @@ func (v *View) Time() int { return v.m.steps }
 // NumThreads returns the number of threads in the machine.
 func (v *View) NumThreads() int { return len(v.m.progs) }
 
-// Pending returns thread i's pending request. ok is false if the thread has
-// terminated or crashed.
-func (v *View) Pending(i int) (Request, bool) {
+// Pending returns thread i's pending request. ok is false (and the
+// pointer nil) if the thread has terminated or crashed. The pointer
+// addresses the machine's pending slot: it is read-only, and valid only
+// until the policy's Next call returns, so a caller that keeps a request
+// must copy it.
+func (v *View) Pending(i int) (*Request, bool) {
 	if v.m.done[i] || v.m.crashed[i] {
-		return Request{}, false
+		return nil, false
 	}
-	return v.m.pending[i], true
+	return &v.m.pending[i], true
 }
 
 // Done reports whether thread i has terminated normally.
@@ -213,11 +216,18 @@ type Policy interface {
 
 // Config parameterizes a Machine.
 type Config struct {
-	MemSize  int        // number of registers, all initially 0
-	MaxSteps int        // stop after this many steps (0 = unlimited)
-	OnStep   func(Step) // streaming step hook (contention tracker etc.)
-	Trace    bool       // record the full step log (memory-heavy)
-	InitMem  []float64  // optional initial register contents
+	MemSize  int       // number of registers, all initially 0
+	MaxSteps int       // stop after this many steps (0 = unlimited)
+	Trace    bool      // record the full step log (memory-heavy)
+	InitMem  []float64 // optional initial register contents
+
+	// OnStep, when set, is called after every executed operation with the
+	// executing thread, its request and the result (res.Time is the
+	// 1-based step index) — the streaming hook the contention tracker
+	// uses. req points into the machine's pending slot: it is read-only,
+	// and valid only for the duration of the call, since the thread's
+	// next request overwrites it; a hook that keeps it must copy it.
+	OnStep func(tid int, req *Request, res Result)
 
 	// CrashFlagBase, when positive, designates a failure-detector region:
 	// the instant the adversary crashes thread i, the machine writes
@@ -308,9 +318,10 @@ func (m *Machine) Trace() []Step { return m.trace }
 // The grant→execute→record loop is flattened into a single function so the
 // per-step constant stays small: the machine maintains its live count
 // incrementally (no O(n) scan per step), skips crash processing when the
-// decision carries none, builds the Step record only for consumers (trace,
-// OnStep), and allocates nothing per step — the concrete Request.Tag means
-// issuing an annotated operation is a plain struct copy.
+// decision carries none, copies a Step record only when tracing, hands
+// OnStep a pointer to the pending slot rather than a copy, and allocates
+// nothing per step — the concrete Request.Tag means issuing an annotated
+// operation is a plain struct write.
 //
 //asgd:hotpath
 func (m *Machine) Run() (RunStats, error) {
@@ -395,7 +406,7 @@ func (m *Machine) Run() (RunStats, error) {
 			m.trace = append(m.trace, Step{Time: m.steps, Thread: tid, Req: *req, Res: res})
 		}
 		if hook != nil {
-			hook(Step{Time: m.steps, Thread: tid, Req: *req, Res: res})
+			hook(tid, req, res)
 		}
 		if m.progs[tid].NextInto(res, req) {
 			m.done[tid] = true

@@ -268,7 +268,9 @@ func TestTraceAndOnStep(t *testing.T) {
 	})
 	m, err := New(Config{
 		MemSize: 1, Trace: true,
-		OnStep: func(s Step) { hookSteps = append(hookSteps, s) },
+		OnStep: func(tid int, req *Request, res Result) {
+			hookSteps = append(hookSteps, Step{Time: res.Time, Thread: tid, Req: *req, Res: res})
+		},
 	}, &rrPolicy{}, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -288,6 +290,11 @@ func TestTraceAndOnStep(t *testing.T) {
 	}
 	if tr[0].Time != 1 || tr[1].Time != 2 {
 		t.Errorf("times = %d, %d", tr[0].Time, tr[1].Time)
+	}
+	for i := range tr {
+		if hookSteps[i] != tr[i] {
+			t.Errorf("hook step %d = %+v, trace has %+v", i, hookSteps[i], tr[i])
+		}
 	}
 
 	// The in-place contract: a hand-written state machine that rewrites
