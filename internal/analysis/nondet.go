@@ -53,14 +53,9 @@ var NondetContractPaths = []string{
 }
 
 // NondetContractPrefixes extend the contract to package subtrees: every
-// example (the code users copy first must be reproducible) and the
-// asgdload harness, whose seeded-jitter retry path must stay
-// deterministic even though its latency measurements are wall-clock by
-// design (those sites carry allow annotations rather than exempting the
-// package).
+// example, since the code users copy first must be reproducible.
 var NondetContractPrefixes = []string{
 	"examples/",
-	"cmd/asgdload",
 }
 
 // underContract reports whether pkg is bound by the determinism

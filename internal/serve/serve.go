@@ -509,8 +509,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
 		jobs = append(jobs, s.jobs[id])
 	}
 	// Snapshot completion order under the same lock so jobs and finished
-	// are coherent: the FIFO-fairness observable over HTTP (asgdload
-	// checks finished ids are increasing for its non-cached jobs).
+	// are coherent: the FIFO-fairness observable over HTTP (TestLoad in
+	// internal/cluster checks finished ids increase for its jobs).
 	finished := append([]string(nil), s.finished...)
 	s.mu.Unlock()
 	statuses := make([]JobStatus, len(jobs))

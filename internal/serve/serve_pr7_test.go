@@ -463,8 +463,8 @@ func TestCachedEventsAreCopied(t *testing.T) {
 }
 
 // TestJobsListingCarriesFinishedOrder: /v1/jobs exposes completion
-// order so HTTP clients (asgdload) can verify FIFO fairness without
-// library access.
+// order so HTTP clients (the cluster package's TestLoad) can verify
+// FIFO fairness without library access.
 func TestJobsListingCarriesFinishedOrder(t *testing.T) {
 	s, hs := newTestServer(t, Config{})
 	for i := 0; i < 3; i++ {
