@@ -48,7 +48,6 @@ func run(args []string) error {
 	coordinator := fs.String("coordinator", "", "coordinator base URL (required), e.g. http://host:8080")
 	name := fs.String("name", "", "worker label shown in /cluster/v1/status (default: hostname)")
 	concurrency := fs.Int("concurrency", 0, "sweep-pool concurrency cap per batch (0: GOMAXPROCS)")
-	poll := fs.Duration("poll", 0, "idle poll interval (0: coordinator's suggestion)")
 	showVersion := fs.Bool("version", false, "print version and exit")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), `asgdworker — leased execution node for the asgdserve sweep cluster.
@@ -74,9 +73,6 @@ Flags:
 	if *concurrency < 0 {
 		return fmt.Errorf("-concurrency %d: want ≥ 0", *concurrency)
 	}
-	if *poll < 0 {
-		return fmt.Errorf("-poll %v: want ≥ 0", *poll)
-	}
 	if *name == "" {
 		host, err := os.Hostname()
 		if err == nil {
@@ -88,7 +84,6 @@ Flags:
 		Coordinator:   *coordinator,
 		Name:          *name,
 		MaxConcurrent: *concurrency,
-		Poll:          *poll,
 	})
 	if err != nil {
 		return err

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,20 +80,20 @@ func waitResult(t *testing.T, job *serve.Job) []byte {
 	return doc
 }
 
-// leaseWithRetry polls grantLease until the executor has made the job's
-// batches available.
+// leaseWithRetry waits until the executor has made the job's batches
+// available and leases one.
 func leaseWithRetry(t *testing.T, c *Coordinator, workerID string) *LeaseResponse {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		ls, err := c.grantLease(workerID)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for ctx.Err() == nil {
+		ls, err := c.leaseWait(ctx, workerID)
 		if err != nil {
 			t.Fatalf("lease: %v", err)
 		}
 		if ls != nil {
 			return ls
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("no lease granted within deadline")
 	return nil
@@ -187,7 +190,7 @@ func TestClusterHTTPWorkerByteIdentity(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w, err := NewWorker(WorkerConfig{Coordinator: ts.URL, Name: "http-0", Poll: 2 * time.Millisecond})
+	w, err := NewWorker(WorkerConfig{Coordinator: ts.URL, Name: "http-0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,5 +677,232 @@ func TestClusterHogwildNeverCachedAndCacheShortCircuitsDispatch(t *testing.T) {
 	}
 	if c.RemoteCells() != remoteBefore || c.leasesGranted.Load() != leasesBefore {
 		t.Fatal("cache hit dispatched cells to workers; it must short-circuit lease dispatch entirely")
+	}
+}
+
+// TestLeaseBatchesBalanced pins the lease split: ceil(cells/size)
+// batches rounded up to a multiple of the workers, never more than the
+// cells, sizes within one of each other, every incomplete cell exactly
+// once in index order and no batch across a leg boundary.
+func TestLeaseBatchesBalanced(t *testing.T) {
+	oneLeg := func(n int) []legInfo { return []legInfo{{name: "m", offset: 0, count: n}} }
+	for _, tc := range []struct {
+		name             string
+		legs             []legInfo
+		done             []int
+		size, workers    int
+		batches          int
+		minSize, maxSize int
+	}{
+		{name: "grid24 on two workers", legs: oneLeg(24), size: 8, workers: 2, batches: 4, minSize: 6, maxSize: 6},
+		{name: "grid24 on one worker", legs: oneLeg(24), size: 8, workers: 1, batches: 3, minSize: 8, maxSize: 8},
+		{name: "no worker yet counts as one", legs: oneLeg(24), size: 8, workers: 0, batches: 3, minSize: 8, maxSize: 8},
+		{name: "grid108 on two workers", legs: oneLeg(108), size: 8, workers: 2, batches: 14, minSize: 7, maxSize: 8},
+		{name: "fewer cells than workers", legs: oneLeg(3), size: 8, workers: 4, batches: 3, minSize: 1, maxSize: 1},
+		{name: "recovered cells skipped", legs: oneLeg(24), done: []int{0, 5, 23}, size: 8, workers: 2, batches: 4, minSize: 5, maxSize: 6},
+		{name: "two legs split apart", legs: []legInfo{{"m", 0, 12}, {"h", 12, 12}}, size: 8, workers: 2, batches: 4, minSize: 6, maxSize: 6},
+		{name: "every cell recovered", legs: oneLeg(4), done: []int{0, 1, 2, 3}, size: 2, workers: 2, batches: 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(map[int]sweep.CellResult)
+			for _, g := range tc.done {
+				done[g] = sweep.CellResult{}
+			}
+			got := leaseBatches(tc.legs, done, tc.size, tc.workers)
+			if len(got) != tc.batches {
+				t.Fatalf("%d batches, want %d: %v", len(got), tc.batches, got)
+			}
+			var seen []int
+			for _, b := range got {
+				if n := len(b.cells); n < tc.minSize || n > tc.maxSize {
+					t.Errorf("batch %v has %d cells, want %d–%d", b.cells, n, tc.minSize, tc.maxSize)
+				}
+				leg := tc.legs[b.leg]
+				for _, g := range b.cells {
+					if g < leg.offset || g >= leg.offset+leg.count {
+						t.Errorf("cell %d is outside its batch's leg %q", g, leg.name)
+					}
+				}
+				seen = append(seen, b.cells...)
+			}
+			var want []int
+			for _, leg := range tc.legs {
+				for g := leg.offset; g < leg.offset+leg.count; g++ {
+					if _, ok := done[g]; !ok {
+						want = append(want, g)
+					}
+				}
+			}
+			if fmt.Sprint(seen) != fmt.Sprint(want) {
+				t.Fatalf("batches cover %v, want every incomplete cell once in index order: %v", seen, want)
+			}
+		})
+	}
+}
+
+// TestLeaseHeldUntilWorkArrives: a lease request that finds no work is
+// held — for up to Poll, here an hour — and answers as soon as a batch
+// is queued, its context ends or the coordinator closes.
+func TestLeaseHeldUntilWorkArrives(t *testing.T) {
+	type answer struct {
+		ls  *LeaseResponse
+		err error
+	}
+	hold := func(ctx context.Context, c *Coordinator, workerID string) <-chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			ls, err := c.leaseWait(ctx, workerID)
+			ch <- answer{ls, err}
+		}()
+		return ch
+	}
+	newCoord := func() (*Coordinator, string) {
+		c := NewCoordinator(Config{BatchSize: 2, LeaseTTL: time.Minute, Poll: time.Hour})
+		return c, c.register(RegisterRequest{Name: "held"}).WorkerID
+	}
+
+	t.Run("work arrives", func(t *testing.T) {
+		c, id := newCoord()
+		defer c.Close()
+		held := hold(context.Background(), c, id)
+		ctx, cancel := context.WithCancel(context.Background())
+		dispatched := make(chan struct{})
+		go func() {
+			defer close(dispatched)
+			_, _ = c.DispatchSweep(ctx, "j1", testRequest(), nil, nil)
+		}()
+		got := <-held
+		cancel()
+		<-dispatched
+		if got.err != nil || got.ls == nil || got.ls.JobID != "j1" || len(got.ls.Cells) != 2 {
+			t.Fatalf("held request answered %+v, %v; want j1's first batch of 2", got.ls, got.err)
+		}
+	})
+	t.Run("context canceled", func(t *testing.T) {
+		c, id := newCoord()
+		defer c.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		held := hold(ctx, c, id)
+		cancel()
+		if got := <-held; got.ls != nil || got.err != nil {
+			t.Fatalf("canceled request answered %+v, %v; want no lease, no error", got.ls, got.err)
+		}
+	})
+	t.Run("coordinator closed", func(t *testing.T) {
+		c, id := newCoord()
+		held := hold(context.Background(), c, id)
+		c.Close()
+		if got := <-held; got.ls != nil || got.err != nil {
+			t.Fatalf("request held across Close answered %+v, %v; want no lease, no error", got.ls, got.err)
+		}
+	})
+}
+
+// drainAPI is the in-process transport with a report stream that
+// outlives its batch: it consumes every result, then holds the stream
+// open until its context ends, like a report whose ack is slow.
+type drainAPI struct {
+	localAPI
+	reported chan struct{} // closed once the first batch is fully consumed
+	once     sync.Once
+	live     atomic.Int64 // report and heartbeat calls in flight
+}
+
+func (a *drainAPI) report(ctx context.Context, leaseID string, results <-chan sweep.CellResult) (ReportAck, error) {
+	a.live.Add(1)
+	defer a.live.Add(-1)
+	for range results {
+	}
+	a.once.Do(func() { close(a.reported) })
+	<-ctx.Done()
+	for range 100 { // give a Run that does not wait every chance to return first
+		runtime.Gosched()
+	}
+	return ReportAck{}, ctx.Err()
+}
+
+func (a *drainAPI) heartbeat(ctx context.Context, req HeartbeatRequest) error {
+	a.live.Add(1)
+	defer a.live.Add(-1)
+	return a.localAPI.heartbeat(ctx, req)
+}
+
+// TestWorkerRunJoinsReportDrain: the worker leases its next batch while
+// the previous report drains, and Run does not return before that drain
+// has: no report or heartbeat of the worker is left running.
+func TestWorkerRunJoinsReportDrain(t *testing.T) {
+	c := NewCoordinator(Config{BatchSize: 2, LeaseTTL: 30 * time.Millisecond, Poll: time.Hour})
+	defer c.Close()
+	srv := serve.New(serve.Config{Dispatcher: c, Journal: c})
+	defer srv.Close()
+	api := &drainAPI{localAPI: localAPI{c: c}, reported: make(chan struct{})}
+	w := &Worker{api: api}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ran := make(chan error, 1)
+	go func() { ran <- w.Run(ctx) }()
+	if _, err := srv.Submit(testRequest()); err != nil {
+		t.Fatal(err)
+	}
+	<-api.reported
+	cancel()
+	if err := <-ran; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want context.Canceled", err)
+	}
+	if n := api.live.Load(); n != 0 {
+		t.Fatalf("%d report/heartbeat calls still running after Run returned", n)
+	}
+}
+
+// registerAPI is the in-process transport announcing each identity the
+// worker registers under.
+type registerAPI struct {
+	localAPI
+	ids chan string
+}
+
+func (a registerAPI) register(ctx context.Context, req RegisterRequest) (RegisterResponse, error) {
+	resp, err := a.localAPI.register(ctx, req)
+	a.ids <- resp.WorkerID
+	return resp, err
+}
+
+// TestExpireLeasesPrunesIdleWorkers: a worker that holds no lease and has
+// not been seen for a LeaseTTL is forgotten, so Status and the workers
+// gauge stop counting it; if it is alive after all, its next lease call
+// gets ErrUnknownWorker and it re-registers and runs the job.
+func TestExpireLeasesPrunesIdleWorkers(t *testing.T) {
+	const ttl = time.Minute
+	c := NewCoordinator(Config{BatchSize: 2, LeaseTTL: ttl, Poll: time.Hour})
+	defer c.Close()
+	srv := serve.New(serve.Config{Dispatcher: c, Journal: c})
+	defer srv.Close()
+	api := registerAPI{localAPI: localAPI{c: c}, ids: make(chan string, 4)}
+	w := &Worker{api: api}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { _ = w.Run(ctx) }()
+	first := <-api.ids
+
+	c.expireLeases(time.Now().Add(2 * ttl))
+	if ws := c.Status().Workers; len(ws) != 0 {
+		t.Fatalf("workers after pruning: %+v, want none", ws)
+	}
+	if _, _, err := c.grantLease(first); !errors.Is(err, ErrUnknownWorker) {
+		t.Fatalf("pruned worker's lease call: %v, want ErrUnknownWorker", err)
+	}
+
+	req := testRequest()
+	job, err := srv.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := <-api.ids; again == first {
+		t.Fatalf("worker re-registered as %s, want a fresh identity", again)
+	}
+	checkCoverage(t, waitResult(t, job), req)
+	if ws := c.Status().Workers; len(ws) != 1 {
+		t.Fatalf("workers after re-registering: %+v, want one", ws)
 	}
 }

@@ -22,10 +22,17 @@ type Config struct {
 	// heartbeat-extended within it is revoked and its incomplete cells
 	// requeue (default 10s).
 	LeaseTTL time.Duration
-	// BatchSize is the number of cells per lease (default 8).
+	// BatchSize caps the number of cells per lease (default 8). A job's
+	// ceil(cells/BatchSize) batches are rounded up to a multiple of the
+	// registered workers (at most one batch per cell), and its cells are
+	// split evenly over them, so every worker has work until the job's
+	// last batch.
 	BatchSize int
-	// Poll is the idle poll interval suggested to workers (default
-	// 250ms).
+	// Poll is how long a lease request finding no work is held open
+	// before it answers 204; a batch queued meanwhile answers it at once.
+	// Workers also back off by it after a failed call. Keep it below
+	// LeaseTTL, or an idle worker is pruned while it waits and has to
+	// re-register (default 250ms).
 	Poll time.Duration
 	// Log, when set, makes the queue durable: submissions, leases, cell
 	// completions and terminal transitions are appended so a restarted
@@ -124,6 +131,9 @@ type Coordinator struct {
 	jobOrder   []string
 	nextWorker int
 	nextLease  int
+	// wake is closed, and replaced, whenever a batch is queued: it
+	// releases every lease request held waiting for work.
+	wake chan struct{}
 
 	// Recovery state: replayed is what OpenJobLog found (consumed by
 	// Recover), pendingRecovery is the in-order queue JobSubmitted pops
@@ -162,6 +172,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		leases:    make(map[string]*lease),
 		jobs:      make(map[string]*activeJob),
 		recovered: make(map[string]map[int]sweep.CellResult),
+		wake:      make(chan struct{}),
 		closed:    make(chan struct{}),
 		scanDone:  make(chan struct{}),
 	}
@@ -391,25 +402,9 @@ func (c *Coordinator) DispatchSweep(ctx context.Context, jobID string, req serve
 			job.delivered++
 		}
 	}
-	// Queue the incomplete cells as per-leg batches in index order.
-	for li, leg := range legs {
-		var cells []int
-		flush := func() {
-			if len(cells) > 0 {
-				job.pending = append(job.pending, batch{leg: li, cells: cells})
-				cells = nil
-			}
-		}
-		for g := leg.offset; g < leg.offset+leg.count; g++ {
-			if _, done := job.results[g]; done {
-				continue
-			}
-			cells = append(cells, g)
-			if len(cells) == c.cfg.BatchSize {
-				flush()
-			}
-		}
-		flush()
+	job.pending = leaseBatches(legs, job.results, c.cfg.BatchSize, len(c.workers))
+	if len(job.pending) > 0 {
+		c.wakeLocked()
 	}
 	allDone := job.delivered == job.total
 	if allDone {
@@ -473,6 +468,39 @@ func (c *Coordinator) DispatchSweep(ctx context.Context, jobID string, req serve
 	return serve.AssembleReport(norm, names, ordered, time.Since(start)), nil
 }
 
+// leaseBatches splits each leg's incomplete cells (those without a
+// result in done) into lease batches, in index order. A leg of n cells
+// gets ceil(n/size) batches rounded up to a multiple of workers but
+// never more than n, and batch sizes differ by at most one: 24 cells at
+// size 8 make 3 batches of 8 for one worker and 4 of 6 for two, so
+// neither of two workers runs the job's last batch alone.
+func leaseBatches(legs []legInfo, done map[int]sweep.CellResult, size, workers int) []batch {
+	workers = max(workers, 1)
+	var out []batch
+	for li, leg := range legs {
+		var cells []int
+		for g := leg.offset; g < leg.offset+leg.count; g++ {
+			if _, ok := done[g]; !ok {
+				cells = append(cells, g)
+			}
+		}
+		n := len(cells)
+		k := (n + size - 1) / size
+		k = min((k+workers-1)/workers*workers, n)
+		for i := 0; i < k; i++ {
+			out = append(out, batch{leg: li, cells: cells[i*n/k : (i+1)*n/k]})
+		}
+	}
+	return out
+}
+
+// wakeLocked releases the lease requests held waiting for work. c.mu
+// must be held.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
 // --- worker protocol core (shared by the HTTP handlers and in-process
 // local workers) ---
 
@@ -494,15 +522,41 @@ func (c *Coordinator) register(req RegisterRequest) RegisterResponse {
 	}
 }
 
+// leaseWait hands the worker the next pending batch. When none is
+// pending it holds the request until a batch is queued, ctx ends, the
+// coordinator closes or Config.Poll passes, and returns (nil, nil) for
+// the last three: an idle worker learns of new work within one network
+// delay instead of one poll period.
+func (c *Coordinator) leaseWait(ctx context.Context, workerID string) (*LeaseResponse, error) {
+	t := time.NewTimer(c.cfg.Poll)
+	defer t.Stop()
+	for {
+		resp, wake, err := c.grantLease(workerID)
+		if resp != nil || err != nil {
+			return resp, err
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return nil, nil
+		case <-c.closed:
+			return nil, nil
+		case <-t.C:
+			return nil, nil
+		}
+	}
+}
+
 // grantLease hands the next pending batch (FIFO over active jobs, then
-// batches) to the worker, or returns (nil, nil) when there is no work.
-func (c *Coordinator) grantLease(workerID string) (*LeaseResponse, error) {
+// batches) to the worker. When there is no work it returns a nil lease
+// and the channel that closes when the next batch is queued.
+func (c *Coordinator) grantLease(workerID string) (*LeaseResponse, <-chan struct{}, error) {
 	now := time.Now()
 	c.mu.Lock()
 	w, ok := c.workers[workerID]
 	if !ok {
 		c.mu.Unlock()
-		return nil, ErrUnknownWorker
+		return nil, nil, ErrUnknownWorker
 	}
 	w.lastSeen = now
 	for _, jid := range c.jobOrder {
@@ -541,10 +595,11 @@ func (c *Coordinator) grantLease(workerID string) (*LeaseResponse, error) {
 			Leg:        b.leg,
 			Cells:      locals,
 			DeadlineMS: c.cfg.LeaseTTL.Milliseconds(),
-		}, nil
+		}, nil, nil
 	}
+	wake := c.wake
 	c.mu.Unlock()
-	return nil, nil
+	return nil, wake, nil
 }
 
 // heartbeat extends the lease deadline.
@@ -651,7 +706,10 @@ func (c *Coordinator) expiryScanner() {
 }
 
 // expireLeases revokes every lease whose deadline passed before now and
-// requeues its incomplete cells.
+// requeues its incomplete cells, then forgets every worker that holds
+// no lease and has not been seen for a LeaseTTL: a worker that
+// re-registered after a 410 is not counted twice, and a pruned worker
+// that is still alive gets ErrUnknownWorker and re-registers.
 func (c *Coordinator) expireLeases(now time.Time) {
 	requeued := int64(0)
 	c.mu.Lock()
@@ -678,6 +736,18 @@ func (c *Coordinator) expireLeases(now time.Time) {
 		sort.Ints(cells)
 		ls.job.pending = append(ls.job.pending, batch{leg: ls.leg, cells: cells})
 		requeued += int64(len(cells))
+	}
+	if requeued > 0 {
+		c.wakeLocked()
+	}
+	leased := make(map[string]bool, len(c.leases))
+	for _, ls := range c.leases {
+		leased[ls.worker] = true
+	}
+	for id, w := range c.workers {
+		if !leased[id] && now.Sub(w.lastSeen) > c.cfg.LeaseTTL {
+			delete(c.workers, id)
+		}
 	}
 	c.mu.Unlock()
 	if requeued > 0 {

@@ -50,7 +50,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !decodeClusterJSON(w, r, &req) {
 		return
 	}
-	resp, err := c.grantLease(req.WorkerID)
+	resp, err := c.leaseWait(r.Context(), req.WorkerID)
 	if err != nil {
 		gone(w, err)
 		return

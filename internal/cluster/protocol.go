@@ -21,7 +21,7 @@
 // Endpoints (mounted by Coordinator.Mount around the serve API):
 //
 //	POST /cluster/v1/register    {name} → {worker_id, lease_ttl_ms, poll_ms}
-//	POST /cluster/v1/lease       {worker_id} → 200 lease | 204 no work
+//	POST /cluster/v1/lease       {worker_id} → 200 lease | 204 no work within poll_ms
 //	POST /cluster/v1/report/{lease}  NDJSON CellResult stream → {accepted, duplicates}
 //	POST /cluster/v1/heartbeat   {worker_id, lease_id} → 204
 //	GET  /cluster/v1/status      workers, leases, active jobs
@@ -49,7 +49,9 @@ type RegisterResponse struct {
 	// completed or heartbeat-extended within it is revoked and its
 	// incomplete cells requeue.
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
-	// PollMS is the suggested idle poll interval for Lease calls.
+	// PollMS is how long the coordinator holds a lease request that
+	// finds no work before answering 204, and the worker's backoff after
+	// a failed call.
 	PollMS int64 `json:"poll_ms"`
 }
 

@@ -25,8 +25,6 @@ type WorkerConfig struct {
 	// MaxConcurrent caps the worker's sweep-pool concurrency
 	// (sweep.Spec.MaxConcurrent; 0 ⇒ GOMAXPROCS).
 	MaxConcurrent int
-	// Poll overrides the coordinator-suggested idle poll interval.
-	Poll time.Duration
 	// HTTPClient overrides the transport (nil ⇒ a fresh default client;
 	// report streams are long-lived, so no client timeout is set).
 	HTTPClient *http.Client
@@ -46,6 +44,9 @@ type Worker struct {
 	id   string
 	ttl  time.Duration
 	poll time.Duration
+	// drained is closed once the last executed batch's report and
+	// heartbeat have finished (nil before the first batch).
+	drained chan struct{}
 }
 
 // coordinatorAPI abstracts the worker→coordinator protocol so the same
@@ -83,9 +84,12 @@ func NewLocalWorker(c *Coordinator, cfg WorkerConfig) *Worker {
 }
 
 // Run is the worker loop: register, then lease/execute/report until ctx
-// is canceled. Transient errors back off by the poll interval; identity
-// errors re-register.
+// is canceled. An empty lease answer asks again at once (the coordinator
+// held the request for its poll interval); transient errors back off by
+// that interval; identity errors re-register. Run returns only after the
+// last batch's report has finished.
 func (w *Worker) Run(ctx context.Context) error {
+	defer w.waitDrained()
 	if err := w.registerFresh(ctx); err != nil {
 		return err
 	}
@@ -106,11 +110,17 @@ func (w *Worker) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 			w.sleep(ctx)
-		case resp == nil:
-			w.sleep(ctx)
-		default:
+		case resp != nil:
 			w.execute(ctx, resp)
 		}
+	}
+}
+
+// waitDrained blocks until the last executed batch's report and
+// heartbeat have finished.
+func (w *Worker) waitDrained() {
+	if w.drained != nil {
+		<-w.drained
 	}
 }
 
@@ -125,10 +135,7 @@ func (w *Worker) registerFresh(ctx context.Context) error {
 			if w.ttl <= 0 {
 				w.ttl = 10 * time.Second
 			}
-			w.poll = w.cfg.Poll
-			if w.poll <= 0 {
-				w.poll = time.Duration(resp.PollMS) * time.Millisecond
-			}
+			w.poll = time.Duration(resp.PollMS) * time.Millisecond
 			if w.poll <= 0 {
 				w.poll = 250 * time.Millisecond
 			}
@@ -158,9 +165,12 @@ func (w *Worker) sleep(ctx context.Context) {
 // execute runs one leased batch: expand the request's specs exactly as
 // every other node does, run the leased leg-local cell indices through
 // sweep.RunSubset, and stream each result to the coordinator as it
-// completes. A heartbeat goroutine extends the lease while the batch
-// runs; if the heartbeat learns the lease is dead, execution is canceled
-// and the batch abandoned (the coordinator already requeued it).
+// completes. A heartbeat goroutine extends the lease until the report
+// has finished; if the heartbeat learns the lease is dead, execution is
+// canceled and the batch abandoned (the coordinator already requeued
+// it). execute returns once RunSubset does, so the worker leases its
+// next batch while this one's last results are still being applied;
+// the report's tail drains in the background, one batch at a time.
 func (w *Worker) execute(ctx context.Context, ls *LeaseResponse) {
 	specs, err := ls.Request.Specs()
 	if err != nil || ls.Leg < 0 || ls.Leg >= len(specs) {
@@ -174,7 +184,6 @@ func (w *Worker) execute(ctx context.Context, ls *LeaseResponse) {
 	spec.OnTelemetry = nil
 
 	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	// Buffered to the batch size so the sweep pool never blocks on a
 	// slow or dead report stream.
@@ -220,9 +229,15 @@ func (w *Worker) execute(ctx context.Context, ls *LeaseResponse) {
 
 	_, _ = sweep.RunSubset(runCtx, spec, ls.Cells)
 	close(results)
-	<-reportDone
-	cancel()
-	<-hbDone
+	w.waitDrained()
+	drained := make(chan struct{})
+	w.drained = drained
+	go func() {
+		defer close(drained)
+		<-reportDone
+		cancel()
+		<-hbDone
+	}()
 }
 
 // --- direct (in-process) transport ---
@@ -235,8 +250,8 @@ func (a localAPI) register(_ context.Context, req RegisterRequest) (RegisterResp
 	return a.c.register(req), nil
 }
 
-func (a localAPI) lease(_ context.Context, req LeaseRequest) (*LeaseResponse, error) {
-	return a.c.grantLease(req.WorkerID)
+func (a localAPI) lease(ctx context.Context, req LeaseRequest) (*LeaseResponse, error) {
+	return a.c.leaseWait(ctx, req.WorkerID)
 }
 
 func (a localAPI) report(ctx context.Context, leaseID string, results <-chan sweep.CellResult) (ReportAck, error) {
@@ -318,7 +333,8 @@ func (a *httpAPI) register(ctx context.Context, req RegisterRequest) (RegisterRe
 }
 
 // lease asks for a batch. A 204 leaves the zero LeaseResponse, whose
-// empty LeaseID means no work is queued.
+// empty LeaseID means no work was queued while the coordinator held the
+// request.
 func (a *httpAPI) lease(ctx context.Context, req LeaseRequest) (*LeaseResponse, error) {
 	var ls LeaseResponse
 	if err := a.postJSON(ctx, "/cluster/v1/lease", req, &ls); err != nil || ls.LeaseID == "" {

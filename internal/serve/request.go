@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"sync"
 
 	"asyncsgd/internal/data"
 	"asyncsgd/internal/grad"
@@ -267,6 +268,58 @@ func phaseOracle(keep float64) sweep.Oracle {
 	}
 }
 
+// probeMemoSize bounds the probe memo: a request uses one entry per
+// sparsity value (the default grid three), so 64 entries hold the
+// probes of a few dozen requests.
+const probeMemoSize = 64
+
+// probeMemo holds the curvature L of recent probe oracles. L is a pure
+// function of (dim, seed, keep), so a hit returns the bits a fresh probe
+// would: serve's submit, its executor and every cluster worker in the
+// process expand the same request, and only the first pays the probe.
+// Entries are evicted in insertion order.
+var probeMemo = struct {
+	sync.Mutex
+	l    map[probeKey]float64
+	ring [probeMemoSize]probeKey
+	next int
+}{l: make(map[probeKey]float64, probeMemoSize)}
+
+type probeKey struct {
+	dim  int
+	seed uint64
+	keep float64
+}
+
+// probeL returns the curvature L of phaseOracle(keep)'s probe instance
+// at (dim, seed).
+func probeL(dim int, seed uint64, keep float64) (float64, error) {
+	k := probeKey{dim, seed, keep}
+	probeMemo.Lock()
+	l, ok := probeMemo.l[k]
+	probeMemo.Unlock()
+	if ok {
+		return l, nil
+	}
+	om := phaseOracle(keep)
+	probe, _, err := om.Make(dim, rng.New(seed))
+	if err != nil {
+		return 0, fmt.Errorf("probe %s: %w", om.Name, err)
+	}
+	l = probe.Constants().L
+	probeMemo.Lock()
+	defer probeMemo.Unlock()
+	if _, ok := probeMemo.l[k]; !ok {
+		if len(probeMemo.l) == probeMemoSize {
+			delete(probeMemo.l, probeMemo.ring[probeMemo.next])
+		}
+		probeMemo.l[k] = l
+		probeMemo.ring[probeMemo.next] = k
+		probeMemo.next = (probeMemo.next + 1) % probeMemoSize
+	}
+	return l, nil
+}
+
 // Specs expands a request into one phase-diagram sweep spec per runtime
 // leg (named staleness-phase-diagram/<runtime>), exactly as the
 // `asgdbench sweep` subcommand does. The step size is derived once per
@@ -274,7 +327,8 @@ func phaseOracle(keep float64) sweep.Oracle {
 // rescales surviving entries by 1/keep, so the smallest keep dominates
 // the curvature L): α = 0.3/L_max, stable across the whole grid at a
 // safety margin over per-replicate L variation, and shared by both legs
-// under runtime "both".
+// under runtime "both". The probes' L is memoized per process (probeL),
+// so only a request's first expansion builds them.
 func (q SweepRequest) Specs() ([]sweep.Spec, error) {
 	q, err := q.Normalized()
 	if err != nil {
@@ -287,15 +341,14 @@ func (q SweepRequest) Specs() ([]sweep.Spec, error) {
 	oracles := make([]sweep.Oracle, 0, len(q.Sparsity))
 	var lmax float64
 	for i, keep := range q.Sparsity {
-		om := phaseOracle(keep)
-		probe, _, err := om.Make(q.Dim, rng.New(*q.Seed+uint64(i)*0x9E3779B9))
+		l, err := probeL(q.Dim, *q.Seed+uint64(i)*0x9E3779B9, keep)
 		if err != nil {
-			return nil, fmt.Errorf("probe %s: %w", om.Name, err)
+			return nil, err
 		}
-		if l := probe.Constants().L; l > lmax {
+		if l > lmax {
 			lmax = l
 		}
-		oracles = append(oracles, om)
+		oracles = append(oracles, phaseOracle(keep))
 	}
 	strategies := make([]sweep.Strategy, 0, len(q.Taus))
 	for _, tau := range q.Taus {

@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
 
+	"asyncsgd/internal/rng"
 	"asyncsgd/internal/sweep"
 )
 
@@ -174,6 +176,42 @@ func TestSpecsShape(t *testing.T) {
 						spec.Name, i, cells[i].Seed, cells[i].Alpha, want[i].Seed, want[i].Alpha)
 				}
 			}
+		}
+	}
+}
+
+// TestProbeMemo: a memoized probe gives the bits a fresh probe gives, and
+// the memo stays at its fixed size however many requests pass through.
+func TestProbeMemo(t *testing.T) {
+	req := tinyRequest(0x5eed_0001)
+	fresh, _, err := phaseOracle(0.4).Make(8, rng.New(*req.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := math.Float64bits(0.3 / fresh.Constants().L)
+	for i := range 2 { // a miss, then a hit
+		specs, err := req.Specs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(specs[0].Alphas[0]); got != want {
+			t.Fatalf("expansion %d: alpha bits %#x, want %#x", i, got, want)
+		}
+	}
+
+	for seed := range uint64(100) {
+		if _, err := tinyRequest(0x5eed_1000 + seed).Specs(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probeMemo.Lock()
+	defer probeMemo.Unlock()
+	if n := len(probeMemo.l); n != probeMemoSize {
+		t.Fatalf("memo holds %d entries after 100 distinct seeds, want %d", n, probeMemoSize)
+	}
+	for _, k := range probeMemo.ring {
+		if _, ok := probeMemo.l[k]; !ok {
+			t.Fatalf("ring key %+v is not in the memo", k)
 		}
 	}
 }
