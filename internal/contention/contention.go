@@ -15,6 +15,8 @@
 package contention
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"asyncsgd/internal/shm"
@@ -94,7 +96,7 @@ func (it *iter) readTimeOf(coord int) int {
 // with Begin/Read/Update/End (or Observe), then call Finalize once. The
 // staleness sequence behind Taus, TauMaxView and DelayIndicatorMax is
 // computed on the first call to one of them, not by Finalize, since most
-// consumers (a sweep cell among them) never read it.
+// consumers never read it.
 // Tracker is not safe for concurrent use; the shm machine is sequential.
 //
 // The record path is allocation-free in steady state: iterations are
@@ -370,8 +372,15 @@ func (tr *Tracker) missed(cur, pred *iter) bool {
 // called). The slice is owned by the tracker and reused after Reset.
 func (tr *Tracker) Taus() []int { return tr.staleness() }
 
-// MaxAdmissionsDuring returns the maximum, over completed iterations, of
-// the number of newer iterations (by claim order) whose view phase began
+// Window is one claimed iteration's admission window, in machine times:
+// Start is its counter claim, FirstRead its first view read and End its
+// last model update. FirstRead is 0 for an iteration that read nothing,
+// End is 0 for one that did not complete, and the zero Window is an
+// iteration that was never claimed.
+type Window struct{ Start, FirstRead, End int }
+
+// MaxAdmissions returns the maximum, over completed iterations, of the
+// number of newer iterations (by claim order) whose view phase began
 // while the iteration was still in flight (between its own first view
 // read and its last model update). This is the staleness quantity the
 // gated disciplines provably control — a bounded-staleness gate admits at
@@ -382,32 +391,20 @@ func (tr *Tracker) Taus() []int { return tr.staleness() }
 // Claims parked *before* the gate do not count: a claimed-but-unadmitted
 // iteration has read nothing, so no view can be stale relative to it.
 //
-// Cost is O(n · overlap); use on gated runs, where the gate bounds the
-// overlap.
-func (tr *Tracker) MaxAdmissionsDuring() int {
-	type win struct{ start, firstRead, end int }
-	wins := make([]win, 0, len(tr.iters))
-	for _, it := range tr.iters {
-		fr := 0
-		for _, ct := range it.reads {
-			if ct.time > 0 && (fr == 0 || ct.time < fr) {
-				fr = ct.time
-			}
-		}
-		if fr == 0 {
-			continue // empty read support: nothing can interleave a view
-		}
-		wins = append(wins, win{it.startTime, fr, it.endTime})
-	}
-	sort.Slice(wins, func(a, b int) bool { return wins[a].firstRead < wins[b].firstRead })
+// It sorts ws by FirstRead in place. Cost is O(n · overlap); use on gated
+// runs, where the gate bounds the overlap.
+func MaxAdmissions(ws []Window) int {
+	slices.SortFunc(ws, func(a, b Window) int { return cmp.Compare(a.FirstRead, b.FirstRead) })
 	m := 0
-	for i, w := range wins {
-		if w.end == 0 {
+	for i, w := range ws {
+		if w.FirstRead == 0 || w.End == 0 {
+			// Empty read support: nothing can interleave a view. Windows
+			// with FirstRead 0 sort first, so none is counted below.
 			continue
 		}
 		count := 0
-		for j := i + 1; j < len(wins) && wins[j].firstRead < w.end; j++ {
-			if wins[j].start > w.start {
+		for j := i + 1; j < len(ws) && ws[j].FirstRead < w.End; j++ {
+			if ws[j].Start > w.Start {
 				count++
 			}
 		}
@@ -416,6 +413,21 @@ func (tr *Tracker) MaxAdmissionsDuring() int {
 		}
 	}
 	return m
+}
+
+// MaxAdmissionsDuring is MaxAdmissions over the tracked iterations.
+func (tr *Tracker) MaxAdmissionsDuring() int {
+	ws := make([]Window, 0, len(tr.iters))
+	for _, it := range tr.iters {
+		fr := 0
+		for _, ct := range it.reads {
+			if ct.time > 0 && (fr == 0 || ct.time < fr) {
+				fr = ct.time
+			}
+		}
+		ws = append(ws, Window{it.startTime, fr, it.endTime})
+	}
+	return MaxAdmissions(ws)
 }
 
 // TauMaxView returns max_t τ_t, the maximum view staleness.

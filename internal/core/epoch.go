@@ -35,9 +35,9 @@ type EpochConfig struct {
 	// Track is set; the same tracker must not be used by concurrent runs.
 	// Because the next run's Reset wipes it, the EpochResult.Tracker of
 	// every earlier epoch is invalidated: read (or copy) an epoch's
-	// statistics before starting the next one. The sweep engine's machine
-	// cells are the caller: they draw trackers from a sync.Pool and read
-	// Completed and MaxAdmissionsDuring before returning one.
+	// statistics before starting the next one. A caller that needs only
+	// completions and admissions reads EpochResult.Windows instead and
+	// runs untracked.
 	Tracker *contention.Tracker
 
 	// Sparse switches workers to the sparse update pipeline: each
@@ -113,6 +113,14 @@ type EpochResult struct {
 	// traffic (counter claims, probes, gate/publish operations on the done
 	// counter) is excluded.
 	CoordOps int64
+	// Windows holds one admission window per claimable iteration, indexed
+	// by the claimed counter value (length TotalIters; a never-claimed
+	// iteration keeps the zero Window). The workers record it on every
+	// run, tracked or not: the claim, first view read and Last update
+	// times from which contention.MaxAdmissions computes the admissions
+	// during flight and the windows with End > 0 count the completed
+	// iterations, both equal to the tracker's.
+	Windows []contention.Window
 	// Tracker holds the run's contention tracker (nil unless Track). When
 	// the run used a caller-supplied EpochConfig.Tracker this is that
 	// tracker, and the next run reusing it Resets it — extract any
@@ -126,6 +134,9 @@ type EpochResult struct {
 	// Records holds completed iterations sorted by first model update —
 	// the paper's total order. Empty unless Record.
 	Records []IterRecord
+	// steps is the machine's step log, kept only by runEpoch's traced
+	// runs (the package's own schedule tests).
+	steps []shm.Step
 	// LocalSum is Σ over workers of their local accumulated updates
 	// (−α·g̃ summed over every generated gradient), the r of Algorithm 2's
 	// last epoch. Nil unless Accumulate.
@@ -139,7 +150,11 @@ var (
 
 // RunEpoch executes Algorithm 1: Threads lock-free SGD workers sharing a
 // model and an iteration counter, scheduled by cfg.Policy.
-func RunEpoch(cfg EpochConfig) (*EpochResult, error) {
+func RunEpoch(cfg EpochConfig) (*EpochResult, error) { return runEpoch(cfg, false) }
+
+// runEpoch is RunEpoch; trace also keeps the machine's step log in the
+// result's steps.
+func runEpoch(cfg EpochConfig, trace bool) (*EpochResult, error) {
 	if cfg.Threads <= 0 || cfg.TotalIters <= 0 || cfg.Alpha <= 0 ||
 		cfg.Oracle == nil || cfg.Policy == nil {
 		return nil, fmt.Errorf("%w: %+v", ErrBadConfig, cfg)
@@ -201,13 +216,14 @@ func RunEpoch(cfg EpochConfig) (*EpochResult, error) {
 		opts.announceBase = doneAddr + 1
 		opts.crashBase = doneAddr + 1 + cfg.Threads
 	}
+	wins := make([]contention.Window, cfg.TotalIters)
 	progs := make([]shm.Program, cfg.Threads)
 	for i := 0; i < cfg.Threads; i++ {
 		progs[i] = newWorker(
 			i, cfg.Alpha, cfg.TotalIters,
 			cfg.Oracle.CloneFor(i), cfg.Sparse,
 			rng.NewStream(cfg.Seed, uint64(i)+1),
-			rec, cfg.Accumulate,
+			rec, wins, cfg.Accumulate,
 			opts,
 		)
 	}
@@ -266,6 +282,7 @@ func RunEpoch(cfg EpochConfig) (*EpochResult, error) {
 	m, err := shm.New(shm.Config{
 		MemSize:       memSize,
 		MaxSteps:      maxSteps,
+		Trace:         trace,
 		InitMem:       initMem,
 		OnStep:        onStep,
 		CrashFlagBase: opts.crashBase, // 0 unless recovery is armed
@@ -295,8 +312,10 @@ func RunEpoch(cfg EpochConfig) (*EpochResult, error) {
 		FinalX:           vec.FromSlice(m.Mem()[ModelBase : ModelBase+d]),
 		Stats:            stats,
 		CoordOps:         coordOps,
+		Windows:          wins,
 		Tracker:          tracker,
 		RecoveredTickets: recovered,
+		steps:            m.Trace(),
 	}
 	if rec != nil {
 		res.Records = rec.records

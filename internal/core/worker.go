@@ -130,8 +130,9 @@ type worker struct {
 	oracle grad.Oracle
 	so     grad.SparseOracle // non-nil ⇒ sparse mode
 	r      *rng.Rand
-	rec    *recorder // nil when recording disabled
-	acc    vec.Dense // local gradient accumulator (Algorithm 2 last epoch); nil when disabled
+	rec    *recorder           // nil when recording disabled
+	wins   []contention.Window // per-claim admission windows, shared by every worker of the run
+	acc    vec.Dense           // local gradient accumulator (Algorithm 2 last epoch); nil when disabled
 	opts   workerOpts
 
 	phase    workerPhase
@@ -167,7 +168,7 @@ type worker struct {
 
 var _ shm.Program = (*worker)(nil)
 
-func newWorker(id int, alpha float64, budget int, o grad.Oracle, sparse bool, r *rng.Rand, rec *recorder, accumulate bool, opts workerOpts) *worker {
+func newWorker(id int, alpha float64, budget int, o grad.Oracle, sparse bool, r *rng.Rand, rec *recorder, wins []contention.Window, accumulate bool, opts workerOpts) *worker {
 	d := o.Dim()
 	w := &worker{
 		id:     id,
@@ -177,6 +178,7 @@ func newWorker(id int, alpha float64, budget int, o grad.Oracle, sparse bool, r 
 		oracle: o,
 		r:      r,
 		rec:    rec,
+		wins:   wins,
 		opts:   opts,
 		nz:     make([]int, 0, d),
 		nzv:    make([]float64, 0, d),
@@ -223,6 +225,7 @@ func (w *worker) NextInto(prev shm.Result, req *shm.Request) bool {
 			return true
 		}
 		w.claimed = int(prev.Val)
+		w.wins[w.claimed].Start = prev.Time
 		if w.opts.gated() {
 			if w.opts.recover {
 				// Announce the claim before anything else, so a crash at
@@ -249,6 +252,9 @@ func (w *worker) NextInto(prev shm.Result, req *shm.Request) bool {
 
 	case phaseRead:
 		w.coordOps++ // prev is the result of one executed view read
+		if w.pos == 0 {
+			w.wins[w.claimed].FirstRead = prev.Time
+		}
 		if w.so != nil {
 			w.svals = append(w.svals, prev.Val)
 			w.pos++
@@ -288,8 +294,10 @@ func (w *worker) NextInto(prev shm.Result, req *shm.Request) bool {
 			w.rec.records = append(w.rec.records, w.cur)
 		}
 		if w.finishing {
+			// A terminal flush's updates belong to no claimed iteration.
 			return true
 		}
+		w.wins[w.claimed].End = prev.Time
 		return w.endIteration(req)
 
 	case phasePubRead:

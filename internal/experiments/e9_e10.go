@@ -81,7 +81,8 @@ func runTraced(n, T int, q grad.Oracle, x0 vec.Dense,
 
 // traceTap wraps a policy and records every executed step by observing
 // pending requests at decision time; the executed op is the chosen
-// thread's pending request, executed at time Time()+1.
+// thread's pending request, executed at time Time()+1. It clears the
+// inner decision's Hold, since a held run would skip the steps it records.
 type traceTap struct {
 	inner shm.Policy
 	trace *[]shm.Step
@@ -89,6 +90,7 @@ type traceTap struct {
 
 func (t traceTap) Next(v *shm.View) shm.Decision {
 	d := t.inner.Next(v)
+	d.Hold = shm.RoleNone
 	if req, ok := v.Pending(d.Thread); ok {
 		*t.trace = append(*t.trace, shm.Step{
 			Time: v.Time() + 1, Thread: d.Thread, Req: *req,

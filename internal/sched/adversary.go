@@ -86,6 +86,8 @@ func (p *StaleGradient) Next(v *shm.View) shm.Decision {
 		}
 		return shm.Decision{Thread: p.Victim}
 	default:
+		// rr holds only while a single thread is live, and phase 3 keeps
+		// no state of its own, so its decision is forwarded whole.
 		return p.rr.Next(v)
 	}
 }
@@ -114,6 +116,14 @@ func (p *StaleGradient) otherLive(v *shm.View) int {
 // rotates to the next victim. This produces executions whose measured τmax
 // is ≈ Budget + n while keeping every thread live, i.e. the worst-case
 // regime of Theorem 6.5 / Corollary 6.7.
+//
+// Its decisions hold (shm.Decision.Hold) wherever the per-step choice
+// cannot change during the run: the victim over its view reads in phase
+// 0, the victim over its updates up to the Last one in phase 2, and, when
+// there is exactly one other thread (n = 2), that thread over its reads
+// and updates in phase 1, which counts only counter claims and skips only
+// gate-blocked threads. With more threads phase 1 rotates among them one
+// step each, so it is asked every step.
 type MaxStale struct {
 	Budget int // other-iteration starts to interpose per held iteration
 
@@ -149,7 +159,7 @@ func (p *MaxStale) Next(v *shm.View) shm.Decision {
 				return shm.Decision{Thread: tid}
 			}
 		}
-		return shm.Decision{Thread: p.victim}
+		return shm.Decision{Thread: p.victim, Hold: contention.RoleRead}
 	case 1:
 		if p.starts >= p.Budget {
 			p.phase = 2
@@ -160,11 +170,21 @@ func (p *MaxStale) Next(v *shm.View) shm.Decision {
 			p.phase = 2
 			return p.Next(v)
 		}
-		if tg, ok := tagOf(v, tid); ok && tg.Role == contention.RoleCounter {
+		tg, _ := tagOf(v, tid)
+		if tg.Role == contention.RoleCounter {
 			p.starts++
 		}
-		return shm.Decision{Thread: tid}
-	default: // release
+		d := shm.Decision{Thread: tid}
+		if n == 2 && p.starts < p.Budget {
+			switch tg.Role {
+			case contention.RoleCounter, contention.RoleRead:
+				d.Hold = contention.RoleRead
+			case contention.RoleUpdate:
+				d.Hold = contention.RoleUpdate
+			}
+		}
+		return d
+	default: // release: step the victim up to and including its Last update
 		tg, ok := tagOf(v, p.victim)
 		if ok && tg.Role == contention.RoleUpdate && tg.Last {
 			cur := p.victim
@@ -172,11 +192,7 @@ func (p *MaxStale) Next(v *shm.View) shm.Decision {
 			p.phase = 0
 			return shm.Decision{Thread: cur}
 		}
-		if !ok {
-			// Victim has no pending op classification; just step it.
-			return shm.Decision{Thread: p.victim}
-		}
-		return shm.Decision{Thread: p.victim}
+		return shm.Decision{Thread: p.victim, Hold: contention.RoleUpdate}
 	}
 }
 

@@ -20,6 +20,7 @@ type Quantum struct {
 	cur  int
 	left int
 	rr   RoundRobin
+	live []int // reused candidate buffer
 }
 
 var _ shm.Policy = (*Quantum)(nil)
@@ -38,20 +39,20 @@ func (p *Quantum) Next(v *shm.View) shm.Decision {
 	n := v.NumThreads()
 	next := -1
 	if p.R != nil {
-		live := make([]int, 0, n)
+		p.live = p.live[:0]
 		for i := 0; i < n; i++ {
 			if v.Live(i) && i != p.cur {
-				live = append(live, i)
+				p.live = append(p.live, i)
 			}
 		}
-		if len(live) == 0 && v.Live(p.cur) {
+		if len(p.live) == 0 && v.Live(p.cur) {
 			next = p.cur
-		} else if len(live) > 0 {
-			next = live[p.R.Intn(len(live))]
+		} else if len(p.live) > 0 {
+			next = p.live[p.R.Intn(len(p.live))]
 		}
 	} else {
-		d := p.rr.Next(v)
-		next = d.Thread
+		// Only rr's Thread: its Hold would skip the quantum countdown.
+		next = p.rr.Next(v).Thread
 	}
 	if next < 0 {
 		return shm.Decision{Thread: -1}

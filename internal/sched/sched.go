@@ -20,7 +20,8 @@ import (
 )
 
 // RoundRobin schedules live threads cyclically. It is the maximally fair
-// baseline: staleness stays O(n).
+// baseline: staleness stays O(n). With a single live thread every step
+// goes to that thread, so the decision holds over its pending role.
 type RoundRobin struct {
 	last int
 }
@@ -34,7 +35,12 @@ func (p *RoundRobin) Next(v *shm.View) shm.Decision {
 		i := (p.last + k) % n
 		if v.Live(i) {
 			p.last = i
-			return shm.Decision{Thread: i}
+			d := shm.Decision{Thread: i}
+			if v.LiveCount() == 1 {
+				req, _ := v.Pending(i)
+				d.Hold = req.Tag.Role
+			}
+			return d
 		}
 	}
 	return shm.Decision{Thread: -1}
@@ -45,6 +51,8 @@ func (p *RoundRobin) Next(v *shm.View) shm.Decision {
 // analysis (e.g. De Sa et al.).
 type Random struct {
 	R *rng.Rand
+
+	live []int // reused candidate buffer
 }
 
 var _ shm.Policy = (*Random)(nil)
@@ -52,16 +60,16 @@ var _ shm.Policy = (*Random)(nil)
 // Next implements shm.Policy.
 func (p *Random) Next(v *shm.View) shm.Decision {
 	n := v.NumThreads()
-	live := make([]int, 0, n)
+	p.live = p.live[:0]
 	for i := 0; i < n; i++ {
 		if v.Live(i) {
-			live = append(live, i)
+			p.live = append(p.live, i)
 		}
 	}
-	if len(live) == 0 {
+	if len(p.live) == 0 {
 		return shm.Decision{Thread: -1}
 	}
-	return shm.Decision{Thread: live[p.R.Intn(len(live))]}
+	return shm.Decision{Thread: p.live[p.R.Intn(len(p.live))]}
 }
 
 // GeometricPause schedules uniformly at random among unpaused live
@@ -75,6 +83,7 @@ type GeometricPause struct {
 	Resume    float64 // geometric resume parameter in (0,1]
 
 	pausedUntil []int
+	avail       []int // reused candidate buffer
 }
 
 var _ shm.Policy = (*GeometricPause)(nil)
@@ -86,13 +95,13 @@ func (p *GeometricPause) Next(v *shm.View) shm.Decision {
 		p.pausedUntil = make([]int, n)
 	}
 	now := v.Time()
-	avail := make([]int, 0, n)
+	p.avail = p.avail[:0]
 	for i := 0; i < n; i++ {
 		if v.Live(i) && p.pausedUntil[i] <= now {
-			avail = append(avail, i)
+			p.avail = append(p.avail, i)
 		}
 	}
-	if len(avail) == 0 {
+	if len(p.avail) == 0 {
 		// All live threads paused: wake the one with the earliest resume
 		// time (time only advances on steps, so waiting is meaningless).
 		best := -1
@@ -105,9 +114,9 @@ func (p *GeometricPause) Next(v *shm.View) shm.Decision {
 			return shm.Decision{Thread: -1}
 		}
 		p.pausedUntil[best] = now
-		avail = append(avail, best)
+		p.avail = append(p.avail, best)
 	}
-	tid := avail[p.R.Intn(len(avail))]
+	tid := p.avail[p.R.Intn(len(p.avail))]
 	if p.R.Bernoulli(p.PauseProb) {
 		p.pausedUntil[tid] = now + 1 + p.R.Geometric(p.Resume)
 	}
@@ -116,7 +125,9 @@ func (p *GeometricPause) Next(v *shm.View) shm.Decision {
 
 // CrashAt wraps an inner policy and crashes the given threads at the given
 // machine times (thread id -> time). The adversary may crash at most n−1
-// threads; excess crash requests are rejected by the machine.
+// threads; excess crash requests are rejected by the machine. It clears
+// the inner decision's Hold: a held run would postpone a crash falling
+// due inside it.
 type CrashAt struct {
 	Inner shm.Policy
 	Times map[int]int
@@ -143,6 +154,7 @@ func (p *CrashAt) Next(v *shm.View) shm.Decision {
 	// order for runs to replay bit-identically.
 	sort.Ints(crash)
 	d := p.Inner.Next(v)
+	d.Hold = shm.RoleNone
 	for _, c := range crash {
 		if d.Thread == c {
 			// Re-pick a live thread other than the ones being crashed.

@@ -187,3 +187,42 @@ func TestMaxStaleSingleThreadDegenerates(t *testing.T) {
 		t.Errorf("stats = %+v", stats)
 	}
 }
+
+// allocProbe forwards to inner and, on its tenth call, measures how many
+// heap allocations one inner.Next makes against the live view.
+type allocProbe struct {
+	inner  shm.Policy
+	calls  int
+	allocs float64
+}
+
+func (p *allocProbe) Next(v *shm.View) shm.Decision {
+	p.calls++
+	if p.calls == 10 {
+		p.allocs = testing.AllocsPerRun(100, func() { p.inner.Next(v) })
+	}
+	return p.inner.Next(v)
+}
+
+// TestPolicyNextAllocFree: the randomized policies draw their candidate
+// threads into a reused buffer, so a scheduling decision allocates
+// nothing.
+func TestPolicyNextAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pol  shm.Policy
+	}{
+		{"random", &Random{R: rng.New(1)}},
+		{"geometric-pause", &GeometricPause{R: rng.New(2), PauseProb: 0.2, Resume: 0.1}},
+		{"quantum", &Quantum{Q: 1, R: rng.New(3)}},
+	} {
+		probe := &allocProbe{inner: tc.pol}
+		runWith(t, probe, counterBody(0, 20), counterBody(1, 20), counterBody(2, 20))
+		if probe.calls < 10 {
+			t.Fatalf("%s: only %d policy calls", tc.name, probe.calls)
+		}
+		if probe.allocs != 0 {
+			t.Errorf("%s: Next allocates %v times per call, want 0", tc.name, probe.allocs)
+		}
+	}
+}

@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"asyncsgd/internal/core"
 	"asyncsgd/internal/rng"
+	"asyncsgd/internal/sched"
 	"asyncsgd/internal/sweep"
 )
 
@@ -257,10 +259,10 @@ func TestRunRequestDeterministicDocument(t *testing.T) {
 var raceBuild bool
 
 // TestRunRequestCellAllocations is the counted allocation gate of the
-// sweep cell path: after one warm-up op (which fills the engine's pooled
-// contention trackers), the default 108-cell machine grid through
-// RunRequest must allocate at most 150 objects and 250 KB per cell.
-// A fresh contention tracker per cell breaks it many times over; so does
+// sweep cell path: after one warm-up op (which fills the request's
+// probe memo), the default 108-cell machine grid through RunRequest must
+// allocate at most 150 objects and 250 KB per cell. Attaching a fresh
+// contention tracker to every cell breaks it many times over; so does
 // allocating each dataset row, or each sparse row's index and value
 // slices, on its own (688 mallocs per cell). The bytes are mostly the
 // dense m×d sample slab the labels are computed from (DESIGN §4).
@@ -278,9 +280,9 @@ func TestRunRequestCellAllocations(t *testing.T) {
 		}
 		return len(rep.Sweep.Results)
 	}
-	// The collector empties sync.Pools, so with it running the count
-	// would depend on when it happened to run; the gate counts the
-	// code's allocations.
+	// With the collector off, a pooled object on the cell path could not
+	// be emptied between the two reads, so the gate counts the code's
+	// allocations, not the collector's timing.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run()
 	var before, after runtime.MemStats
@@ -295,6 +297,56 @@ func TestRunRequestCellAllocations(t *testing.T) {
 	}
 	if bytes > 250e3 {
 		t.Errorf("%.1f KB allocated per cell, want ≤ 250 KB", bytes/1000)
+	}
+}
+
+// TestDefaultGridPolicyCallsPerStep: on the default grid's machine cells,
+// run as sweep cells run them, the adversary's held decisions
+// (shm.Decision.Hold) cut the policy calls to at most half the steps.
+// The per-step policy was asked on every one.
+func TestDefaultGridPolicyCallsPerStep(t *testing.T) {
+	specs, err := SweepRequest{}.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := specs[0]
+	cells, err := spec.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracles := map[string]sweep.Oracle{}
+	for _, o := range spec.Oracles {
+		oracles[o.Name] = o
+	}
+	strategies := map[string]sweep.Strategy{}
+	for _, st := range spec.Strategies {
+		strategies[st.Name] = st
+	}
+	var decisions, steps int
+	for _, c := range cells {
+		oracle, x0, err := oracles[c.Oracle].Make(c.Dim, rng.NewStream(c.Seed, 1<<32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.EpochConfig{
+			Threads: c.Workers, TotalIters: spec.Iters, Alpha: c.Alpha,
+			Oracle: oracle, Seed: c.Seed, X0: x0, Policy: &sched.RoundRobin{},
+		}
+		if spec.Policy != nil {
+			cfg.Policy = spec.Policy(c.Workers, rng.NewStream(c.Seed, 1<<33))
+		}
+		strategies[c.Strategy].Machine(&cfg)
+		out, err := core.RunEpoch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decisions += out.Stats.Decisions
+		steps += out.Stats.Steps
+	}
+	ratio := float64(decisions) / float64(steps)
+	t.Logf("%d cells: %d policy calls over %d steps (%.3f per step)", len(cells), decisions, steps, ratio)
+	if ratio > 0.5 {
+		t.Errorf("%.3f policy calls per step, want ≤ 0.5", ratio)
 	}
 }
 

@@ -203,9 +203,21 @@ func (v *View) MemSize() int { return len(v.m.mem) }
 // operation, after crashing the listed threads. Crashing all live threads
 // (leaving Thread invalid) halts the run; otherwise Thread must identify a
 // live, pending thread.
+//
+// A non-zero Hold commits the policy to a run of steps: after Thread's
+// operation executes, the machine keeps granting Thread, without calling
+// the policy, while Thread is live, its new pending request has
+// Tag.Role == Hold and is not tagged Last, and MaxSteps is not reached.
+// A policy may hold only when every per-step call it skips would have
+// returned the same thread with no crash and no change to its own state,
+// so a held run replays the per-step schedule exactly. A wrapper that
+// forwards an inner policy's decision clears Hold unless nothing the
+// wrapper does can differ during the run (a crash falling due, a quantum
+// running out, a step it records).
 type Decision struct {
 	Thread int
 	Crash  []int
+	Hold   Role
 }
 
 // Policy chooses the next step. Implementations receive a View valid only
@@ -244,6 +256,7 @@ type RunStats struct {
 	Completed int // threads that terminated normally
 	Crashed   int // threads crashed by the adversary
 	Stalled   int // live threads still pending when the run stopped (MaxSteps)
+	Decisions int // policy calls; below Steps when decisions hold (Decision.Hold)
 }
 
 // Machine is one simulated shared-memory execution. Create with New, drive
@@ -257,6 +270,7 @@ type Machine struct {
 	done       []bool
 	crashed    []bool
 	steps      int
+	decisions  int // policy calls
 	live       int // schedulable threads, maintained incrementally
 	numCrashed int
 	trace      []Step
@@ -318,10 +332,11 @@ func (m *Machine) Trace() []Step { return m.trace }
 // The grant→execute→record loop is flattened into a single function so the
 // per-step constant stays small: the machine maintains its live count
 // incrementally (no O(n) scan per step), skips crash processing when the
-// decision carries none, copies a Step record only when tracing, hands
-// OnStep a pointer to the pending slot rather than a copy, and allocates
-// nothing per step — the concrete Request.Tag means issuing an annotated
-// operation is a plain struct write.
+// decision carries none, keeps executing a held decision's thread without
+// calling the policy (Decision.Hold), copies a Step record only when
+// tracing, hands OnStep a pointer to the pending slot rather than a copy,
+// and allocates nothing per step — the concrete Request.Tag means issuing
+// an annotated operation is a plain struct write.
 //
 //asgd:hotpath
 func (m *Machine) Run() (RunStats, error) {
@@ -361,6 +376,7 @@ func (m *Machine) Run() (RunStats, error) {
 	)
 	for m.live > 0 && (maxSteps == 0 || m.steps < maxSteps) {
 		d := policy.Next(view)
+		m.decisions++
 		if len(d.Crash) > 0 {
 			if err := m.applyCrashes(d.Crash); err != nil {
 				return m.stats(), err
@@ -375,42 +391,51 @@ func (m *Machine) Run() (RunStats, error) {
 				tid, m.steps, ErrBadThread)
 		}
 
-		// Execute the granted operation in place.
+		// Execute the granted operation in place, and keep executing
+		// tid's next ones while the decision holds.
 		req := &m.pending[tid]
-		if req.Addr < 0 || req.Addr >= len(mem) {
-			return m.stats(), fmt.Errorf("thread %d op %s addr %d (mem %d): %w",
-				tid, req.Kind, req.Addr, len(mem), ErrBadAddress)
-		}
-		m.steps++
-		res := Result{Valid: true, Time: m.steps}
-		old := mem[req.Addr]
-		switch req.Kind {
-		case OpRead:
-			res.Val = old
-		case OpWrite:
-			mem[req.Addr] = req.Val
-			res.Val = old
-		case OpFAA:
-			mem[req.Addr] = old + req.Val
-			res.Val = old
-		case OpCAS:
-			res.Val = old
-			if old == req.Exp {
-				mem[req.Addr] = req.Val
-				res.OK = true
+		prog := m.progs[tid]
+		for {
+			if req.Addr < 0 || req.Addr >= len(mem) {
+				return m.stats(), fmt.Errorf("thread %d op %s addr %d (mem %d): %w",
+					tid, req.Kind, req.Addr, len(mem), ErrBadAddress)
 			}
-		default:
-			return m.stats(), fmt.Errorf("thread %d: unknown op kind %d", tid, req.Kind)
-		}
-		if tracing {
-			m.trace = append(m.trace, Step{Time: m.steps, Thread: tid, Req: *req, Res: res})
-		}
-		if hook != nil {
-			hook(tid, req, res)
-		}
-		if m.progs[tid].NextInto(res, req) {
-			m.done[tid] = true
-			m.live--
+			m.steps++
+			res := Result{Valid: true, Time: m.steps}
+			old := mem[req.Addr]
+			switch req.Kind {
+			case OpRead:
+				res.Val = old
+			case OpWrite:
+				mem[req.Addr] = req.Val
+				res.Val = old
+			case OpFAA:
+				mem[req.Addr] = old + req.Val
+				res.Val = old
+			case OpCAS:
+				res.Val = old
+				if old == req.Exp {
+					mem[req.Addr] = req.Val
+					res.OK = true
+				}
+			default:
+				return m.stats(), fmt.Errorf("thread %d: unknown op kind %d", tid, req.Kind)
+			}
+			if tracing {
+				m.trace = append(m.trace, Step{Time: m.steps, Thread: tid, Req: *req, Res: res})
+			}
+			if hook != nil {
+				hook(tid, req, res)
+			}
+			if prog.NextInto(res, req) {
+				m.done[tid] = true
+				m.live--
+				break
+			}
+			if d.Hold == RoleNone || req.Tag.Role != d.Hold || req.Tag.Last ||
+				(maxSteps != 0 && m.steps >= maxSteps) {
+				break
+			}
 		}
 	}
 	return m.stats(), nil
@@ -437,7 +462,7 @@ func (m *Machine) applyCrashes(crash []int) error {
 }
 
 func (m *Machine) stats() RunStats {
-	s := RunStats{Steps: m.steps}
+	s := RunStats{Steps: m.steps, Decisions: m.decisions}
 	for i := range m.progs {
 		switch {
 		case m.done[i]:

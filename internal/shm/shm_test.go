@@ -2,6 +2,7 @@ package shm
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -426,3 +427,59 @@ func TestViewAccessors(t *testing.T) {
 type policyFunc func(*View) Decision
 
 func (f policyFunc) Next(v *View) Decision { return f(v) }
+
+// TestHoldRunsUntilRoleChangeOrLast: a held decision keeps granting its
+// thread while the new pending request has the held role and is not
+// tagged Last, and RunStats.Decisions counts only the policy calls.
+func TestHoldRunsUntilRoleChangeOrLast(t *testing.T) {
+	// One thread: three reads, then two updates, the second tagged Last,
+	// then a final read.
+	body := func() Program {
+		return Func(func(th *T) {
+			for i := 0; i < 3; i++ {
+				th.Annotate(Tag{Role: RoleRead, Coord: i})
+				th.Read(0)
+			}
+			th.Annotate(Tag{Role: RoleUpdate})
+			th.FAA(0, 1)
+			th.Annotate(Tag{Role: RoleUpdate, Last: true})
+			th.FAA(0, 1)
+			th.Annotate(Tag{Role: RoleRead})
+			th.Read(0)
+		})
+	}
+	var granted []int // machine time at each policy call
+	pol := policyFunc(func(v *View) Decision {
+		granted = append(granted, v.Time())
+		req, _ := v.Pending(0)
+		return Decision{Thread: 0, Hold: req.Tag.Role}
+	})
+	m, err := New(Config{MemSize: 1}, pol, body())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Calls before the first read (runs the three reads), the first
+	// update (stops before the Last one), the Last update and the read.
+	want := []int{0, 3, 4, 5}
+	if stats.Steps != 6 || stats.Decisions != len(want) || !slices.Equal(granted, want) {
+		t.Fatalf("steps %d, decisions %d at times %v; want 6 steps, %d decisions at %v",
+			stats.Steps, stats.Decisions, granted, len(want), want)
+	}
+
+	// MaxSteps cuts a held run short.
+	granted = nil
+	m, err = New(Config{MemSize: 1, MaxSteps: 2}, pol, body())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats, err = m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Steps != 2 || stats.Decisions != 1 {
+		t.Fatalf("MaxSteps 2: %d steps, %d decisions; want 2 and 1", stats.Steps, stats.Decisions)
+	}
+}

@@ -352,16 +352,10 @@ func runHogwild(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResu
 	return out.Final, nil
 }
 
-// trackers recycles contention trackers across machine cells. A fresh
-// tracker was most of a cell's allocations (one iteration record and two
-// touched-coordinate lists per SGD iteration); a pooled one handed in as
-// EpochConfig.Tracker is Reset, which keeps those records and their
-// capacity for the next cell.
-var trackers = sync.Pool{New: func() any { return contention.NewTracker(0) }}
-
 // runMachine is the simulator adapter: it runs the cell through
 // core.RunEpoch, writes the run's counters into res and returns the
-// final model.
+// final model. The cell runs untracked: the two statistics it reports
+// come from the admission windows the workers record on every run.
 func runMachine(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResult) (vec.Dense, error) {
 	if c.strategy.Machine == nil {
 		return nil, fmt.Errorf("strategy %s has no machine implementation", c.Strategy)
@@ -376,10 +370,7 @@ func runMachine(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResu
 		Oracle:     oracle,
 		Seed:       c.Seed,
 		X0:         x0,
-		Track:      true,
-		Tracker:    trackers.Get().(*contention.Tracker),
 	}
-	defer trackers.Put(cfg.Tracker)
 	if s.Policy != nil {
 		cfg.Policy = s.Policy(c.Workers, rng.NewStream(c.Seed, policyStream))
 	} else {
@@ -400,9 +391,13 @@ func runMachine(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResu
 	if err != nil {
 		return nil, err
 	}
-	res.Iters = out.Tracker.Completed()
+	for _, w := range out.Windows {
+		if w.End > 0 {
+			res.Iters++
+		}
+	}
 	res.CoordOps = out.CoordOps
-	res.MaxStaleness = out.Tracker.MaxAdmissionsDuring()
+	res.MaxStaleness = contention.MaxAdmissions(out.Windows)
 	res.Crashed = out.Stats.Crashed
 	res.Stalled = out.Stats.Stalled
 	res.RecoveredTickets = out.RecoveredTickets

@@ -324,7 +324,8 @@ type CellResult struct {
 	// were not real zeros.
 	Diverged bool `json:"diverged,omitempty"`
 	// MaxStaleness is the observed maximum staleness: the gated gauge
-	// (Hogwild) or the tracker's max admissions-during-flight (Machine);
+	// (Hogwild) or the max admissions during flight over the workers'
+	// recorded iteration windows (Machine);
 	// −1 when the cell does not measure it.
 	MaxStaleness int `json:"max_staleness"`
 	// AvgStaleness is the probe's mean (Hogwild cells with Spec.Probe;
