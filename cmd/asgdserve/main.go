@@ -1,8 +1,9 @@
 // Command asgdserve is the sweep-as-a-service front end: a long-running
 // HTTP server that accepts staleness phase-diagram sweep specifications
 // as JSON, executes them FIFO on the concurrent scenario-sweep engine
-// (one job at a time; each job saturates GOMAXPROCS through the weighted
-// pool), streams per-cell results as NDJSON or SSE, and answers repeated
+// (each job saturates GOMAXPROCS through the process-wide weighted pool,
+// and the next job's cells start as the running job's last ones are
+// admitted), streams per-cell results as NDJSON or SSE, and answers repeated
 // deterministic specs from an in-memory LRU cache with byte-identical
 // results. The final aggregate document of every job is the asgdbench/v2
 // schema — byte-identical to `asgdbench sweep -json` for the same spec,

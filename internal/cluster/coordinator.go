@@ -37,7 +37,8 @@ type Config struct {
 	// Log, when set, makes the queue durable: submissions, leases, cell
 	// completions and terminal transitions are appended so a restarted
 	// coordinator recovers queued and partially-complete sweeps (see
-	// Recover). Nil disables durability.
+	// Recover); every acknowledged report is on disk. Nil disables
+	// durability.
 	Log *JobLog
 }
 
@@ -586,7 +587,9 @@ func (c *Coordinator) grantLease(workerID string) (*LeaseResponse, <-chan struct
 		c.mu.Unlock()
 		inc(c.mLeasesGranted, &c.leasesGranted, 1)
 		if log != nil {
-			_ = log.Append(Record{Type: recLease, Job: job.id, Lease: id, Worker: workerID, Cells: b.cells})
+			// Written, not synced: replay ignores lease records, so a
+			// grant never waits for the disk.
+			_, _ = log.write(Record{Type: recLease, Job: job.id, Lease: id, Worker: workerID, Cells: b.cells})
 		}
 		return &LeaseResponse{
 			LeaseID:    id,
@@ -663,7 +666,9 @@ func (c *Coordinator) applyResult(leaseID string, res sweep.CellResult) (bool, e
 
 	inc(c.mRemoteCells, &c.remoteCells, 1)
 	if log != nil {
-		_ = log.Append(Record{Type: recComplete, Job: job.id, Cell: &res})
+		// Written, not synced: the report stream syncs once at its end,
+		// before its ack (syncLog).
+		_, _ = log.write(Record{Type: recComplete, Job: job.id, Cell: &res})
 	}
 	if onCell != nil {
 		onCell(res)
@@ -679,6 +684,16 @@ func (c *Coordinator) applyResult(leaseID string, res sweep.CellResult) (bool, e
 		close(job.done)
 	}
 	return true, nil
+}
+
+// syncLog returns once every job-log record written so far is on disk:
+// the one fsync of a report stream, taken before its ack, so every
+// acknowledged report is durable. Nil without a log.
+func (c *Coordinator) syncLog() error {
+	if c.cfg.Log == nil {
+		return nil
+	}
+	return c.cfg.Log.sync()
 }
 
 // expiryScanner revokes overdue leases and requeues their incomplete

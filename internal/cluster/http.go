@@ -65,7 +65,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 // handleReport ingests a worker's NDJSON CellResult stream for one
 // lease. Results are applied as lines arrive — a stream severed by a
 // worker crash keeps everything applied before the cut (the cells it
-// never reported requeue when the lease expires).
+// never reported requeue when the lease expires). The stream's journal
+// records are synced once, at its end, before the ack.
 func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	leaseID := r.PathValue("lease")
 	var ack ReportAck
@@ -96,6 +97,10 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		// Severed mid-stream: the applied prefix stands; the rest of the
 		// lease requeues on expiry.
 		http.Error(w, "report stream: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if err := c.syncLog(); err != nil {
+		http.Error(w, "report stream: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
 	writeClusterJSON(w, http.StatusOK, ack)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -25,6 +26,14 @@ import (
 //     index) — re-executed duplicates are never logged twice
 //   - "cancel":   a job reached the canceled terminal state
 //   - "finish":   a job reached done or failed
+//
+// Every record reaches the file when it is appended, so a crash of the
+// coordinator process loses none. submit, cancel and finish records wait
+// for their fsync; lease and complete records do not, and a report
+// stream syncs once at its end, before its ack. A crash of the machine
+// can therefore lose only unsynced lease records, which replay ignores,
+// and complete records of reports not yet acknowledged, whose cells are
+// recomputed with identical bytes: every acknowledged report is durable.
 //
 // Replay folds the record sequence into per-job state: jobs with a
 // terminal record are dropped (their documents are not durable — only
@@ -63,13 +72,27 @@ type Record struct {
 	Cells  []int  `json:"cells,omitempty"`
 }
 
-// JobLog is the append-only record file. Appends are serialized and
-// synced to disk before returning, so every acknowledged record survives
-// a crash.
+// JobLog is the append-only record file with group commit. A record is
+// written to the file when it is appended; fsync is separate and shared.
+// Append returns once an fsync that started after its write has
+// finished, and callers that wait at the same time share one: the first
+// becomes the leader and syncs everything written so far, the others
+// wait on cond and return if that covered their record. The coordinator
+// only writes lease and complete records (write) and syncs once per
+// report stream (sync). The first write or sync error is sticky: every
+// later call returns it.
 type JobLog struct {
-	mu sync.Mutex
-	f  *os.File
+	mu      sync.Mutex
+	cond    *sync.Cond // broadcast when an fsync ends or the file closes
+	f       *os.File
+	err     error  // first write or sync error
+	written uint64 // records written
+	synced  uint64 // records covered by a finished fsync
+	syncing bool   // a leader's fsync is in flight (l.mu released)
+	syncs   int64  // fsyncs issued
 }
+
+var errLogClosed = errors.New("cluster: job log closed")
 
 // OpenJobLog opens (creating if absent) the log at path, replays the
 // existing records, and truncates any torn final record so subsequent
@@ -95,7 +118,9 @@ func OpenJobLog(path string) (*JobLog, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("cluster: seeking job log: %w", err)
 	}
-	return &JobLog{f: f}, records, nil
+	l := &JobLog{f: f}
+	l.cond = sync.NewCond(&l.mu)
+	return l, records, nil
 }
 
 // readRecords parses length-prefixed records from the start of f,
@@ -133,41 +158,105 @@ func readRecords(f *os.File) ([]Record, int64, error) {
 	return records, good, nil
 }
 
-// Append writes one record durably (length prefix + JSON payload +
-// fsync).
+// Append writes one record and returns once it is on disk: an fsync
+// that started after the write has finished. Concurrent Appends share
+// fsyncs.
 func (l *JobLog) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
+	seq, err := l.write(rec)
 	if err != nil {
-		return fmt.Errorf("cluster: encoding job-log record: %w", err)
+		return err
 	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(payload)))
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return fmt.Errorf("cluster: job log closed")
-	}
-	if _, err := l.f.Write(lenBuf[:]); err != nil {
-		return fmt.Errorf("cluster: appending job-log record: %w", err)
-	}
-	if _, err := l.f.Write(payload); err != nil {
-		return fmt.Errorf("cluster: appending job-log record: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("cluster: syncing job log: %w", err)
-	}
-	return nil
+	return l.syncLocked(seq)
 }
 
-// Close closes the underlying file. Further appends fail.
+// write appends one record (length prefix + JSON payload) to the file
+// without waiting for an fsync, and returns its sequence number.
+func (l *JobLog) write(rec Record) (uint64, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return 0, fmt.Errorf("cluster: encoding job-log record: %w", err)
+	}
+	buf := make([]byte, 4+len(payload))
+	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
+	copy(buf[4:], payload)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return 0, l.err
+	}
+	if l.f == nil {
+		return 0, errLogClosed
+	}
+	if _, err := l.f.Write(buf); err != nil {
+		l.err = fmt.Errorf("cluster: appending job-log record: %w", err)
+		return 0, l.err
+	}
+	l.written++
+	return l.written, nil
+}
+
+// sync returns once every record written so far is on disk.
+func (l *JobLog) sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f == nil && l.err == nil {
+		return errLogClosed
+	}
+	return l.syncLocked(l.written)
+}
+
+// syncLocked returns once record seq is covered by a finished fsync,
+// leading one if none is in flight. Callers hold l.mu; the leader
+// releases it for the fsync itself, so writes continue meanwhile.
+func (l *JobLog) syncLocked(seq uint64) error {
+	for {
+		switch {
+		case l.err != nil:
+			return l.err
+		case l.synced >= seq:
+			return nil
+		case l.f == nil:
+			return errLogClosed
+		case l.syncing:
+			l.cond.Wait()
+			continue
+		}
+		l.syncing = true
+		target, f := l.written, l.f
+		l.mu.Unlock()
+		err := f.Sync()
+		l.mu.Lock()
+		l.syncing = false
+		l.syncs++
+		if err != nil {
+			l.err = fmt.Errorf("cluster: syncing job log: %w", err)
+		} else {
+			l.synced = max(l.synced, target)
+		}
+		l.cond.Broadcast()
+	}
+}
+
+// Close syncs what is written, closes the file and returns the first
+// error the log met. Every later call fails.
 func (l *JobLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
-		return nil
+		return l.err
 	}
-	err := l.f.Close()
+	err := l.syncLocked(l.written)
+	if l.f == nil { // a concurrent Close finished while this one waited
+		return l.err
+	}
+	if cerr := l.f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("cluster: closing job log: %w", cerr)
+		l.err = err
+	}
 	l.f = nil
+	l.cond.Broadcast()
 	return err
 }
 

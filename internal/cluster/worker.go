@@ -23,7 +23,8 @@ type WorkerConfig struct {
 	// (hostname, pod name). Identity is the coordinator-assigned id.
 	Name string
 	// MaxConcurrent caps the worker's sweep-pool concurrency
-	// (sweep.Spec.MaxConcurrent; 0 ⇒ GOMAXPROCS).
+	// (sweep.Spec.MaxConcurrent; 0 ⇒ the process-wide GOMAXPROCS pool,
+	// shared with the other workers and runs of the process).
 	MaxConcurrent int
 	// HTTPClient overrides the transport (nil ⇒ a fresh default client;
 	// report streams are long-lived, so no client timeout is set).
@@ -260,7 +261,7 @@ func (a localAPI) report(ctx context.Context, leaseID string, results <-chan swe
 		select {
 		case res, ok := <-results:
 			if !ok {
-				return ack, nil
+				return ack, a.c.syncLog() // as handleReport: durable before acked
 			}
 			applied, err := a.c.applyResult(leaseID, res)
 			if err != nil {

@@ -44,7 +44,10 @@ type MetricsAttacher interface {
 // journaled job's submit record therefore always precedes any of its
 // execution records. Cache-hit jobs are not journaled: they are terminal
 // at birth and need no recovery. JobFinished fires once per journaled
-// job with its terminal state (done, failed, canceled).
+// job with its terminal state (done, failed, canceled), in submission
+// order for the jobs the executor ran: two jobs may be in dispatch at
+// once, but a job's terminal transition waits for its predecessor's. A
+// job canceled while queued fires at once.
 type Journal interface {
 	JobSubmitted(id string, req SweepRequest)
 	JobFinished(id string, state string)

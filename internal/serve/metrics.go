@@ -22,9 +22,12 @@ type serverMetrics struct {
 	// (done | failed | canceled). Cache hits count as done — they are
 	// terminal at birth and appear in FinishedOrder like any other job.
 	jobsFinished *metrics.CounterVec
-	running      *metrics.Gauge
-	// queueWait is the submit→start latency of executed jobs (cache
-	// hits never wait and are not observed).
+	// running counts jobs in dispatch: up to two, since job N+1's
+	// dispatch starts while job N's runs.
+	running *metrics.Gauge
+	// queueWait is the submit→dispatch latency of executed jobs; it ends
+	// when the job's dispatch starts, which may be while its predecessor
+	// still runs (cache hits never wait and are not observed).
 	queueWait *metrics.Histogram
 	// cells / cellSeconds: completed grid cells and their per-cell
 	// execution latency. cells/sec is rate(asgdserve_cells_completed_total).
@@ -54,9 +57,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"jobs reaching a terminal state, by state (done, failed, canceled)",
 			"state"),
 		running: reg.NewGauge("asgdserve_jobs_running",
-			"jobs currently executing on the sweep pool"),
+			"jobs in dispatch (at most two: the running job and its successor)"),
 		queueWait: reg.NewHistogram("asgdserve_queue_wait_seconds",
-			"submit-to-start latency of executed jobs", metrics.DefBuckets),
+			"submit-to-dispatch latency of executed jobs", metrics.DefBuckets),
 		cells: reg.NewCounter("asgdserve_cells_completed_total",
 			"grid cells completed across all jobs"),
 		cellSeconds: reg.NewHistogram("asgdserve_cell_seconds",
@@ -74,7 +77,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"live telemetry snapshots appended to job event streams"),
 	}
 	reg.NewGaugeFunc("asgdserve_queue_depth",
-		"jobs queued and awaiting the executor", func() float64 {
+		"jobs queued and not yet in dispatch", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(len(s.pending))

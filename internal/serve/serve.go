@@ -86,14 +86,16 @@ var (
 )
 
 // Server is the sweep job server: a bounded FIFO queue of sweep
-// requests, one executor goroutine running them in submission order on
-// the internal/sweep weighted pool (the pool already saturates
-// GOMAXPROCS per job, so serializing jobs keeps cell-level parallelism
-// while making job completion order equal submission order — the queue
-// fairness the load-smoke test pins), an LRU cache serving repeated
-// deterministic specs without recomputation, and streaming introspection
-// over HTTP. Create with New, expose with Handler, stop with Drain
-// (graceful) or Close (immediate).
+// requests, one executor goroutine running them in submission order, an
+// LRU cache serving repeated deterministic specs without recomputation,
+// and streaming introspection over HTTP. The executor keeps two jobs in
+// dispatch: job N+1's dispatch starts while job N's runs, so the backend
+// (the process-wide sweep pool, or the cluster's lease queue, both FIFO
+// across jobs) starts job N+1's cells the moment job N has none left to
+// start. Job N+1's terminal transition waits for job N's, so completion
+// order is submission order — the queue fairness the load checks pin.
+// Create with New, expose with Handler, stop with Drain (graceful) or
+// Close (immediate).
 type Server struct {
 	cfg Config
 
@@ -106,7 +108,8 @@ type Server struct {
 	order    []string // submission order
 	finished []string // completion order (the fairness observable)
 	nextID   int
-	// pending is the FIFO queue of jobs awaiting the executor. A slice
+	// pending is the FIFO queue of jobs awaiting the executor (not yet
+	// in dispatch; Config.QueueDepth bounds it). A slice
 	// rather than a channel so cancellation can compact a canceled job
 	// out of the queue immediately: with a buffered channel, a job
 	// canceled while queued kept occupying its slot until the executor
@@ -236,7 +239,9 @@ func (s *Server) cachedJobLocked(req SweepRequest, key string, cells int, hit *c
 }
 
 // Cancel cancels a job: a queued job never starts, a running job stops
-// admitting cells (in-flight cells finish; see sweep.RunContext). It
+// admitting cells (in-flight cells finish; see sweep.RunContext) and
+// ends canceled, even when its dispatch had already returned and it was
+// only waiting for its predecessor to finish. It
 // reports whether the call changed anything — canceling a finished job
 // is a recorded no-op.
 func (s *Server) Cancel(id string) (bool, error) {
@@ -268,8 +273,9 @@ func (s *Server) Cancel(id string) (bool, error) {
 	return true, nil
 }
 
-// Drain stops accepting submissions, lets every queued and running job
-// finish, and returns when the executor is idle (or ctx expires).
+// Drain stops accepting submissions, lets every queued job and both
+// jobs in dispatch finish, and returns when the executor is idle (or ctx
+// expires).
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -286,7 +292,8 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Close cancels every job and stops the executor without waiting for
-// queued work. Safe after Drain.
+// queued work; it returns once both jobs in dispatch have ended. Safe
+// after Drain.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if !s.draining {
@@ -298,12 +305,26 @@ func (s *Server) Close() {
 	<-s.execDone
 }
 
-// executor is the single job runner: FIFO over the pending queue. It
-// exits once the server is draining and the queue is empty — draining
-// still runs every job queued before the drain began.
+// maxDispatch is how many jobs the executor has in dispatch at once:
+// job N and its successor, whose dispatch starts while job N's runs so
+// the execution backend never idles between jobs.
+const maxDispatch = 2
+
+// executor is the single job runner: FIFO over the pending queue, with
+// at most maxDispatch jobs in dispatch. Each job's terminal transition
+// waits for its predecessor's, so completion order is submission order.
+// It exits once the server is draining, the queue is empty and the jobs
+// in dispatch have finished — draining still runs every job queued
+// before the drain began.
 func (s *Server) executor() {
+	var wg sync.WaitGroup
 	defer close(s.execDone)
+	defer wg.Wait()
+	slots := make(chan struct{}, maxDispatch)
+	prev := make(chan struct{}) // the predecessor's terminal transition
+	close(prev)
 	for {
+		slots <- struct{}{}
 		s.mu.Lock()
 		for len(s.pending) == 0 && !s.draining {
 			s.cond.Wait()
@@ -316,14 +337,25 @@ func (s *Server) executor() {
 		s.pending[0] = nil // release the Job for GC under History pruning
 		s.pending = s.pending[1:]
 		s.mu.Unlock()
-		s.runJob(job)
+		done := make(chan struct{})
+		wg.Add(1)
+		go func(prev <-chan struct{}) {
+			defer wg.Done()
+			s.runJob(job, prev)
+			close(done)
+			<-slots
+		}(prev)
+		prev = done
 	}
 }
 
-func (s *Server) runJob(j *Job) {
+// runJob dispatches the job, then waits for prev (the predecessor's
+// terminal transition) before making its own.
+func (s *Server) runJob(j *Job, prev <-chan struct{}) {
 	j.mu.Lock()
 	if j.terminal() { // canceled while queued
 		j.mu.Unlock()
+		<-prev
 		return
 	}
 	j.state = JobRunning
@@ -357,26 +389,32 @@ func (s *Server) runJob(j *Job) {
 		s.met.telemetrySamples.Inc()
 	}
 	doc, err := s.dispatcher.DispatchSweep(j.ctx, j.id, j.req, onCell, onTelemetry)
+	var buf bytes.Buffer
+	if err == nil {
+		err = doc.Encode(&buf)
+	}
+	<-prev
+	if err == nil {
+		// Canceled while waiting for the predecessor: the cancel wins
+		// over the document it would have published.
+		err = j.ctx.Err()
+	}
 	switch {
 	case err == nil:
-		var buf bytes.Buffer
-		if encErr := doc.Encode(&buf); encErr != nil {
-			j.finish(JobFailed, nil, encErr.Error())
-			break
-		}
-		j.finish(JobDone, buf.Bytes(), "")
+		// Finish and cache under s.mu, so whoever sees the job done also
+		// finds its document in the cache.
+		s.mu.Lock()
+		j.mu.Lock()
+		j.finishLocked(JobDone, buf.Bytes(), "")
 		if j.req.Cacheable() {
-			j.mu.Lock()
 			// Copy the event buffer: the cached entry outlives the job
 			// and is shared by every future cache-hit job, so it must not
 			// alias a live slice anyone could append to.
-			entry := &cached{events: append([]Event(nil), j.events...), doc: j.doc}
-			key := j.key
-			j.mu.Unlock()
-			s.mu.Lock()
-			s.cache.put(key, entry)
-			s.mu.Unlock()
+			s.cache.put(j.key, &cached{events: append([]Event(nil), j.events...), doc: j.doc})
 		}
+		j.mu.Unlock()
+		s.mu.Unlock()
+		j.cancel()
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		j.finish(JobCanceled, nil, "canceled")
 	default:

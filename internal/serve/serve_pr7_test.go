@@ -53,8 +53,14 @@ func TestCancelQueuedFreesQueueSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitRunning(t, busy)
+	// Its successor takes the second dispatch slot.
+	next, err := s.Submit(tinyRequest(499))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, next)
 
-	// Fill the queue behind the running job, then overflow it.
+	// Fill the queue behind the jobs in dispatch, then overflow it.
 	var queued []*Job
 	for i := 0; i < 2; i++ {
 		j, err := s.Submit(tinyRequest(uint64(500 + i)))

@@ -289,8 +289,9 @@ func TestLoadSmoke(t *testing.T) {
 
 // TestCancelQueuedJobDirect pins cancel-while-queued semantics at the
 // library level, where the interleaving is controllable: submit a job the
-// executor is busy with, then a second one, and cancel the second before
-// the executor can reach it.
+// executor is busy with and its successor, which fill both dispatch
+// slots, then a third one, and cancel the third before the executor can
+// reach it.
 func TestCancelQueuedJobDirect(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -299,6 +300,9 @@ func TestCancelQueuedJobDirect(t *testing.T) {
 		Dim: 32, Replicates: 6, Iters: 4000, Runtime: "machine",
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(tinyRequest(30)); err != nil {
 		t.Fatal(err)
 	}
 	queued, err := s.Submit(tinyRequest(31))

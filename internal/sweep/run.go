@@ -30,6 +30,13 @@ import (
 // throughput and staleness measurements are not polluted by sibling
 // cells competing for cores. Admission is FIFO in cell order, so a wide
 // cell blocks later cells rather than starving forever.
+//
+// Runs that leave MaxConcurrent at 0 share one process-wide pool and are
+// admitted FIFO across runs: a run admits all its cells before the next
+// run admits any, so concurrent runs never oversubscribe the CPUs. A run
+// with MaxConcurrent > 0 has a private pool. A cell must therefore never
+// start a sweep run on the shared pool: it would wait for the admission
+// its own run holds.
 func Run(s Spec) ([]CellResult, error) {
 	return RunContext(context.Background(), s)
 }
@@ -89,11 +96,7 @@ func RunSubset(ctx context.Context, s Spec, indices []int) ([]CellResult, error)
 // grid that is cell-index order, for a leased subset it is the batch
 // order — and each result retains its grid-global Cell.Index.
 func runCells(ctx context.Context, s Spec, cells []Cell) ([]CellResult, error) {
-	capacity := s.MaxConcurrent
-	if capacity <= 0 {
-		capacity = runtime.GOMAXPROCS(0)
-	}
-	gate := newWeightedGate(capacity)
+	p := poolFor(s.MaxConcurrent)
 	results := make([]CellResult, len(cells))
 	var (
 		wg     sync.WaitGroup
@@ -109,25 +112,26 @@ func runCells(ctx context.Context, s Spec, cells []Cell) ([]CellResult, error) {
 			emitMu.Unlock()
 		}
 	}
+	entered := p.enter(ctx)
 	canceledFrom := len(cells)
 	for i, c := range cells {
-		if ctx.Err() != nil {
+		if !entered || ctx.Err() != nil {
 			canceledFrom = i
 			break
 		}
-		w := cellWeight(c, capacity)
+		w := cellWeight(c, p.gate.cap)
 		//asgdvet:allow ticketpair(ownership transfers: the cell goroutine defer-releases, or the cancel branch below releases inline)
-		gate.acquire(w) // FIFO: blocks the dispatcher until w slots free up
+		p.gate.acquire(w) // FIFO: blocks the dispatcher until w slots free up
 		if ctx.Err() != nil {
 			// Canceled while waiting for slots: do not start this cell.
-			gate.release(w)
+			p.gate.release(w)
 			canceledFrom = i
 			break
 		}
 		wg.Add(1)
 		go func(pos int, c Cell, w int) {
 			defer wg.Done()
-			defer gate.release(w)
+			defer p.gate.release(w)
 			res := runCellSafe(&s, c)
 			results[pos] = res
 			if s.OnResult != nil {
@@ -136,6 +140,9 @@ func runCells(ctx context.Context, s Spec, cells []Cell) ([]CellResult, error) {
 				emitMu.Unlock()
 			}
 		}(i, c, w)
+	}
+	if entered {
+		p.leave()
 	}
 	wg.Wait()
 	if canceledFrom < len(cells) {
@@ -149,6 +156,61 @@ func runCells(ctx context.Context, s Spec, cells []Cell) ([]CellResult, error) {
 		return results, ctx.Err()
 	}
 	return results, nil
+}
+
+// pool is where a run's cells execute: a weighted gate, and for the
+// shared pool the admission token a run holds while it admits its cells.
+type pool struct {
+	gate  *weightedGate
+	admit chan struct{} // nil for a private pool
+}
+
+// The process-wide pool of the runs that leave MaxConcurrent at 0: one
+// gate per GOMAXPROCS value (it only changes in tests) and one admission
+// token, a 1-slot channel whose blocked senders are served in order.
+var (
+	sharedMu    sync.Mutex
+	sharedGates = make(map[int]*weightedGate)
+	admission   = make(chan struct{}, 1)
+)
+
+// poolFor returns a private pool of the given capacity, or the shared
+// GOMAXPROCS-wide pool when maxConcurrent is 0.
+func poolFor(maxConcurrent int) pool {
+	if maxConcurrent > 0 {
+		return pool{gate: newWeightedGate(maxConcurrent)}
+	}
+	procs := runtime.GOMAXPROCS(0)
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
+	g := sharedGates[procs]
+	if g == nil {
+		g = newWeightedGate(procs)
+		sharedGates[procs] = g
+	}
+	return pool{gate: g, admit: admission}
+}
+
+// enter takes the admission token, waiting for the runs ahead of this
+// one to admit their last cell. It reports false, holding nothing, when
+// ctx ends first.
+func (p pool) enter(ctx context.Context) bool {
+	if p.admit == nil {
+		return true
+	}
+	select {
+	case p.admit <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// leave hands the admission token to the next run.
+func (p pool) leave() {
+	if p.admit != nil {
+		<-p.admit
+	}
 }
 
 // cellWeight is the number of pool slots a cell occupies. Simulator

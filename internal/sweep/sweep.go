@@ -221,7 +221,9 @@ type Spec struct {
 	// cell's thread count and a cell-seeded generator (nil ⇒ round-robin).
 	Policy func(threads int, r *rng.Rand) shm.Policy
 
-	// MaxConcurrent caps the pool's weighted concurrency (0 ⇒ GOMAXPROCS).
+	// MaxConcurrent caps the pool's weighted concurrency: 0 runs the
+	// cells on the process-wide GOMAXPROCS pool, shared FIFO with every
+	// other such run; > 0 gives the run a private pool of that capacity.
 	MaxConcurrent int
 	// OnResult, when non-nil, streams each cell's result as it completes
 	// (execution order, serialized). The slice Run returns is always in
