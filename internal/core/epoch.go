@@ -72,8 +72,9 @@ type EpochConfig struct {
 	// CrashRecovery arms the gated disciplines' crash-safe ticket
 	// reclamation. Without it, a thread the adversary crashes between
 	// claiming an iteration and publishing it on the done counter pins the
-	// counter forever: every survivor spins at the gate until MaxSteps
-	// (the deadlock ROADMAP item 4(b) asks about). With it, each gated
+	// counter forever: every survivor spins at the gate until MaxSteps, a
+	// deadlock that no schedule can end, since the dead thread's ticket is
+	// never published. With it, each gated
 	// worker announces its claim in a per-thread register right after the
 	// claiming fetch&add, the machine raises a crash flag the moment a
 	// thread dies (shm.Config.CrashFlagBase), and blocked survivors

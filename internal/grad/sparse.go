@@ -1,6 +1,8 @@
 package grad
 
 import (
+	"math"
+
 	"asyncsgd/internal/data"
 	"asyncsgd/internal/rng"
 	"asyncsgd/internal/vec"
@@ -123,15 +125,16 @@ func (s *SingleCoordinate) GradSparseAt(dst *vec.Sparse, vals []float64, r *rng.
 // Hogwild literature and the workload where the sparse pipeline's O(nnz)
 // atomic ops beat the dense path's O(d) scan.
 //
-// Constants are derived exactly as for the dense LeastSquares oracle
-// (from the Gram matrix and the normal-equations solution); construction
-// fails on a singular Gram matrix.
+// Constants are derived exactly as for the dense LeastSquares oracle, to
+// the bit, but from the CSR rows; construction fails on a singular Gram
+// matrix.
 type SparseLeastSquares struct {
 	rows   []vec.Sparse
 	labels []float64
 	d      int
 	xstar  vec.Dense
-	cst    Constants
+	cst    Constants // C is read from lmin
+	lmin   *lazyMin
 
 	planI int
 }
@@ -146,17 +149,21 @@ var _ SparseOracle = (*SparseLeastSquares)(nil)
 // one value slab, capacity-limited to the row so an append to one row can
 // never write into the next; an all-zero row has nil slices, exactly as
 // vec.FromDense returns it.
+//
+// Everything else is derived from the CSR rows, with the bits
+// NewLeastSquares derives from the dense ones: a skipped zero term adds
+// ±0 to a sum that is never −0. The Gram matrix and the certificate's
+// copy of it share one 2·d² slab, and the Gram matrix is eliminated in
+// place; no d² matrix outlives construction.
 func NewSparseLeastSquares(ds *data.Dataset, r0 float64) (*SparseLeastSquares, error) {
-	base, err := NewLeastSquares(ds, r0)
-	if err != nil {
-		return nil, err
+	d := ds.Dim()
+	if d == 0 || r0 <= 0 {
+		return nil, ErrBadParam
 	}
 	s := &SparseLeastSquares{
 		rows:   make([]vec.Sparse, ds.Len()),
 		labels: ds.Labels,
-		d:      ds.Dim(),
-		xstar:  base.xstar,
-		cst:    base.cst,
+		d:      d,
 	}
 	nnz := 0
 	for _, row := range ds.Rows {
@@ -184,7 +191,63 @@ func NewSparseLeastSquares(ds *data.Dataset, r0 float64) (*SparseLeastSquares, e
 		}
 		s.rows[i] = sr
 	}
+
+	slab := make([]float64, 2*d*d)
+	g := &vec.Sym{N: d, Data: slab[: d*d : d*d]}
+	if err := s.addGram(g); err != nil {
+		return nil, err
+	}
+	lmin, err := certifyFullRank(g, slab[d*d:])
+	if err != nil {
+		return nil, err
+	}
+	xstar := vec.NewDense(d)
+	w := 1 / float64(len(s.rows))
+	for i, row := range s.rows {
+		if b := w * s.labels[i]; math.IsInf(b, 0) || math.IsNaN(b) {
+			// b·0 is NaN, so the dense product reaches every coordinate.
+			_ = xstar.AddScaled(b, ds.Rows[i])
+		} else {
+			_ = row.AddScaledInto(xstar, b)
+		}
+	}
+	if err := solveNormalEquations(g.Data, xstar); err != nil {
+		return nil, err
+	}
+	// A zero entry times a non-finite x*_j is NaN, not ±0: only the dense
+	// dot product gives the dense oracle's bits then.
+	finite := xstar.IsFinite()
+	cst := Constants{R: r0}
+	for i, row := range s.rows {
+		var dot float64
+		if finite {
+			dot, _ = row.DotDense(xstar)
+		} else {
+			dot = vec.MustDot(ds.Rows[i], xstar)
+		}
+		cst.addSample(row.Norm2Sq(), dot, s.labels[i])
+	}
+	s.xstar, s.cst, s.lmin = xstar, cst, lmin
 	return s, nil
+}
+
+// addGram accumulates the Gram matrix (1/m)·Σ a_i a_iᵀ of the CSR rows
+// into g, bit-identical to data.Dataset.Gram on the dense rows
+// (Sym.AddOuterSparse).
+func (s *SparseLeastSquares) addGram(g *vec.Sym) error {
+	w := 1 / float64(len(s.rows))
+	for _, row := range s.rows {
+		if err := g.AddOuterSparse(w, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gram rebuilds the Gram matrix for the first Constants call.
+func (s *SparseLeastSquares) gram() (*vec.Sym, error) {
+	g := vec.NewSym(s.d)
+	return g, s.addGram(g)
 }
 
 // Dim implements Oracle.
@@ -255,11 +318,15 @@ func (s *SparseLeastSquares) GradSparseAt(dst *vec.Sparse, vals []float64, _ *rn
 // Optimum implements Oracle.
 func (s *SparseLeastSquares) Optimum() vec.Dense { return s.xstar.Clone() }
 
-// Constants implements Oracle.
-func (s *SparseLeastSquares) Constants() Constants { return s.cst }
+// Constants implements Oracle. The first call computes C (lazyMin).
+func (s *SparseLeastSquares) Constants() Constants {
+	cst := s.cst
+	cst.C = s.lmin.get(s.gram)
+	return cst
+}
 
-// CloneFor implements Oracle. Rows and labels are immutable and shared;
-// the plan state is per-clone.
+// CloneFor implements Oracle. Rows, labels and C are immutable and
+// shared; the plan state is per-clone.
 func (s *SparseLeastSquares) CloneFor(int) Oracle {
 	cp := *s
 	cp.xstar = s.xstar.Clone()

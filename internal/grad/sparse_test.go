@@ -54,6 +54,54 @@ func TestSparseLeastSquaresMatchesDenseOracle(t *testing.T) {
 	}
 }
 
+// TestSparseLeastSquaresNonFiniteMatchesDense: the sparse oracle derives
+// its right-hand side and M² from the CSR rows, skipping zero entries.
+// When a label or an entry of x* is not finite, 0·b is NaN rather than
+// ±0, so those rows take the dense path; the constants and x* must still
+// have the dense oracle's bits, NaN payloads included.
+func TestSparseLeastSquaresNonFiniteMatchesDense(t *testing.T) {
+	diag := func(vals ...float64) *data.Dataset {
+		ds := &data.Dataset{}
+		for j, v := range vals {
+			row := make(vec.Dense, len(vals))
+			row[j] = v
+			ds.Rows = append(ds.Rows, row)
+			ds.Labels = append(ds.Labels, 1)
+		}
+		return ds
+	}
+	nanLabel := diag(1.5, 1.5)
+	nanLabel.Labels[0] = math.NaN()
+	infLabel := diag(1.5, 1.5, 2)
+	infLabel.Labels[1] = math.Inf(1)
+	infEntry := diag(1.5, 1.5)
+	infEntry.Rows[0][0] = math.Inf(1)
+	for name, ds := range map[string]*data.Dataset{"NaN label": nanLabel, "+Inf label": infLabel, "+Inf entry": infEntry} {
+		dense, err := NewLeastSquares(ds, 1)
+		if err != nil {
+			t.Fatalf("%s: dense: %v", name, err)
+		}
+		sparse, err := NewSparseLeastSquares(ds, 1)
+		if err != nil {
+			t.Fatalf("%s: sparse: %v", name, err)
+		}
+		cd, cs := dense.Constants(), sparse.Constants()
+		for _, p := range [][2]float64{{cd.C, cs.C}, {cd.L, cs.L}, {cd.M2, cs.M2}, {cd.R, cs.R}} {
+			if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+				t.Errorf("%s: constants %+v, want the dense %+v", name, cs, cd)
+				break
+			}
+		}
+		xd, xs := dense.Optimum(), sparse.Optimum()
+		for j := range xd {
+			if math.Float64bits(xd[j]) != math.Float64bits(xs[j]) {
+				t.Errorf("%s: x* = %v, want the dense %v", name, xs, xd)
+				break
+			}
+		}
+	}
+}
+
 // TestSparseGradAgreesWithDenseGrad checks the two-phase sparse protocol
 // against the dense Grad path for oracles where both consume the stream
 // identically (row/entry draw first).

@@ -174,8 +174,9 @@ func TestEigenvaluesTraceAndPSD(t *testing.T) {
 
 // FuzzAddOuterMatchesDense checks that AddOuter's zero skipping is
 // bit-exact: rows with zeros, negative zeros and negatives are
-// accumulated through AddOuter and through the full d×d rank-one
-// product, and every entry must agree in its bits, sign of zero included.
+// accumulated through AddOuter, through AddOuterSparse of their CSR
+// form and through the full d×d rank-one product, and every entry must
+// agree in its bits, sign of zero included.
 func FuzzAddOuterMatchesDense(f *testing.F) {
 	f.Add(uint8(4), []byte{}, int8(4))
 	f.Add(uint8(4), []byte{1, 0, 4, 0, 0, 0, 0, 0}, int8(4))               // one sparse row, one all-zero row
@@ -185,7 +186,7 @@ func FuzzAddOuterMatchesDense(f *testing.F) {
 	f.Fuzz(func(t *testing.T, dim uint8, data []byte, wRaw int8) {
 		d := int(dim)%96 + 1 // both sides of AddOuter's 64-entry stack buffer
 		w := float64(wRaw) / 4
-		got, want := NewSym(d), make([]float64, d*d)
+		got, fromCSR, want := NewSym(d), NewSym(d), make([]float64, d*d)
 		for len(data) >= d {
 			x := make(Dense, d)
 			for k, b := range data[:d] {
@@ -201,6 +202,9 @@ func FuzzAddOuterMatchesDense(f *testing.F) {
 			if err := got.AddOuter(w, x); err != nil {
 				t.Fatal(err)
 			}
+			if err := fromCSR.AddOuterSparse(w, FromDense(x)); err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < d; i++ {
 				xi := w * x[i]
 				for j := 0; j < d; j++ {
@@ -212,6 +216,77 @@ func FuzzAddOuterMatchesDense(f *testing.F) {
 			if math.Float64bits(got.Data[k]) != math.Float64bits(v) {
 				t.Fatalf("entry (%d,%d) = %v, want %v (bits differ)", k/d, k%d, got.Data[k], v)
 			}
+			if math.Float64bits(fromCSR.Data[k]) != math.Float64bits(v) {
+				t.Fatalf("AddOuterSparse entry (%d,%d) = %v, want %v (bits differ)", k/d, k%d, fromCSR.Data[k], v)
+			}
+		}
+	})
+}
+
+// FuzzCholeskyCertificate checks the full-rank certificate of the
+// least-squares oracles: CholeskyShifted at σ = 1e-12 + 1e-9·tr(G). A
+// Gram matrix it accepts must have an Eigenvalues λmin above 1e-12, so
+// the certificate never accepts what the eigenvalue test rejects; one
+// whose λmin exceeds 2σ must be accepted, so the certificate decides the
+// common case; and a NaN or ±Inf entry must be rejected. Few rows make
+// singular Grams, and a diagonal shift of 10^-k moves λmin across the
+// threshold.
+func FuzzCholeskyCertificate(f *testing.F) {
+	f.Add(uint8(3), []byte{8, 0, 0, 0, 8, 0, 0, 0, 8}, uint8(0), uint16(0))
+	f.Add(uint8(3), []byte{8, 16, 16, 16, 8, 240}, uint8(13), uint16(0)) // rank 2, λmin ≈ 1e-13
+	f.Add(uint8(3), []byte{8, 16, 16, 16, 8, 240}, uint8(11), uint16(0)) // rank 2, λmin ≈ 1e-11
+	f.Add(uint8(4), bytes.Repeat([]byte{3, 250, 7, 1, 0}, 8), uint8(9), uint16(0))
+	f.Add(uint8(2), []byte{8, 1, 1, 8}, uint8(0), uint16(1))                            // NaN at (0, 0)
+	f.Add(uint8(5), bytes.Repeat([]byte{9, 2, 0, 255, 4}, 9), uint8(0), uint16(0x4103)) // +Inf off the diagonal
+	f.Add(uint8(5), bytes.Repeat([]byte{9, 2, 0, 255, 4}, 9), uint8(0), uint16(0x101))  // −Inf at (3, 1)
+	f.Fuzz(func(t *testing.T, dim uint8, data []byte, shift uint8, poison uint16) {
+		d := int(dim)%24 + 1
+		s := NewSym(d)
+		for ; len(data) >= d; data = data[d:] {
+			x := make(Dense, d)
+			for k, b := range data[:d] {
+				x[k] = float64(int8(b)) / 8
+			}
+			if err := s.AddOuter(0.25, x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if shift != 0 {
+			e := math.Pow(10, -float64(shift%16))
+			for i := 0; i < d; i++ {
+				s.Data[i*d+i] += e
+			}
+		}
+		poisoned := poison&1 != 0
+		if poisoned {
+			i, j := int(poison>>1)%d, int(poison>>8)%d
+			s.Set(i, j, []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[int(poison>>5)%3])
+		}
+		var tr float64
+		for i := 0; i < d; i++ {
+			tr += s.At(i, i)
+		}
+		sigma := 1e-12 + 1e-9*tr
+		certify := func(sigma float64) bool {
+			factor := &Sym{N: d, Data: append([]float64(nil), s.Data...)}
+			return factor.CholeskyShifted(sigma)
+		}
+		ok := certify(sigma)
+		if poisoned {
+			// σ is then non-finite too; a finite σ must not help.
+			if ok || certify(1e-12) {
+				t.Fatalf("accepted a matrix with a non-finite entry: %v", s.Data)
+			}
+			return
+		}
+		lo, _, err := s.ExtremeEigenvalues()
+		switch {
+		case ok && err != nil:
+			t.Fatalf("accepted, but QL fails: %v", err)
+		case ok && !(lo > 1e-12):
+			t.Fatalf("accepted with QL λmin %g ≤ 1e-12 (σ = %g)", lo, sigma)
+		case !ok && err == nil && lo > 2*sigma:
+			t.Fatalf("rejected with QL λmin %g > 2σ = %g", lo, 2*sigma)
 		}
 	})
 }
