@@ -14,7 +14,6 @@ import (
 
 	"asyncsgd/internal/atomicfloat"
 	"asyncsgd/internal/baseline"
-	"asyncsgd/internal/contention"
 	"asyncsgd/internal/core"
 	"asyncsgd/internal/data"
 	"asyncsgd/internal/grad"
@@ -166,46 +165,6 @@ func BenchmarkAtomicFloatFetchAdd(b *testing.B) {
 			wg.Wait()
 		})
 	}
-}
-
-// BenchmarkContentionTracker measures the tracker's record path — one
-// Observe call per simulated shared-memory step — in steady state, i.e.
-// reusing the tracker across epochs via Reset so the iter-record pool and
-// the per-thread dense iteration tables are warm. Run with -benchmem: the
-// point of the dense tables and the record pool is the 0 B/op column.
-func BenchmarkContentionTracker(b *testing.B) {
-	const threads, d = 4, 8
-	tr := contention.NewTracker(d)
-	epoch := func(iters int) {
-		time := 0
-		for it := 0; it < iters; it++ {
-			for th := 0; th < threads; th++ {
-				time++
-				tr.Observe(th, contention.Tag{Thread: th, Iter: it, Role: contention.RoleCounter}, time)
-				for c := 0; c < d; c++ {
-					time++
-					tr.Observe(th, contention.Tag{Thread: th, Iter: it, Role: contention.RoleRead, Coord: c}, time)
-				}
-				for c := 0; c < d; c++ {
-					time++
-					tr.Observe(th, contention.Tag{
-						Thread: th, Iter: it, Role: contention.RoleUpdate, Coord: c,
-						First: c == 0, Last: c == d-1,
-					}, time)
-				}
-			}
-		}
-	}
-	const itersPerEpoch = 100
-	epoch(itersPerEpoch) // warm the pool and tables
-	tr.Reset(d)
-	stepsPerEpoch := itersPerEpoch * threads * (1 + 2*d)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		epoch(itersPerEpoch)
-		tr.Reset(d)
-	}
-	b.ReportMetric(float64(stepsPerEpoch)*float64(b.N)/b.Elapsed().Seconds(), "observes/sec")
 }
 
 // BenchmarkSnapshot measures the bulk view-read paths of the atomic

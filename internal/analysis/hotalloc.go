@@ -7,7 +7,7 @@ import (
 )
 
 // HotAlloc enforces the zero-allocation contract on functions annotated
-// //asgd:hotpath — the steppers, run kernels, tracker record path and
+// //asgd:hotpath — the steppers, run kernels, simulator workers and
 // machine step whose steady-state allocation the AllocsPerRun tests pin
 // at zero. The tests catch a regression only on the configurations they
 // run; the analyzer catches the construct itself, in every

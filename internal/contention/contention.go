@@ -5,13 +5,18 @@
 // the bad/good iteration counting of Lemma 6.2, and the delay-indicator
 // sums of Lemma 6.4.
 //
+// The statistics are functions of when each iteration claimed, read and
+// updated. The SGD workers write those times into a claim-indexed
+// iteration record (Window, Iter) as they execute, and NewTracker builds
+// a Tracker from the record once the run is over.
+//
 // It also names Tag, the annotation attached by SGD thread programs to
 // their shared-memory operations. Tags are visible to scheduling policies
-// (the strong adversary knows the role of every pending operation) and are
-// interpreted by Tracker.Observe to reconstruct iteration timelines. The
-// concrete struct lives in internal/shm — embedded by value in shm.Request
-// so issuing a tagged operation allocates nothing — and is aliased here,
-// where its vocabulary is documented and interpreted.
+// (the strong adversary knows the role of every pending operation) and to
+// the machine's step log. The concrete struct lives in internal/shm —
+// embedded by value in shm.Request so issuing a tagged operation
+// allocates nothing — and is aliased here, where its vocabulary is
+// documented.
 package contention
 
 import (
@@ -37,8 +42,8 @@ const (
 	RoleUpdate  = shm.RoleUpdate
 	// RoleProbe marks an auxiliary read of the iteration counter used by
 	// staleness-aware workers to estimate their own delay; it is not part
-	// of the Algorithm-1 iteration structure and is ignored by the
-	// tracker.
+	// of the Algorithm-1 iteration structure and stays out of the
+	// iteration record.
 	RoleProbe = shm.RoleProbe
 	// RoleGate marks the synchronization operations of the gated
 	// disciplines (bounded staleness, epoch fencing): reads of the shared
@@ -47,7 +52,7 @@ const (
 	// Tag.Coord carries the done-counter threshold the worker is waiting
 	// for, so an adversary can tell a blocked thread from a passable one.
 	// Like RoleProbe it is not part of the Algorithm-1 iteration structure
-	// and is ignored by the tracker.
+	// and stays out of the iteration record.
 	RoleGate = shm.RoleGate
 )
 
@@ -59,195 +64,96 @@ const (
 // aliases shm.Tag, the concrete annotation embedded in shm.Request.
 type Tag = shm.Tag
 
-// coordTime is one touched coordinate with the machine time of the touch.
-// Iterations store their reads and updates as coordTime lists — the same
+// CoordTime is one touched coordinate with the machine time of the touch.
+// Iterations record their reads and updates as CoordTime lists — the same
 // sparse index/value representation the update pipeline uses — so an
-// iteration costs O(touched) tracker memory, not O(d).
-type coordTime struct{ coord, time int }
+// iteration costs O(touched) record memory, not O(d).
+type CoordTime struct{ Coord, Time int }
 
-// iter is the record of one SGD iteration's timeline.
-type iter struct {
-	thread      int
-	localIter   int
-	startTime   int         // counter fetch&add time (iteration start)
-	firstUpTime int         // first model update time (0 if none yet)
-	endTime     int         // last model update time (0 if incomplete)
-	reads       []coordTime // touched-coordinate read times, in read order
-	updates     []coordTime // touched-coordinate update times, in update order
-	orderIdx    int         // 1-based paper order; 0 until assigned in Finalize
+// Window is one claimed iteration's admission window, in machine times:
+// Start is its counter claim, FirstRead its first view read and End its
+// last model update. FirstRead is 0 for an iteration that read nothing,
+// End is 0 for one that did not complete, and the zero Window is an
+// iteration that was never claimed.
+type Window struct{ Start, FirstRead, End int }
+
+// Iter is the rest of one claimed iteration's record, kept only by
+// tracked runs: the claiming thread and its thread-local iteration
+// number, the time of the first model update (0 if none; it sets the
+// paper's total order), the touched-coordinate view reads in read order —
+// which both worker pipelines make increasing in the coordinate — and the
+// model updates in update order.
+type Iter struct {
+	Thread, LocalIter int
+	FirstUp           int
+	Reads, Updates    []CoordTime
 }
 
-// readTimeOf returns the time it read coord (0 if it never did). Both
-// worker pipelines read coordinates in strictly increasing order (the
-// dense path scans 0..d−1; PlanSparse supports are increasing), so the
-// list is searchable.
+// iter is the tracker's copy of one iteration's record.
+type iter struct {
+	Window
+	Iter
+	orderIdx int // 1-based paper order; 0 if not ordered (incomplete)
+}
+
+// readTimeOf returns the time it read coord (0 if it never did). Reads
+// are in increasing coordinate order, so the list is searchable.
 func (it *iter) readTimeOf(coord int) int {
-	k := sort.Search(len(it.reads), func(i int) bool {
-		return it.reads[i].coord >= coord
+	k := sort.Search(len(it.Reads), func(i int) bool {
+		return it.Reads[i].Coord >= coord
 	})
-	if k < len(it.reads) && it.reads[k].coord == coord {
-		return it.reads[k].time
+	if k < len(it.Reads) && it.Reads[k].Coord == coord {
+		return it.Reads[k].Time
 	}
 	return 0
 }
 
-// Tracker accumulates iteration timelines during a run and computes the
-// paper's contention statistics afterwards. Create with NewTracker, feed
-// with Begin/Read/Update/End (or Observe), then call Finalize once. The
-// staleness sequence behind Taus, TauMaxView and DelayIndicatorMax is
-// computed on the first call to one of them, not by Finalize, since most
-// consumers never read it.
-// Tracker is not safe for concurrent use; the shm machine is sequential.
-//
-// The record path is allocation-free in steady state: iterations are
-// looked up through per-thread dense tables (thread-local iteration
-// numbers are sequential, so byThread[thread][localIter] replaces a
-// map[[2]int]int lookup and its hashing on every observed step), and
-// retired iter records — including their reads/updates slices — are
-// recycled through an internal free list when the tracker is Reset for
-// the next epoch.
+// Tracker computes the paper's contention statistics from a run's
+// iteration record. The staleness sequence behind Taus, TauMaxView and
+// DelayIndicatorMax is computed on the first call to one of them, since
+// most consumers never read it. Tracker is not safe for concurrent use.
 type Tracker struct {
-	d        int
-	iters    []*iter
-	byThread [][]int32 // byThread[thread][localIter] -> index into iters (-1 absent)
-	recPool  []*iter   // retired records for reuse across Reset cycles
-	final    bool
-	clockS   int // latest observed time, for incomplete iterations
+	d     int
+	iters []iter // claimed iterations in claim order, which is start order
+	// clockS ends the interval of every incomplete iteration: the latest
+	// claim or completion. The statistics compare interval ends only with
+	// starts and completions, so any later time, such as the machine's
+	// last step, would give the same values.
+	clockS int
 
-	ordered   []*iter // populated by Finalize: complete iterations in paper order
-	taus      []int   // taus[t-1] = τ_t for ordered iteration t (1-based)
-	tausReady bool    // taus holds computeTaus's result for ordered
+	ordered []*iter // complete iterations in paper order
+	taus    []int   // taus[t-1] = τ_t for ordered iteration t (1-based); nil until computed
 }
 
-// NewTracker returns a tracker for a model of dimension d.
-func NewTracker(d int) *Tracker {
-	return &Tracker{d: d}
-}
-
-// Reset returns the tracker to its initial state for a model of dimension
-// d, retiring every iteration record (and its touched-coordinate slices)
-// into an internal pool for reuse. A run loop that tracks many epochs can
-// therefore reuse one Tracker with zero amortized allocations on the
-// record path.
-func (tr *Tracker) Reset(d int) {
-	for _, it := range tr.iters {
-		it.reads = it.reads[:0]
-		it.updates = it.updates[:0]
-		*it = iter{reads: it.reads, updates: it.updates}
-	}
-	tr.recPool = append(tr.recPool, tr.iters...)
-	tr.iters = tr.iters[:0]
-	for i := range tr.byThread {
-		tr.byThread[i] = tr.byThread[i][:0]
-	}
-	tr.ordered = tr.ordered[:0]
-	tr.taus = tr.taus[:0]
-	tr.tausReady = false
-	tr.final = false
-	tr.clockS = 0
-	tr.d = d
-}
-
-// newIter returns a zeroed iteration record, reusing a retired one (with
-// its slice capacity) when available.
-func (tr *Tracker) newIter() *iter {
-	if n := len(tr.recPool); n > 0 {
-		it := tr.recPool[n-1]
-		tr.recPool = tr.recPool[:n-1]
-		return it
-	}
-	return &iter{}
-}
-
-// Begin records the start (counter fetch&add) of iteration localIter of
-// thread at the given machine time.
-func (tr *Tracker) Begin(thread, localIter, time int) {
-	if thread < 0 || localIter < 0 {
-		return
-	}
-	it := tr.newIter()
-	it.thread = thread
-	it.localIter = localIter
-	it.startTime = time
-	idx := int32(len(tr.iters))
-	tr.iters = append(tr.iters, it)
-	for thread >= len(tr.byThread) {
-		tr.byThread = append(tr.byThread, nil)
-	}
-	tbl := tr.byThread[thread]
-	switch {
-	case localIter == len(tbl): // the sequential common case: plain append
-		tbl = append(tbl, idx)
-	case localIter < len(tbl): // re-Begin: point at the fresh record
-		tbl[localIter] = idx
-	default: // gap (never produced by the workers): pad with absent slots
-		for len(tbl) < localIter {
-			tbl = append(tbl, -1)
+// NewTracker builds the tracker of a run on a d-dimensional model from
+// its iteration record, indexed by claimed counter value: wins[c] and
+// its[c] describe the iteration that claimed c, and a zero wins[c].Start
+// marks a value nobody claimed. The tracker copies what it keeps of wins,
+// so sorting wins afterwards (MaxAdmissions does) does not reach it.
+// Complete iterations — those with a first and a last model update — are
+// ordered by their first update, the paper's total order (Lemma 6.1).
+func NewTracker(d int, wins []Window, its []Iter) *Tracker {
+	n := len(wins)
+	tr := &Tracker{d: d, iters: make([]iter, 0, n), ordered: make([]*iter, 0, n)}
+	for c, w := range wins {
+		if w.Start == 0 {
+			continue
 		}
-		tbl = append(tbl, idx)
+		tr.clockS = max(tr.clockS, w.Start, w.End)
+		tr.iters = append(tr.iters, iter{Window: w, Iter: its[c]})
 	}
-	tr.byThread[thread] = tbl
-	tr.touch(time)
-}
-
-// Read records that the iteration read model coordinate coord at time.
-// The reads list is kept sorted by coordinate (both worker pipelines
-// already read in increasing order, so the common case is an append).
-func (tr *Tracker) Read(thread, localIter, coord, time int) {
-	it := tr.get(thread, localIter)
-	if it == nil {
-		return
-	}
-	if n := len(it.reads); n > 0 && it.reads[n-1].coord >= coord {
-		k := sort.Search(n, func(i int) bool { return it.reads[i].coord >= coord })
-		if k < n && it.reads[k].coord == coord {
-			it.reads[k].time = time // re-read: keep the latest
-		} else {
-			it.reads = append(it.reads, coordTime{})
-			copy(it.reads[k+1:], it.reads[k:])
-			it.reads[k] = coordTime{coord, time}
+	for i := range tr.iters {
+		if it := &tr.iters[i]; it.FirstUp > 0 && it.End > 0 {
+			tr.ordered = append(tr.ordered, it)
 		}
-	} else {
-		it.reads = append(it.reads, coordTime{coord, time})
 	}
-	tr.touch(time)
-}
-
-// Update records a model fetch&add on coord at time. first marks the
-// iteration's first model update (the ordering marker).
-func (tr *Tracker) Update(thread, localIter, coord, time int, first bool) {
-	if it := tr.get(thread, localIter); it != nil {
-		it.updates = append(it.updates, coordTime{coord, time})
-		if first || it.firstUpTime == 0 {
-			it.firstUpTime = time
-		}
-		tr.touch(time)
+	sort.Slice(tr.ordered, func(a, b int) bool {
+		return tr.ordered[a].FirstUp < tr.ordered[b].FirstUp
+	})
+	for i, it := range tr.ordered {
+		it.orderIdx = i + 1
 	}
-}
-
-// End records the completion (last model update) of the iteration at time.
-func (tr *Tracker) End(thread, localIter, time int) {
-	if it := tr.get(thread, localIter); it != nil {
-		it.endTime = time
-		tr.touch(time)
-	}
-}
-
-func (tr *Tracker) get(thread, localIter int) *iter {
-	if thread < 0 || thread >= len(tr.byThread) {
-		return nil
-	}
-	tbl := tr.byThread[thread]
-	if localIter < 0 || localIter >= len(tbl) || tbl[localIter] < 0 {
-		return nil
-	}
-	return tr.iters[tbl[localIter]]
-}
-
-func (tr *Tracker) touch(time int) {
-	if time > tr.clockS {
-		tr.clockS = time
-	}
+	return tr
 }
 
 // Iterations returns the number of iterations that started.
@@ -258,41 +164,17 @@ func (tr *Tracker) Iterations() int { return len(tr.iters) }
 func (tr *Tracker) Completed() int {
 	c := 0
 	for _, it := range tr.iters {
-		if it.endTime > 0 {
+		if it.End > 0 {
 			c++
 		}
 	}
 	return c
 }
 
-// Finalize orders completed iterations by first model update (the paper's
-// total order). It must be called once, after the run; the staleness
-// values are computed later, on first use (see staleness).
-func (tr *Tracker) Finalize() {
-	if tr.final {
-		return
-	}
-	tr.final = true
-	for _, it := range tr.iters {
-		if it.firstUpTime > 0 && it.endTime > 0 {
-			tr.ordered = append(tr.ordered, it)
-		}
-	}
-	sort.Slice(tr.ordered, func(a, b int) bool {
-		return tr.ordered[a].firstUpTime < tr.ordered[b].firstUpTime
-	})
-	for i, it := range tr.ordered {
-		it.orderIdx = i + 1
-	}
-}
-
-// staleness returns τ_1..τ_T. On a finalized tracker the first call runs
-// computeTaus and the result is memoised until Reset; a tracker that was
-// never finalized returns taus as it stands.
+// staleness returns τ_1..τ_T, running computeTaus on the first call.
 func (tr *Tracker) staleness() []int {
-	if tr.final && !tr.tausReady {
+	if tr.taus == nil {
 		tr.computeTaus()
-		tr.tausReady = true
 	}
 	return tr.taus
 }
@@ -307,29 +189,17 @@ func (tr *Tracker) staleness() []int {
 // iterations that completed before t's earliest read are fully visible.
 func (tr *Tracker) computeTaus() {
 	n := len(tr.ordered)
-	if cap(tr.taus) < n {
-		tr.taus = make([]int, n)
-	} else {
-		tr.taus = tr.taus[:n]
-		for i := range tr.taus {
-			tr.taus[i] = 0
-		}
-	}
+	tr.taus = make([]int, n)
 	if n == 0 {
 		return
 	}
-	prefMaxEnd := make([]int, n+1) // prefMaxEnd[k] = max endTime of ordered[0..k-1]
+	prefMaxEnd := make([]int, n+1) // prefMaxEnd[k] = max End of ordered[0..k-1]
 	for i, it := range tr.ordered {
-		prefMaxEnd[i+1] = max(prefMaxEnd[i], it.endTime)
+		prefMaxEnd[i+1] = max(prefMaxEnd[i], it.End)
 	}
 	for t := 1; t <= n; t++ {
 		it := tr.ordered[t-1]
-		minRead := 0
-		for _, ct := range it.reads {
-			if ct.time > 0 && (minRead == 0 || ct.time < minRead) {
-				minRead = ct.time
-			}
-		}
+		minRead := it.FirstRead
 		if minRead == 0 {
 			continue // no reads recorded; treat as fully fresh
 		}
@@ -341,7 +211,7 @@ func (tr *Tracker) computeTaus() {
 		mt := 0
 		for cand := k; cand <= t-1; cand++ {
 			pred := tr.ordered[cand-1]
-			if pred.endTime < minRead {
+			if pred.End < minRead {
 				continue
 			}
 			if tr.missed(it, pred) {
@@ -359,8 +229,8 @@ func (tr *Tracker) computeTaus() {
 // predecessor pred. Both touched sets are small (O(nnz)), so the nested
 // scan beats materializing dense per-coordinate arrays.
 func (tr *Tracker) missed(cur, pred *iter) bool {
-	for _, u := range pred.updates {
-		if r := cur.readTimeOf(u.coord); r > 0 && u.time > r {
+	for _, u := range pred.Updates {
+		if r := cur.readTimeOf(u.Coord); r > 0 && u.Time > r {
 			return true
 		}
 	}
@@ -368,16 +238,8 @@ func (tr *Tracker) missed(cur, pred *iter) bool {
 }
 
 // Taus returns the staleness sequence τ_1..τ_T over ordered iterations,
-// computing it on the first call after Finalize (which must have been
-// called). The slice is owned by the tracker and reused after Reset.
+// computing it on the first call. The slice is owned by the tracker.
 func (tr *Tracker) Taus() []int { return tr.staleness() }
-
-// Window is one claimed iteration's admission window, in machine times:
-// Start is its counter claim, FirstRead its first view read and End its
-// last model update. FirstRead is 0 for an iteration that read nothing,
-// End is 0 for one that did not complete, and the zero Window is an
-// iteration that was never claimed.
-type Window struct{ Start, FirstRead, End int }
 
 // MaxAdmissions returns the maximum, over completed iterations, of the
 // number of newer iterations (by claim order) whose view phase began
@@ -417,15 +279,9 @@ func MaxAdmissions(ws []Window) int {
 
 // MaxAdmissionsDuring is MaxAdmissions over the tracked iterations.
 func (tr *Tracker) MaxAdmissionsDuring() int {
-	ws := make([]Window, 0, len(tr.iters))
-	for _, it := range tr.iters {
-		fr := 0
-		for _, ct := range it.reads {
-			if ct.time > 0 && (fr == 0 || ct.time < fr) {
-				fr = ct.time
-			}
-		}
-		ws = append(ws, Window{it.startTime, fr, it.endTime})
+	ws := make([]Window, len(tr.iters))
+	for i := range tr.iters {
+		ws[i] = tr.iters[i].Window
 	}
 	return MaxAdmissions(ws)
 }
@@ -443,14 +299,15 @@ func (tr *Tracker) TauMaxView() int {
 
 // IntervalContentions returns ρ(θ) for every started iteration θ: the
 // number of other iterations whose [start, end] interval overlaps θ's.
-// Incomplete iterations are treated as ending at the last observed time.
+// Incomplete iterations are treated as ending at the latest claim or
+// completion.
 func (tr *Tracker) IntervalContentions() []int {
 	n := len(tr.iters)
 	starts := make([]int, n)
 	ends := make([]int, n)
 	for i, it := range tr.iters {
-		starts[i] = it.startTime
-		e := it.endTime
+		starts[i] = it.Start
+		e := it.End
 		if e == 0 {
 			e = tr.clockS
 		}
@@ -510,18 +367,18 @@ func (tr *Tracker) TouchedContentions() []int {
 	ends := make([]int, n)
 	byCoord := make(map[int][]int) // coord -> indices of iterations updating it
 	for i, it := range tr.iters {
-		e := it.endTime
+		e := it.End
 		if e == 0 {
 			e = tr.clockS
 		}
 		ends[i] = e
 		seen := -1
-		for _, u := range it.updates {
-			if u.coord == seen { // consecutive duplicates (re-updates) are rare
+		for _, u := range it.Updates {
+			if u.Coord == seen { // consecutive duplicates (re-updates) are rare
 				continue
 			}
-			seen = u.coord
-			byCoord[u.coord] = append(byCoord[u.coord], i)
+			seen = u.Coord
+			byCoord[u.Coord] = append(byCoord[u.Coord], i)
 		}
 	}
 	stamp := make([]int, n)
@@ -529,14 +386,13 @@ func (tr *Tracker) TouchedContentions() []int {
 		stamp[i] = -1
 	}
 	for i, it := range tr.iters {
-		for _, u := range it.updates {
-			for _, j := range byCoord[u.coord] {
+		for _, u := range it.Updates {
+			for _, j := range byCoord[u.Coord] {
 				if j == i || stamp[j] == i {
 					continue
 				}
 				stamp[j] = i
-				other := tr.iters[j]
-				if other.startTime <= ends[i] && it.startTime <= ends[j] {
+				if tr.iters[j].Start <= ends[i] && it.Start <= ends[j] {
 					out[i]++
 				}
 			}
@@ -578,14 +434,14 @@ func (tr *Tracker) MaxIncomplete() int {
 	type ev struct{ t, delta int }
 	var evs []ev
 	for _, it := range tr.iters {
-		if it.firstUpTime == 0 {
+		if it.FirstUp == 0 {
 			continue
 		}
-		evs = append(evs, ev{it.firstUpTime, +1})
-		if it.endTime > 0 {
+		evs = append(evs, ev{it.FirstUp, +1})
+		if it.End > 0 {
 			// An iteration with a single update is momentarily incomplete
 			// only at its own step; end strictly after first.
-			evs = append(evs, ev{it.endTime + 1, -1})
+			evs = append(evs, ev{it.End + 1, -1})
 		}
 	}
 	sort.Slice(evs, func(a, b int) bool {
@@ -618,26 +474,21 @@ func (tr *Tracker) MaxBadCompletions(k, n int) int {
 	// badness is #starts strictly inside (start, end).
 	starts := make([]int, len(tr.iters))
 	for i, it := range tr.iters {
-		starts[i] = it.startTime
+		starts[i] = it.Start
 	}
 	sort.Ints(starts)
-	type comp struct{ end int }
-	var bad []comp
+	var badEnds []int
 	for _, it := range tr.iters {
-		if it.endTime == 0 {
+		if it.End == 0 {
 			continue
 		}
-		inside := sort.SearchInts(starts, it.endTime) -
-			sort.SearchInts(starts, it.startTime+1)
+		inside := sort.SearchInts(starts, it.End) -
+			sort.SearchInts(starts, it.Start+1)
 		if inside > win {
-			bad = append(bad, comp{it.endTime})
+			badEnds = append(badEnds, it.End)
 		}
 	}
-	sort.Slice(bad, func(a, b int) bool { return bad[a].end < bad[b].end })
-	badEnds := make([]int, len(bad))
-	for i, b := range bad {
-		badEnds[i] = b.end
-	}
+	sort.Ints(badEnds)
 	maxBad := 0
 	for i := 0; i+win <= len(starts); i++ {
 		// The interval may extend until just before the (i+win)-th next
@@ -676,26 +527,6 @@ func (tr *Tracker) DelayIndicatorMax() int {
 	return best
 }
 
-// Observe interprets a tagged shm step and routes it to the appropriate
-// tracker method. Untagged steps (zero Role) and roles outside the
-// Algorithm-1 iteration structure are ignored. This lets a tracker be
-// attached to any machine via Config.OnStep.
-//
-//asgd:hotpath
-func (tr *Tracker) Observe(thread int, tg Tag, time int) {
-	switch tg.Role {
-	case RoleCounter:
-		tr.Begin(tg.Thread, tg.Iter, time)
-	case RoleRead:
-		tr.Read(tg.Thread, tg.Iter, tg.Coord, time)
-	case RoleUpdate:
-		tr.Update(tg.Thread, tg.Iter, tg.Coord, time, tg.First)
-		if tg.Last {
-			tr.End(tg.Thread, tg.Iter, time)
-		}
-	}
-}
-
 // IterTimeline is an exported snapshot of one iteration's event times,
 // used by the Figure-1 renderer and consistency checks.
 type IterTimeline struct {
@@ -709,7 +540,8 @@ type IterTimeline struct {
 	UpdateTimes []int
 }
 
-// Timelines returns the recorded iteration timelines in start order.
+// Timelines returns the recorded iteration timelines in claim order,
+// which is start order.
 // ReadTimes/UpdateTimes are materialized as dense per-coordinate arrays
 // (0 = untouched) for the Figure-1 renderer; the tracker itself stores
 // only the touched coordinates.
@@ -717,30 +549,22 @@ func (tr *Tracker) Timelines() []IterTimeline {
 	out := make([]IterTimeline, 0, len(tr.iters))
 	for _, it := range tr.iters {
 		tl := IterTimeline{
-			Thread:      it.thread,
-			LocalIter:   it.localIter,
+			Thread:      it.Thread,
+			LocalIter:   it.LocalIter,
 			OrderIdx:    it.orderIdx,
-			Start:       it.startTime,
-			FirstUp:     it.firstUpTime,
-			End:         it.endTime,
+			Start:       it.Start,
+			FirstUp:     it.FirstUp,
+			End:         it.End,
 			ReadTimes:   make([]int, tr.d),
 			UpdateTimes: make([]int, tr.d),
 		}
-		for _, ct := range it.reads {
-			tl.ReadTimes[ct.coord] = ct.time
+		for _, ct := range it.Reads {
+			tl.ReadTimes[ct.Coord] = ct.Time
 		}
-		for _, ct := range it.updates {
-			tl.UpdateTimes[ct.coord] = ct.time
+		for _, ct := range it.Updates {
+			tl.UpdateTimes[ct.Coord] = ct.Time
 		}
 		out = append(out, tl)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Start < out[b].Start })
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,31 +1,66 @@
 package contention
 
 import (
+	"reflect"
 	"testing"
 )
 
+// record builds a run's iteration record by hand, writing the fields the
+// SGD workers write: a claim's window start and owner, each view read,
+// each model update (the first one sets FirstUp), and the last update's
+// time as the window's end.
+type record struct {
+	wins []Window
+	its  []Iter
+}
+
+// claim records thread's localIter-th iteration claiming the next counter
+// value at time, and returns that value.
+func (r *record) claim(thread, localIter, time int) int {
+	r.wins = append(r.wins, Window{Start: time})
+	r.its = append(r.its, Iter{Thread: thread, LocalIter: localIter})
+	return len(r.wins) - 1
+}
+
+func (r *record) read(c, coord, time int) {
+	if r.wins[c].FirstRead == 0 {
+		r.wins[c].FirstRead = time
+	}
+	r.its[c].Reads = append(r.its[c].Reads, CoordTime{coord, time})
+}
+
+func (r *record) update(c, coord, time int) {
+	if r.its[c].FirstUp == 0 {
+		r.its[c].FirstUp = time
+	}
+	r.its[c].Updates = append(r.its[c].Updates, CoordTime{coord, time})
+}
+
+func (r *record) end(c, time int) { r.wins[c].End = time }
+
+func (r *record) tracker(d int) *Tracker { return NewTracker(d, r.wins, r.its) }
+
 // buildSequential records k iterations of a single thread, each with
-// pattern: begin, read all coords, update all coords. Fully sequential, so
+// pattern: claim, read all coords, update all coords. Fully sequential, so
 // all staleness and contention metrics must be zero.
 func buildSequential(t *testing.T, d, k int) *Tracker {
 	t.Helper()
-	tr := NewTracker(d)
+	var r record
 	clock := 0
 	for i := 0; i < k; i++ {
 		clock++
-		tr.Begin(0, i, clock)
+		c := r.claim(0, i, clock)
 		for j := 0; j < d; j++ {
 			clock++
-			tr.Read(0, i, j, clock)
+			r.read(c, j, clock)
 		}
 		for j := 0; j < d; j++ {
 			clock++
-			tr.Update(0, i, j, clock, j == 0)
+			r.update(c, j, clock)
 		}
-		tr.End(0, i, clock)
+		r.end(c, clock)
 	}
-	tr.Finalize()
-	return tr
+	return r.tracker(d)
 }
 
 func TestSequentialHasNoStalenessOrContention(t *testing.T) {
@@ -56,23 +91,23 @@ func TestSequentialHasNoStalenessOrContention(t *testing.T) {
 // Two interleaved iterations: thread 1 reads before thread 0 updates, so
 // thread 1's view misses thread 0's update when ordered after it.
 func TestStaleViewDetected(t *testing.T) {
-	tr := NewTracker(2)
-	// Thread 0 iteration 0: begin@1, read@2,3, update@6(first),7(last).
-	tr.Begin(0, 0, 1)
-	tr.Read(0, 0, 0, 2)
-	tr.Read(0, 0, 1, 3)
-	// Thread 1 iteration 0: begin@4, reads@4,5 (misses t0's updates),
+	var r record
+	// Thread 0 iteration 0: claim@1, read@2,3, update@6(first),7(last).
+	a := r.claim(0, 0, 1)
+	r.read(a, 0, 2)
+	r.read(a, 1, 3)
+	// Thread 1 iteration 0: claim@4, reads@4,5 (misses t0's updates),
 	// updates @8(first),9(last) — ordered second.
-	tr.Begin(1, 0, 4)
-	tr.Read(1, 0, 0, 4)
-	tr.Read(1, 0, 1, 5)
-	tr.Update(0, 0, 0, 6, true)
-	tr.Update(0, 0, 1, 7, false)
-	tr.End(0, 0, 7)
-	tr.Update(1, 0, 0, 8, true)
-	tr.Update(1, 0, 1, 9, false)
-	tr.End(1, 0, 9)
-	tr.Finalize()
+	b := r.claim(1, 0, 4)
+	r.read(b, 0, 4)
+	r.read(b, 1, 5)
+	r.update(a, 0, 6)
+	r.update(a, 1, 7)
+	r.end(a, 7)
+	r.update(b, 0, 8)
+	r.update(b, 1, 9)
+	r.end(b, 9)
+	tr := r.tracker(2)
 
 	taus := tr.Taus()
 	if len(taus) != 2 {
@@ -100,16 +135,16 @@ func TestStaleViewDetected(t *testing.T) {
 // A view that reads AFTER the predecessor's updates misses nothing even
 // though the iterations' intervals overlap.
 func TestFreshViewDespiteOverlap(t *testing.T) {
-	tr := NewTracker(1)
-	tr.Begin(0, 0, 1)
-	tr.Read(0, 0, 0, 2)
-	tr.Begin(1, 0, 3) // overlaps iteration (0,0)
-	tr.Update(0, 0, 0, 4, true)
-	tr.End(0, 0, 4)
-	tr.Read(1, 0, 0, 5) // reads after t0's update: fresh
-	tr.Update(1, 0, 0, 6, true)
-	tr.End(1, 0, 6)
-	tr.Finalize()
+	var r record
+	a := r.claim(0, 0, 1)
+	r.read(a, 0, 2)
+	b := r.claim(1, 0, 3) // overlaps iteration (0,0)
+	r.update(a, 0, 4)
+	r.end(a, 4)
+	r.read(b, 0, 5) // reads after t0's update: fresh
+	r.update(b, 0, 6)
+	r.end(b, 6)
+	tr := r.tracker(1)
 	taus := tr.Taus()
 	if taus[1] != 0 {
 		t.Errorf("τ_2 = %d, want 0 (view fresh)", taus[1])
@@ -120,14 +155,14 @@ func TestFreshViewDespiteOverlap(t *testing.T) {
 }
 
 func TestIncompleteIterationExcludedFromOrder(t *testing.T) {
-	tr := NewTracker(1)
-	tr.Begin(0, 0, 1)
-	tr.Read(0, 0, 0, 2)
-	tr.Update(0, 0, 0, 3, true)
-	tr.End(0, 0, 3)
-	tr.Begin(1, 0, 2) // started, never updated (crashed mid-iteration)
-	tr.Read(1, 0, 0, 4)
-	tr.Finalize()
+	var r record
+	a := r.claim(0, 0, 1)
+	r.read(a, 0, 2)
+	r.update(a, 0, 3)
+	r.end(a, 3)
+	b := r.claim(1, 0, 2) // started, never updated (crashed mid-iteration)
+	r.read(b, 0, 4)
+	tr := r.tracker(1)
 	if got := len(tr.Taus()); got != 1 {
 		t.Errorf("ordered iterations = %d, want 1", got)
 	}
@@ -147,52 +182,26 @@ func TestDelayIndicatorMaxKnownSequence(t *testing.T) {
 
 func TestMaxBadCompletionsDetectsDelayedIteration(t *testing.T) {
 	// n=2 threads, K=1 → window Kn=2. One iteration spans many starts.
-	tr := NewTracker(1)
-	tr.Begin(0, 0, 1) // victim: start early...
-	tr.Read(0, 0, 0, 2)
+	var r record
+	victim := r.claim(0, 0, 1) // victim: start early...
+	r.read(victim, 0, 2)
 	clock := 3
 	for i := 0; i < 6; i++ { // 6 quick iterations of thread 1
-		tr.Begin(1, i, clock)
-		tr.Read(1, i, 0, clock+1)
-		tr.Update(1, i, 0, clock+2, true)
-		tr.End(1, i, clock+2)
+		c := r.claim(1, i, clock)
+		r.read(c, 0, clock+1)
+		r.update(c, 0, clock+2)
+		r.end(c, clock+2)
 		clock += 3
 	}
-	tr.Update(0, 0, 0, clock, true) // ...finish late: 6 starts in between
-	tr.End(0, 0, clock)
-	tr.Finalize()
+	r.update(victim, 0, clock) // ...finish late: 6 starts in between
+	r.end(victim, clock)
+	tr := r.tracker(1)
 	if got := tr.MaxBadCompletions(1, 2); got != 1 {
 		t.Errorf("MaxBadCompletions = %d, want 1 (the delayed victim)", got)
 	}
 	// Lemma 6.2: must be < n.
 	if got := tr.MaxBadCompletions(1, 2); got >= 2 {
 		t.Errorf("Lemma 6.2 violated: %d bad completions >= n=2", got)
-	}
-}
-
-func TestObserveRoutesTags(t *testing.T) {
-	tr := NewTracker(2)
-	seq := []struct {
-		tag  Tag
-		time int
-	}{
-		{Tag{Thread: 0, Iter: 0, Role: RoleCounter}, 1},
-		{Tag{Thread: 0, Iter: 0, Role: RoleRead, Coord: 0}, 2},
-		{Tag{Thread: 0, Iter: 0, Role: RoleRead, Coord: 1}, 3},
-		{Tag{Thread: 0, Iter: 0, Role: RoleUpdate, Coord: 0, First: true}, 4},
-		{Tag{Thread: 0, Iter: 0, Role: RoleUpdate, Coord: 1, Last: true}, 5},
-	}
-	for _, s := range seq {
-		tr.Observe(s.tag.Thread, s.tag, s.time)
-	}
-	tr.Observe(0, Tag{}, 6)                // untagged: ignored
-	tr.Observe(0, Tag{Role: RoleProbe}, 7) // non-iteration role: ignored
-	tr.Finalize()
-	if tr.Iterations() != 1 || tr.Completed() != 1 {
-		t.Errorf("iterations=%d completed=%d", tr.Iterations(), tr.Completed())
-	}
-	if len(tr.Taus()) != 1 || tr.Taus()[0] != 0 {
-		t.Errorf("taus = %v", tr.Taus())
 	}
 }
 
@@ -207,23 +216,40 @@ func TestRoleString(t *testing.T) {
 	}
 }
 
-func TestFinalizeIdempotent(t *testing.T) {
-	tr := buildSequential(t, 1, 3)
-	before := len(tr.Taus())
-	tr.Finalize()
-	if len(tr.Taus()) != before {
-		t.Error("second Finalize changed state")
+// TestTrackerUnaffectedBySortedWindows: the tracker keeps its own copy of
+// the windows, so MaxAdmissions sorting the record's windows in place
+// after construction — as the sweep does — changes none of its
+// statistics. Here the later claim reads first, so the sort reorders.
+func TestTrackerUnaffectedBySortedWindows(t *testing.T) {
+	var r record
+	a := r.claim(0, 0, 1)
+	b := r.claim(1, 0, 2)
+	r.read(b, 0, 3)
+	r.read(a, 0, 4)
+	r.update(b, 0, 5)
+	r.end(b, 5)
+	r.update(a, 0, 6)
+	r.end(a, 6)
+	tr := r.tracker(1)
+	before := tr.Timelines()
+	if got := MaxAdmissions(r.wins); got != 0 || r.wins[0].Start != 2 {
+		t.Fatalf("MaxAdmissions = %d, first window %+v; want 0 and the windows sorted by FirstRead", got, r.wins[0])
+	}
+	if after := tr.Timelines(); !reflect.DeepEqual(before, after) {
+		t.Errorf("timelines changed by sorting the record's windows:\n before %+v\n after  %+v", before, after)
+	}
+	if got := tr.MaxAdmissionsDuring(); got != 0 {
+		t.Errorf("MaxAdmissionsDuring = %d, want 0", got)
 	}
 }
 
+// TestUnknownIterationIgnored: record entries at a counter value nobody
+// claimed (a zero window start) are not iterations, whatever they carry.
 func TestUnknownIterationIgnored(t *testing.T) {
-	tr := NewTracker(1)
-	// Events for an iteration that never Began must not panic.
-	tr.Read(3, 9, 0, 1)
-	tr.Update(3, 9, 0, 2, true)
-	tr.End(3, 9, 2)
-	tr.Finalize()
-	if tr.Iterations() != 0 {
+	its := []Iter{{Thread: 3, LocalIter: 9, FirstUp: 2,
+		Reads: []CoordTime{{0, 1}}, Updates: []CoordTime{{0, 2}}}}
+	tr := NewTracker(1, []Window{{FirstRead: 1, End: 2}}, its)
+	if tr.Iterations() != 0 || tr.Completed() != 0 || len(tr.Taus()) != 0 {
 		t.Errorf("phantom iterations recorded: %d", tr.Iterations())
 	}
 }

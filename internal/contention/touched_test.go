@@ -7,20 +7,20 @@ import "testing"
 // not. A third iteration sharing a coordinate with the first conflicts
 // under both definitions.
 func TestTouchedContentions(t *testing.T) {
-	tr := NewTracker(4)
+	var r record
 	// Iteration A: updates coord 0 over [1, 10].
-	tr.Begin(0, 0, 1)
-	tr.Update(0, 0, 0, 5, true)
-	tr.End(0, 0, 10)
+	a := r.claim(0, 0, 1)
+	r.update(a, 0, 5)
+	r.end(a, 10)
 	// Iteration B: updates coord 1 over [2, 9] — overlaps A, disjoint coords.
-	tr.Begin(1, 0, 2)
-	tr.Update(1, 0, 1, 6, true)
-	tr.End(1, 0, 9)
+	b := r.claim(1, 0, 2)
+	r.update(b, 1, 6)
+	r.end(b, 9)
 	// Iteration C: updates coord 0 over [3, 8] — overlaps A on coord 0.
-	tr.Begin(2, 0, 3)
-	tr.Update(2, 0, 0, 7, true)
-	tr.End(2, 0, 8)
-	tr.Finalize()
+	c := r.claim(2, 0, 3)
+	r.update(c, 0, 7)
+	r.end(c, 8)
+	tr := r.tracker(4)
 
 	rho := tr.IntervalContentions()
 	if rho[0] != 2 || rho[1] != 2 || rho[2] != 2 {
@@ -45,15 +45,15 @@ func TestTouchedContentions(t *testing.T) {
 // With dense updates (every iteration touches every coordinate) the
 // touched-coordinate definition degenerates to interval contention.
 func TestTouchedMatchesIntervalWhenDense(t *testing.T) {
-	tr := NewTracker(2)
+	var r record
 	for th := 0; th < 3; th++ {
-		tr.Begin(th, 0, 1+th)
+		it := r.claim(th, 0, 1+th)
 		for c := 0; c < 2; c++ {
-			tr.Update(th, 0, c, 5+th, c == 0)
+			r.update(it, c, 5+th)
 		}
-		tr.End(th, 0, 10+th)
+		r.end(it, 10+th)
 	}
-	tr.Finalize()
+	tr := r.tracker(2)
 	rho := tr.IntervalContentions()
 	touched := tr.TouchedContentions()
 	for i := range rho {

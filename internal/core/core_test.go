@@ -262,28 +262,6 @@ func TestHitTimeAndDistSeries(t *testing.T) {
 	}
 }
 
-func TestStalenessRecordsLowerBoundsTracker(t *testing.T) {
-	q := isoOracle(t, 2, 0.1)
-	res, err := RunEpoch(EpochConfig{
-		Threads: 3, TotalIters: 150, Alpha: 0.03, Oracle: q,
-		Policy: &sched.MaxStale{Budget: 8}, Seed: 37, Record: true, Track: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recTaus := res.Staleness()
-	trkTaus := res.Tracker.Taus()
-	if len(recTaus) != len(trkTaus) {
-		t.Fatalf("length mismatch: %d vs %d", len(recTaus), len(trkTaus))
-	}
-	for i := range recTaus {
-		if recTaus[i] > trkTaus[i] {
-			t.Errorf("t=%d: record staleness %d exceeds exact %d",
-				i+1, recTaus[i], trkTaus[i])
-		}
-	}
-}
-
 func TestAlphaFormulas(t *testing.T) {
 	cst := grad.Constants{C: 1, L: 1, M2: 4}
 	eps, vt := 0.01, 1.0

@@ -24,21 +24,8 @@ type EpochConfig struct {
 	X0         vec.Dense // initial model; nil ⇒ zero vector
 	MaxSteps   int       // safety cap; 0 ⇒ derived from T, d, Threads
 	Record     bool      // collect per-iteration views/gradients
-	Track      bool      // attach a contention tracker
+	Track      bool      // workers also record read/update times; see EpochResult.Tracker
 	Accumulate bool      // workers also accumulate gradients locally (Alg. 2 last epoch)
-
-	// Tracker supplies a reusable contention tracker for Track runs: it is
-	// Reset (retiring every iteration record and its touched-coordinate
-	// slices into the tracker's internal pool) and used in place of a
-	// fresh one, so a driver running many tracked epochs pays zero
-	// amortized allocations on the tracker's record path. Ignored unless
-	// Track is set; the same tracker must not be used by concurrent runs.
-	// Because the next run's Reset wipes it, the EpochResult.Tracker of
-	// every earlier epoch is invalidated: read (or copy) an epoch's
-	// statistics before starting the next one. A caller that needs only
-	// completions and admissions reads EpochResult.Windows instead and
-	// runs untracked.
-	Tracker *contention.Tracker
 
 	// Sparse switches workers to the sparse update pipeline: each
 	// iteration reads only the support announced by the oracle's
@@ -117,15 +104,18 @@ type EpochResult struct {
 	// Windows holds one admission window per claimable iteration, indexed
 	// by the claimed counter value (length TotalIters; a never-claimed
 	// iteration keeps the zero Window). The workers record it on every
-	// run, tracked or not: the claim, first view read and Last update
-	// times from which contention.MaxAdmissions computes the admissions
-	// during flight and the windows with End > 0 count the completed
-	// iterations, both equal to the tracker's.
+	// run, tracked or not: the claim, first view read and last update
+	// times. The windows with End > 0 count the completed iterations, and
+	// contention.MaxAdmissions computes the admissions during flight —
+	// sorting the slice in place, which leaves Tracker as it was.
 	Windows []contention.Window
-	// Tracker holds the run's contention tracker (nil unless Track). When
-	// the run used a caller-supplied EpochConfig.Tracker this is that
-	// tracker, and the next run reusing it Resets it — extract any
-	// statistics you need before starting the next tracked epoch.
+	// Tracker holds the run's contention statistics (nil unless Track).
+	// On Track runs the workers also record, per claimed iteration, its
+	// thread and local iteration, its first model update and the time of
+	// every view read and model update, into storage sized up front from
+	// TotalIters and the model dimension; the tracker is built from that
+	// record and Windows once the machine stops. A caller that needs only
+	// completions and admissions reads Windows and runs untracked.
 	Tracker *contention.Tracker
 	// RecoveredTickets counts orphaned gate tickets survivors tombstoned
 	// on the done counter (CrashRecovery runs only). Each one is a claim
@@ -218,13 +208,17 @@ func runEpoch(cfg EpochConfig, trace bool) (*EpochResult, error) {
 		opts.crashBase = doneAddr + 1 + cfg.Threads
 	}
 	wins := make([]contention.Window, cfg.TotalIters)
+	var trk *trackRecord
+	if cfg.Track {
+		trk = newTrackRecord(cfg.TotalIters, d, cfg.Sparse)
+	}
 	progs := make([]shm.Program, cfg.Threads)
 	for i := 0; i < cfg.Threads; i++ {
 		progs[i] = newWorker(
 			i, cfg.Alpha, cfg.TotalIters,
 			cfg.Oracle.CloneFor(i), cfg.Sparse,
 			rng.NewStream(cfg.Seed, uint64(i)+1),
-			rec, wins, cfg.Accumulate,
+			rec, wins, trk, cfg.Accumulate,
 			opts,
 		)
 	}
@@ -259,33 +253,11 @@ func runEpoch(cfg EpochConfig, trace bool) (*EpochResult, error) {
 	initMem := make([]float64, memSize)
 	copy(initMem[ModelBase:], x0)
 
-	var tracker *contention.Tracker
-	var onStep func(int, *shm.Request, shm.Result)
-	if cfg.Track {
-		if cfg.Tracker != nil {
-			tracker = cfg.Tracker
-			tracker.Reset(d)
-		} else {
-			tracker = contention.NewTracker(d)
-		}
-		budget := float64(cfg.TotalIters)
-		onStep = func(tid int, req *shm.Request, res shm.Result) {
-			// A counter claim that lands beyond the budget terminates the
-			// thread (line 3 of Algorithm 1); it is not an SGD iteration
-			// and must not register as a phantom start.
-			if req.Tag.Role == contention.RoleCounter && res.Val >= budget {
-				return
-			}
-			tracker.Observe(tid, req.Tag, res.Time)
-		}
-	}
-
 	m, err := shm.New(shm.Config{
 		MemSize:       memSize,
 		MaxSteps:      maxSteps,
 		Trace:         trace,
 		InitMem:       initMem,
-		OnStep:        onStep,
 		CrashFlagBase: opts.crashBase, // 0 unless recovery is armed
 	}, cfg.Policy, progs...)
 	if err != nil {
@@ -295,8 +267,9 @@ func runEpoch(cfg EpochConfig, trace bool) (*EpochResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("run machine: %w", err)
 	}
-	if tracker != nil {
-		tracker.Finalize()
+	var tracker *contention.Tracker
+	if trk != nil {
+		tracker = contention.NewTracker(d, wins, trk.its)
 	}
 
 	var coordOps, recovered int64
@@ -404,30 +377,4 @@ func (r *EpochResult) DistSqSeries(xstar vec.Dense) []float64 {
 		out = append(out, d2)
 	}
 	return out
-}
-
-// Staleness returns a per-ordered-iteration lower bound on view staleness
-// computed from the records alone: every worker reads all d coordinates
-// before GenTime, so any predecessor whose last update lands after
-// iteration t's GenTime is certainly missing from t's view. (The exact
-// per-coordinate staleness lives in the contention tracker; this
-// record-based series is a cheap cross-check that never overestimates.)
-func (r *EpochResult) Staleness() []int {
-	n := len(r.Records)
-	taus := make([]int, n)
-	for t := 1; t <= n; t++ {
-		cur := &r.Records[t-1]
-		mt := 0
-		for cand := 1; cand <= t-1; cand++ {
-			pred := &r.Records[cand-1]
-			if pred.LastUp > cur.GenTime {
-				mt = cand
-				break
-			}
-		}
-		if mt > 0 {
-			taus[t-1] = t - mt
-		}
-	}
-	return taus
 }

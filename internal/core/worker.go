@@ -49,7 +49,6 @@ type IterRecord struct {
 	View      vec.Dense
 	Grad      vec.Dense // applied direction; model delta is −AlphaEff·Grad
 	AlphaEff  float64
-	GenTime   int // time of the last view read (gradient generation)
 	FirstUp   int // time of the first model fetch&add
 	LastUp    int // time of the last model fetch&add
 }
@@ -58,6 +57,42 @@ type IterRecord struct {
 // The shm machine is sequential, so no locking is needed.
 type recorder struct {
 	records []IterRecord
+}
+
+// trackRecord is the part of a run's iteration record that only tracked
+// runs keep, shared by every worker of the run: its[c] belongs to the
+// iteration that claimed counter value c, and its Reads and Updates are
+// carved from slab, so recording a step never allocates.
+type trackRecord struct {
+	its  []contention.Iter
+	slab []contention.CoordTime
+}
+
+// newTrackRecord sizes the record for a budget of T claims on a
+// d-dimensional model. The slab holds 2·T·d touches, enough for every
+// iteration of a dense run to read and update every coordinate; sparse
+// runs, which touch far fewer, start at 2·T and take a fresh chunk when
+// one runs out.
+func newTrackRecord(T, d int, sparse bool) *trackRecord {
+	n := 2 * T
+	if !sparse {
+		n *= d
+	}
+	return &trackRecord{
+		its:  make([]contention.Iter, T),
+		slab: make([]contention.CoordTime, 0, n),
+	}
+}
+
+// take carves an empty list with room for n touches from the slab.
+func (r *trackRecord) take(n int) []contention.CoordTime {
+	k := len(r.slab)
+	if k+n > cap(r.slab) {
+		r.slab = make([]contention.CoordTime, 0, max(n, 2*cap(r.slab)))
+		k = 0
+	}
+	r.slab = r.slab[:k+n]
+	return r.slab[k : k : k+n]
 }
 
 // worker phases: which operation the worker issued last.
@@ -132,6 +167,8 @@ type worker struct {
 	r      *rng.Rand
 	rec    *recorder           // nil when recording disabled
 	wins   []contention.Window // per-claim admission windows, shared by every worker of the run
+	trk    *trackRecord        // the rest of the iteration record; nil unless tracked
+	it     *contention.Iter    // the current claim's entry in trk; nil if none
 	acc    vec.Dense           // local gradient accumulator (Algorithm 2 last epoch); nil when disabled
 	opts   workerOpts
 
@@ -168,7 +205,7 @@ type worker struct {
 
 var _ shm.Program = (*worker)(nil)
 
-func newWorker(id int, alpha float64, budget int, o grad.Oracle, sparse bool, r *rng.Rand, rec *recorder, wins []contention.Window, accumulate bool, opts workerOpts) *worker {
+func newWorker(id int, alpha float64, budget int, o grad.Oracle, sparse bool, r *rng.Rand, rec *recorder, wins []contention.Window, trk *trackRecord, accumulate bool, opts workerOpts) *worker {
 	d := o.Dim()
 	w := &worker{
 		id:     id,
@@ -179,6 +216,7 @@ func newWorker(id int, alpha float64, budget int, o grad.Oracle, sparse bool, r 
 		r:      r,
 		rec:    rec,
 		wins:   wins,
+		trk:    trk,
 		opts:   opts,
 		nz:     make([]int, 0, d),
 		nzv:    make([]float64, 0, d),
@@ -217,15 +255,20 @@ func (w *worker) NextInto(prev shm.Result, req *shm.Request) bool {
 	case phaseCounter:
 		// prev.Val is the prior counter value: line 3 of Algorithm 1.
 		if int(prev.Val) >= w.budget {
+			w.it = nil // no claim: a terminal flush belongs to no iteration
 			if w.opts.batch > 0 && w.batchPending > 0 {
 				// The worker leaves, but its buffered gradients must reach
 				// the model first (the Flusher hook of the real runtime).
-				return w.terminalFlush(prev.Time, req)
+				return w.terminalFlush(req)
 			}
 			return true
 		}
 		w.claimed = int(prev.Val)
 		w.wins[w.claimed].Start = prev.Time
+		if w.trk != nil {
+			w.it = &w.trk.its[w.claimed]
+			w.it.Thread, w.it.LocalIter = w.id, w.iter
+		}
 		if w.opts.gated() {
 			if w.opts.recover {
 				// Announce the claim before anything else, so a crash at
@@ -235,7 +278,7 @@ func (w *worker) NextInto(prev shm.Result, req *shm.Request) bool {
 			w.phase = phaseGate
 			return w.issueGateRead(req)
 		}
-		return w.startIteration(prev.Time, req)
+		return w.startIteration(req)
 
 	case phaseAnnounce:
 		w.phase = phaseGate
@@ -243,7 +286,7 @@ func (w *worker) NextInto(prev shm.Result, req *shm.Request) bool {
 
 	case phaseGate:
 		if int(prev.Val) >= w.gateMin() {
-			return w.startIteration(prev.Time, req)
+			return w.startIteration(req)
 		}
 		if w.opts.recover {
 			return w.issueCrashProbe(prev, phaseGate, req)
@@ -254,6 +297,10 @@ func (w *worker) NextInto(prev shm.Result, req *shm.Request) bool {
 		w.coordOps++ // prev is the result of one executed view read
 		if w.pos == 0 {
 			w.wins[w.claimed].FirstRead = prev.Time
+		}
+		if w.it != nil {
+			// *req still holds the read prev answers (shm.Program).
+			w.it.Reads = append(w.it.Reads, contention.CoordTime{Coord: req.Tag.Coord, Time: prev.Time})
 		}
 		if w.so != nil {
 			w.svals = append(w.svals, prev.Val)
@@ -268,7 +315,7 @@ func (w *worker) NextInto(prev shm.Result, req *shm.Request) bool {
 				return w.issueRead(req)
 			}
 		}
-		return w.gradReady(prev.Time, req)
+		return w.gradReady(req)
 
 	case phaseProbe:
 		staleness := int(prev.Val) - w.claimed - 1
@@ -280,6 +327,12 @@ func (w *worker) NextInto(prev shm.Result, req *shm.Request) bool {
 
 	case phaseUpdate:
 		w.coordOps++ // prev is the result of one executed model fetch&add
+		if w.it != nil {
+			if req.Tag.First {
+				w.it.FirstUp = prev.Time
+			}
+			w.it.Updates = append(w.it.Updates, contention.CoordTime{Coord: req.Tag.Coord, Time: prev.Time})
+		}
 		if w.rec != nil {
 			if w.pos == 1 { // result of the first update just arrived
 				w.cur.FirstUp = prev.Time
@@ -424,8 +477,9 @@ func (w *worker) probeDone(req *shm.Request) bool {
 // startIteration runs once the iteration's claim (and, for gated
 // disciplines, its gate) is through: draw the sparse plan and issue the
 // first view read, or evaluate immediately on an empty read support.
-func (w *worker) startIteration(now int, req *shm.Request) bool {
+func (w *worker) startIteration(req *shm.Request) bool {
 	w.pos = 0
+	n := w.d
 	if w.so != nil {
 		w.plan = w.so.PlanSparse(w.r)
 		w.svals = w.svals[:0]
@@ -433,8 +487,12 @@ func (w *worker) startIteration(now int, req *shm.Request) bool {
 			// The planned gradient reads nothing: evaluate immediately
 			// (it may still be non-zero only on an empty support, i.e.
 			// identically zero) and move on.
-			return w.gradReady(now, req)
+			return w.gradReady(req)
 		}
+		n = len(w.plan)
+	}
+	if w.it != nil {
+		w.it.Reads = w.trk.take(n)
 	}
 	w.phase = phaseRead
 	return w.issueRead(req)
@@ -495,7 +553,7 @@ func (w *worker) issuePubRead(req *shm.Request) bool {
 // complete: generate the stochastic gradient (line 5), fold momentum,
 // snapshot the record, and either probe the counter (staleness-aware
 // extension) or begin the updates.
-func (w *worker) gradReady(genTime int, req *shm.Request) bool {
+func (w *worker) gradReady(req *shm.Request) bool {
 	if w.so != nil {
 		w.so.GradSparseAt(&w.sg, w.svals, w.r)
 	} else {
@@ -508,11 +566,7 @@ func (w *worker) gradReady(genTime int, req *shm.Request) bool {
 	}
 	w.alphaEff = w.alpha
 	if w.rec != nil {
-		w.cur = IterRecord{
-			Thread:    w.id,
-			LocalIter: w.iter,
-			GenTime:   genTime,
-		}
+		w.cur = IterRecord{Thread: w.id, LocalIter: w.iter}
 		if w.so != nil {
 			view := vec.NewDense(w.d)
 			for k, j := range w.plan {
@@ -576,9 +630,7 @@ func (w *worker) beginUpdates(req *shm.Request) bool {
 		// the identity update and is not ordered (no fetch&add).
 		return w.endIteration(req)
 	}
-	w.pos = 0
-	w.phase = phaseUpdate
-	return w.issueUpdate(req)
+	return w.beginUpdatePass(req)
 }
 
 // bufferIntoBatch folds the fresh gradient into the worker-local batch
@@ -622,9 +674,7 @@ func (w *worker) bufferIntoBatch(req *shm.Request) bool {
 		w.iter++
 		return w.issueCounter(req)
 	}
-	w.pos = 0
-	w.phase = phaseUpdate
-	return w.issueUpdate(req)
+	return w.beginUpdatePass(req)
 }
 
 func (w *worker) batchAdd(j int, v float64) {
@@ -665,7 +715,7 @@ func (w *worker) batchDense() vec.Dense {
 
 // terminalFlush applies the worker's final partial batch after its
 // closing counter claim landed beyond the budget, then terminates.
-func (w *worker) terminalFlush(now int, req *shm.Request) bool {
+func (w *worker) terminalFlush(req *shm.Request) bool {
 	w.materializeBatch()
 	if len(w.nz) == 0 {
 		return true
@@ -682,8 +732,16 @@ func (w *worker) terminalFlush(now int, req *shm.Request) bool {
 			View:      vec.NewDense(w.d),
 			Grad:      w.batchDense(),
 			AlphaEff:  w.alphaEff,
-			GenTime:   now,
 		}
+	}
+	return w.beginUpdatePass(req)
+}
+
+// beginUpdatePass issues the first fetch&add over nz, after making room
+// for the updates in the current claim's record entry, if any.
+func (w *worker) beginUpdatePass(req *shm.Request) bool {
+	if w.it != nil {
+		w.it.Updates = w.trk.take(len(w.nz))
 	}
 	w.pos = 0
 	w.phase = phaseUpdate

@@ -64,7 +64,7 @@ func TestAdversaryDeterminism(t *testing.T) {
 			for i := range a.Records {
 				ra, rb := &a.Records[i], &b.Records[i]
 				if ra.Thread != rb.Thread || ra.LocalIter != rb.LocalIter ||
-					ra.AlphaEff != rb.AlphaEff || ra.GenTime != rb.GenTime ||
+					ra.AlphaEff != rb.AlphaEff ||
 					ra.FirstUp != rb.FirstUp || ra.LastUp != rb.LastUp {
 					t.Fatalf("record %d metadata differs: %+v vs %+v", i, ra, rb)
 				}

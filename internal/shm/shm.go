@@ -233,14 +233,6 @@ type Config struct {
 	Trace    bool      // record the full step log (memory-heavy)
 	InitMem  []float64 // optional initial register contents
 
-	// OnStep, when set, is called after every executed operation with the
-	// executing thread, its request and the result (res.Time is the
-	// 1-based step index) — the streaming hook the contention tracker
-	// uses. req points into the machine's pending slot: it is read-only,
-	// and valid only for the duration of the call, since the thread's
-	// next request overwrites it; a hook that keeps it must copy it.
-	OnStep func(tid int, req *Request, res Result)
-
 	// CrashFlagBase, when positive, designates a failure-detector region:
 	// the instant the adversary crashes thread i, the machine writes
 	// mem[CrashFlagBase+i] = 1 (bounds permitting). Survivor programs can
@@ -334,9 +326,8 @@ func (m *Machine) Trace() []Step { return m.trace }
 // incrementally (no O(n) scan per step), skips crash processing when the
 // decision carries none, keeps executing a held decision's thread without
 // calling the policy (Decision.Hold), copies a Step record only when
-// tracing, hands OnStep a pointer to the pending slot rather than a copy,
-// and allocates nothing per step — the concrete Request.Tag means issuing
-// an annotated operation is a plain struct write.
+// tracing, and allocates nothing per step — the concrete Request.Tag
+// means issuing an annotated operation is a plain struct write.
 //
 //asgd:hotpath
 func (m *Machine) Run() (RunStats, error) {
@@ -371,7 +362,6 @@ func (m *Machine) Run() (RunStats, error) {
 		policy   = m.policy
 		mem      = m.mem
 		maxSteps = m.cfg.MaxSteps
-		hook     = m.cfg.OnStep
 		tracing  = m.cfg.Trace
 	)
 	for m.live > 0 && (maxSteps == 0 || m.steps < maxSteps) {
@@ -423,9 +413,6 @@ func (m *Machine) Run() (RunStats, error) {
 			}
 			if tracing {
 				m.trace = append(m.trace, Step{Time: m.steps, Thread: tid, Req: *req, Res: res})
-			}
-			if hook != nil {
-				hook(tid, req, res)
 			}
 			if prog.NextInto(res, req) {
 				m.done[tid] = true
