@@ -19,6 +19,24 @@ type Dataset struct {
 	Rows   []vec.Dense // feature vectors a_i
 	Labels []float64   // targets b_i (regression) or ±1 (classification)
 	Truth  vec.Dense   // generating model x♮ (for diagnostics)
+
+	slab *[]float64 // the m×d slab Rows are carved from, until Release
+}
+
+// rowSlabs holds the row slabs of released datasets for the next
+// generator call to reuse.
+var rowSlabs vec.Slabs
+
+// Release hands the rows' m×d slab back for the next generated dataset
+// to reuse and sets Rows to nil; Labels and Truth stay valid. Call it
+// once an oracle has copied what it needs from the rows
+// (grad.NewSparseLeastSquares does). Nothing may read a row, or a slice
+// of one, after Release.
+func (ds *Dataset) Release() {
+	if ds.slab != nil {
+		rowSlabs.Put(ds.slab)
+	}
+	ds.slab, ds.Rows = nil, nil
 }
 
 // ErrBadShape reports invalid generator parameters.
@@ -89,14 +107,17 @@ func GenLinear(cfg LinearConfig, r *rng.Rand) (*Dataset, error) {
 	}
 	scales := coordScales(cfg.Dim, cfg.CondExp)
 	truth := randomDirection(cfg.Dim, cfg.TruthNorm, r)
+	rows, slab := newRows(cfg.Samples, cfg.Dim)
 	ds := &Dataset{
-		Rows:   newRows(cfg.Samples, cfg.Dim),
+		Rows:   rows,
 		Labels: make([]float64, cfg.Samples),
 		Truth:  truth,
+		slab:   slab,
 	}
 	for i, row := range ds.Rows {
+		r.NormalFill(row)
 		for j := range row {
-			row[j] = scales[j] * r.Normal()
+			row[j] *= scales[j]
 		}
 		ds.Labels[i] = vec.MustDot(row, truth) + cfg.NoiseStd*r.Normal()
 	}
@@ -127,10 +148,12 @@ func GenLogistic(cfg LogisticConfig, r *rng.Rand) (*Dataset, error) {
 	}
 	scales := coordScales(cfg.Dim, cfg.CondExp)
 	truth := randomDirection(cfg.Dim, 1, r)
+	rows, slab := newRows(cfg.Samples, cfg.Dim)
 	ds := &Dataset{
-		Rows:   newRows(cfg.Samples, cfg.Dim),
+		Rows:   rows,
 		Labels: make([]float64, cfg.Samples),
 		Truth:  truth,
+		slab:   slab,
 	}
 	for i, row := range ds.Rows {
 		for j := range row {
@@ -159,27 +182,29 @@ func SparsifyRows(ds *Dataset, keep float64, r *rng.Rand) error {
 	}
 	inv := 1 / keep
 	for _, row := range ds.Rows {
-		for j := range row {
-			if r.Bernoulli(keep) {
-				row[j] *= inv
-			} else {
-				row[j] = 0
-			}
+		for j, v := range row {
+			// The draw is a mask, not a branch, which would mispredict
+			// at the sweep's densities: all ones keeps the bits of v·inv
+			// (NaN, ±Inf and −0 included), zero leaves +0.
+			m := -b2u(r.Bernoulli(keep))
+			row[j] = math.Float64frombits(math.Float64bits(v*inv) & m)
 		}
 	}
 	return nil
 }
 
 // newRows returns m zeroed rows of dimension d carved from one m×d slab,
-// one allocation instead of m. Each row's capacity ends at its own last
-// entry, so an append to one row can never write into the next.
-func newRows(m, d int) []vec.Dense {
-	slab := make([]float64, m*d)
+// a released dataset's when one is at hand, and the slab. Each row's
+// capacity ends at its own last entry, so an append to one row can never
+// write into the next.
+func newRows(m, d int) ([]vec.Dense, *[]float64) {
+	p := rowSlabs.Get(m * d)
+	slab := *p
 	rows := make([]vec.Dense, m)
 	for i := range rows {
 		rows[i] = slab[i*d : (i+1)*d : (i+1)*d]
 	}
-	return rows
+	return rows, p
 }
 
 func coordScales(d int, condExp float64) []float64 {
@@ -204,4 +229,13 @@ func randomDirection(d int, norm float64, r *rng.Rand) vec.Dense {
 			return v
 		}
 	}
+}
+
+// b2u converts b to 0 or 1; the compiler emits it as a flag set, not a
+// branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

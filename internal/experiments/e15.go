@@ -32,6 +32,7 @@ func E15SparsePipeline(s Scale) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer ds.Release()
 	if err := data.SparsifyRows(ds, keep, gen); err != nil {
 		return nil, err
 	}
@@ -42,7 +43,7 @@ func E15SparsePipeline(s Scale) ([]*report.Table, error) {
 	iters := s.pick(6000, 120000)
 	// SparsifyRows rescales surviving entries by 1/keep, inflating row
 	// norms and hence L; a fixed step diverges, so derive it.
-	alpha := 0.5 / sls.Constants().L
+	alpha := 0.5 / sls.Lipschitz()
 
 	a := report.New("E15a: sparse vs dense strategies, real threads",
 		"strategy", "iters", "coord_ops/iter", "final_value", "updates/sec")

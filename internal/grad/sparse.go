@@ -153,8 +153,8 @@ var _ SparseOracle = (*SparseLeastSquares)(nil)
 // Everything else is derived from the CSR rows, with the bits
 // NewLeastSquares derives from the dense ones: a skipped zero term adds
 // ±0 to a sum that is never −0. The Gram matrix and the certificate's
-// copy of it share one 2·d² slab, and the Gram matrix is eliminated in
-// place; no d² matrix outlives construction.
+// copy of it share one pooled 2·d² slab, and the Gram matrix is
+// eliminated in place; no d² matrix outlives construction.
 func NewSparseLeastSquares(ds *data.Dataset, r0 float64) (*SparseLeastSquares, error) {
 	d := ds.Dim()
 	if d == 0 || r0 <= 0 {
@@ -165,25 +165,24 @@ func NewSparseLeastSquares(ds *data.Dataset, r0 float64) (*SparseLeastSquares, e
 		labels: ds.Labels,
 		d:      d,
 	}
+	// Count and compact without a branch on the entry: every entry is
+	// written at off, and off moves past the non-zeros only, so the
+	// slabs carry one slack slot for the last row's trailing zeros.
 	nnz := 0
 	for _, row := range ds.Rows {
 		for _, v := range row {
-			if v != 0 {
-				nnz++
-			}
+			nnz += nonzero(v)
 		}
 	}
-	idx := make([]int, nnz)
-	val := make([]float64, nnz)
+	idx := make([]int, nnz+1)
+	val := make([]float64, nnz+1)
 	off := 0
 	for i, row := range ds.Rows {
 		sr := vec.Sparse{Dim: len(row)}
 		start := off
 		for j, v := range row {
-			if v != 0 {
-				idx[off], val[off] = j, v
-				off++
-			}
+			idx[off], val[off] = j, v
+			off += nonzero(v)
 		}
 		if off > start {
 			sr.Indices = idx[start:off:off]
@@ -192,12 +191,13 @@ func NewSparseLeastSquares(ds *data.Dataset, r0 float64) (*SparseLeastSquares, e
 		s.rows[i] = sr
 	}
 
-	slab := make([]float64, 2*d*d)
-	g := &vec.Sym{N: d, Data: slab[: d*d : d*d]}
+	slab := gramSlabs.Get(2 * d * d)
+	defer gramSlabs.Put(slab)
+	g := &vec.Sym{N: d, Data: (*slab)[: d*d : d*d]}
 	if err := s.addGram(g); err != nil {
 		return nil, err
 	}
-	lmin, err := certifyFullRank(g, slab[d*d:])
+	lmin, err := certifyFullRank(g, (*slab)[d*d:])
 	if err != nil {
 		return nil, err
 	}
@@ -229,6 +229,19 @@ func NewSparseLeastSquares(ds *data.Dataset, r0 float64) (*SparseLeastSquares, e
 	}
 	s.xstar, s.cst, s.lmin = xstar, cst, lmin
 	return s, nil
+}
+
+// gramSlabs holds NewSparseLeastSquares' 2·d² Gram and certificate
+// slabs between builds.
+var gramSlabs vec.Slabs
+
+// nonzero is 1 when v != 0 (NaN included) and 0 otherwise, as a flag
+// set rather than a branch.
+func nonzero(v float64) int {
+	if v != 0 {
+		return 1
+	}
+	return 0
 }
 
 // addGram accumulates the Gram matrix (1/m)·Σ a_i a_iᵀ of the CSR rows
@@ -324,6 +337,10 @@ func (s *SparseLeastSquares) Constants() Constants {
 	cst.C = s.lmin.get(s.gram)
 	return cst
 }
+
+// Lipschitz returns Constants().L, which construction computed, without
+// the QL solve for C that a first Constants call runs.
+func (s *SparseLeastSquares) Lipschitz() float64 { return s.cst.L }
 
 // CloneFor implements Oracle. Rows, labels and C are immutable and
 // shared; the plan state is per-clone.

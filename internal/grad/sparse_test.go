@@ -302,3 +302,60 @@ func FuzzSparseLeastSquaresRows(f *testing.F) {
 		}
 	})
 }
+
+// TestLipschitzSkipsSolve: Lipschitz returns Constants().L's bits
+// without the QL solve for C that the first Constants call runs.
+func TestLipschitzSkipsSolve(t *testing.T) {
+	for _, keep := range []float64{0.3, 0.6, 1} {
+		s, err := NewSparseLeastSquares(sparseDataset(t, 16, keep), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := s.Lipschitz()
+		if s.lmin.c != 0 {
+			t.Fatalf("keep=%v: C = %v before any Constants call; construction solved for it", keep, s.lmin.c)
+		}
+		cst := s.Constants()
+		if math.Float64bits(l) != math.Float64bits(cst.L) {
+			t.Fatalf("keep=%v: Lipschitz %v, Constants().L %v", keep, l, cst.L)
+		}
+		if !(cst.C > 0) {
+			t.Fatalf("keep=%v: C = %v after Constants", keep, cst.C)
+		}
+	}
+}
+
+// TestGramSlabReuse: builds of different sizes and data back to back,
+// through the pooled Gram slab, give the bits of the first build of the
+// same data: a reused slab is cleared, and no build keeps one.
+func TestGramSlabReuse(t *testing.T) {
+	type built struct {
+		cst   Constants
+		xstar vec.Dense
+	}
+	build := func(d int, keep float64) built {
+		s, err := NewSparseLeastSquares(sparseDataset(t, d, keep), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return built{s.Constants(), s.Optimum()}
+	}
+	type key struct {
+		d    int
+		keep float64
+	}
+	first := map[key]built{}
+	for round := 0; round < 3; round++ {
+		for _, k := range []key{{8, 0.6}, {8, 1}, {16, 0.6}, {4, 1}, {8, 0.6}} {
+			got := build(k.d, k.keep)
+			want, ok := first[k]
+			if !ok {
+				first[k] = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d, %+v: %+v, first build %+v", round, k, got, want)
+			}
+		}
+	}
+}

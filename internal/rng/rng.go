@@ -17,7 +17,10 @@
 // SplitMix64, the standard seeding recommendation for PCG and xoshiro.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 const (
 	splitmixGamma = 0x9E3779B97F4A7C15
@@ -79,16 +82,20 @@ func (r *Rand) step() uint64 {
 }
 
 // Uint64 returns the next 64 uniformly random bits (two PCG-XSH-RR 32-bit
-// outputs from consecutive LCG steps).
+// outputs from consecutive LCG steps). It is written out, with the
+// rotation as an intrinsic, so that it inlines, and Float64 and Bernoulli
+// with it.
 func (r *Rand) Uint64() uint64 {
-	return uint64(r.next32())<<32 | uint64(r.next32())
+	s0 := r.state
+	s1 := s0*pcgMult + r.inc
+	r.state = s1*pcgMult + r.inc
+	return uint64(xshrr(s0))<<32 | uint64(xshrr(s1))
 }
 
-func (r *Rand) next32() uint32 {
-	old := r.step()
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
+// xshrr is PCG's XSH-RR output permutation of the LCG state old: the
+// xorshifted high bits, rotated right by the top five bits.
+func xshrr(old uint64) uint32 {
+	return bits.RotateLeft32(uint32(((old>>18)^old)>>27), -int(old>>59))
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -130,8 +137,14 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bernoulli returns true with probability p.
-func (r *Rand) Bernoulli(p float64) bool { return r.Float64() < p }
+// Bernoulli returns true with probability p. It compares k = u>>11 with
+// p·2⁵³ rather than Float64() = k/2⁵³ with p: both sides are scaled by
+// the same power of two, and both scalings are exact (k < 2⁵³ converts
+// exactly; p·2⁵³ is exact or overflows to the infinity of p's sign), so
+// no outcome moves, for any p, NaN and ±Inf included. The scaled form is
+// short enough to inline, so a caller can use the outcome without a
+// branch (data.SparsifyRows).
+func (r *Rand) Bernoulli(p float64) bool { return float64(r.Uint64()>>11) < p*(1<<53) }
 
 // Normal returns a standard normal sample via the Marsaglia polar method
 // (no trig, stable tails, one spare cached).
@@ -140,6 +153,35 @@ func (r *Rand) Normal() float64 {
 		r.haveSpare = false
 		return r.spare
 	}
+	a, b := r.polar()
+	r.spare, r.haveSpare = b, true
+	return a
+}
+
+// NormalFill fills out with standard normal samples: the values, and the
+// generator state left behind, are those of len(out) Normal calls. A
+// pending spare is out[0]; after that the pairs go straight into out, and
+// the second value of a pair that does not fit becomes the spare.
+func (r *Rand) NormalFill(out []float64) {
+	i := 0
+	if r.haveSpare && len(out) > 0 {
+		out[0], r.haveSpare = r.spare, false
+		i = 1
+	}
+	for ; i < len(out); i += 2 {
+		a, b := r.polar()
+		out[i], r.spare = a, b
+		if i+1 < len(out) {
+			out[i+1] = b
+		} else {
+			r.haveSpare = true
+		}
+	}
+}
+
+// polar draws one pair of independent standard normals by the polar
+// method. It is the one body of Normal and NormalFill.
+func (r *Rand) polar() (float64, float64) {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
@@ -148,9 +190,7 @@ func (r *Rand) Normal() float64 {
 			continue
 		}
 		f := math.Sqrt(-2 * math.Log(s) / s)
-		r.spare = v * f
-		r.haveSpare = true
-		return u * f
+		return u * f, v * f
 	}
 }
 
@@ -204,7 +244,8 @@ func (r *Rand) Perm(n int) []int {
 
 // NormalVector fills out with i.i.d. N(0, stddev²) samples.
 func (r *Rand) NormalVector(out []float64, stddev float64) {
+	r.NormalFill(out)
 	for i := range out {
-		out[i] = stddev * r.Normal()
+		out[i] *= stddev
 	}
 }

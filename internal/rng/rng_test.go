@@ -238,3 +238,84 @@ func TestSplitMix64KnownGood(t *testing.T) {
 		}
 	}
 }
+
+// TestNormalFillMatchesNormal: a fill of every length from 0 to 65,
+// entered with and without a pending spare, writes the bits that as many
+// Normal calls return and leaves the generator in the same state (the
+// spare and its flag included); NormalVector does the same against
+// stddev·Normal().
+func TestNormalFillMatchesNormal(t *testing.T) {
+	for n := 0; n <= 65; n++ {
+		for _, spare := range []bool{false, true} {
+			checkNormalFill(t, uint64(1000+n), n, spare)
+		}
+	}
+}
+
+func checkNormalFill(t *testing.T, seed uint64, n int, spare bool) {
+	t.Helper()
+	fill, scalar := New(seed), New(seed)
+	if spare {
+		fill.Normal()
+		scalar.Normal()
+	}
+	got := make([]float64, n)
+	fill.NormalFill(got)
+	for i := range got {
+		if want := scalar.Normal(); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("n=%d spare=%v: out[%d] = %v, Normal gives %v", n, spare, i, got[i], want)
+		}
+	}
+	if *fill != *scalar {
+		t.Fatalf("n=%d spare=%v: state %+v after the fill, %+v after Normal calls", n, spare, *fill, *scalar)
+	}
+
+	vector, scaled := New(seed), New(seed)
+	if spare {
+		vector.Normal()
+		scaled.Normal()
+	}
+	vector.NormalVector(got, 1.5)
+	for i := range got {
+		if want := 1.5 * scaled.Normal(); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("n=%d spare=%v: NormalVector out[%d] = %v, want %v", n, spare, i, got[i], want)
+		}
+	}
+	if *vector != *scaled {
+		t.Fatalf("n=%d spare=%v: NormalVector state %+v, want %+v", n, spare, *vector, *scaled)
+	}
+}
+
+// TestBernoulliMatchesFloat64: Bernoulli compares the scaled draw with
+// p·2⁵³; it must agree with Float64() < p on every p, at the draw itself
+// and one ulp either side of it, and on the edge values.
+func TestBernoulliMatchesFloat64(t *testing.T) {
+	ps := []float64{0, math.Copysign(0, -1), 5e-324, 1e-300, 1e-9, 1.0 / (1 << 53), 0.15, 0.5,
+		1 - 1.0/(1<<53), 1, 1.5, -1, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	a, b := New(77), New(77)
+	for i := 0; i < 20000; i++ {
+		peek := *b
+		u := peek.Float64()
+		for _, p := range append(ps, u, math.Nextafter(u, 2), math.Nextafter(u, -1)) {
+			x, y := *a, *b
+			if got, want := x.Bernoulli(p), y.Float64() < p; got != want {
+				t.Fatalf("draw %d, p=%v (u=%v): Bernoulli %v, Float64() < p %v", i, p, u, got, want)
+			}
+		}
+		a.Bernoulli(0.5)
+		b.Float64()
+	}
+	if *a != *b {
+		t.Fatal("Bernoulli and Float64 consumed different draws")
+	}
+}
+
+func FuzzNormalFill(f *testing.F) {
+	f.Add(uint64(1), uint8(0), false)
+	f.Add(uint64(2), uint8(1), true)
+	f.Add(uint64(3), uint8(33), true)
+	f.Add(uint64(4), uint8(64), false)
+	f.Fuzz(func(t *testing.T, seed uint64, n uint8, spare bool) {
+		checkNormalFill(t, seed, int(n), spare)
+	})
+}

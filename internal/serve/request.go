@@ -250,22 +250,30 @@ func phaseOracle(keep float64) sweep.Oracle {
 	return sweep.Oracle{
 		Name: fmt.Sprintf("sparse-ls/keep=%g", keep),
 		Make: func(d int, r *rng.Rand) (grad.Oracle, vec.Dense, error) {
-			ds, err := data.GenLinear(data.LinearConfig{
-				Samples: 6 * d, Dim: d, NoiseStd: 0.05,
-			}, r)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := data.SparsifyRows(ds, keep, r); err != nil {
-				return nil, nil, err
-			}
-			sls, err := grad.NewSparseLeastSquares(ds, 4)
+			sls, err := phaseInstance(d, keep, r)
 			if err != nil {
 				return nil, nil, err
 			}
 			return sls, vec.Constant(d, 0.5), nil
 		},
 	}
+}
+
+// phaseInstance draws phaseOracle(keep)'s instance at dimension d from r.
+// The dense rows are released once the oracle holds its CSR copy, so the
+// next instance reuses their slab.
+func phaseInstance(d int, keep float64, r *rng.Rand) (*grad.SparseLeastSquares, error) {
+	ds, err := data.GenLinear(data.LinearConfig{
+		Samples: 6 * d, Dim: d, NoiseStd: 0.05,
+	}, r)
+	if err != nil {
+		return nil, err
+	}
+	defer ds.Release()
+	if err := data.SparsifyRows(ds, keep, r); err != nil {
+		return nil, err
+	}
+	return grad.NewSparseLeastSquares(ds, 4)
 }
 
 // probeMemoSize bounds the probe memo: a request uses one entry per
@@ -301,12 +309,11 @@ func probeL(dim int, seed uint64, keep float64) (float64, error) {
 	if ok {
 		return l, nil
 	}
-	om := phaseOracle(keep)
-	probe, _, err := om.Make(dim, rng.New(seed))
+	probe, err := phaseInstance(dim, keep, rng.New(seed))
 	if err != nil {
-		return 0, fmt.Errorf("probe %s: %w", om.Name, err)
+		return 0, fmt.Errorf("probe %s: %w", phaseOracle(keep).Name, err)
 	}
-	l = probe.Constants().L
+	l = probe.Lipschitz()
 	probeMemo.Lock()
 	defer probeMemo.Unlock()
 	if _, ok := probeMemo.l[k]; !ok {
