@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -102,5 +103,31 @@ func TestRelPath(t *testing.T) {
 func TestVetLoadError(t *testing.T) {
 	if _, err := Vet("testdata", "."); err == nil {
 		t.Fatal("expected load error for a directory without Go files")
+	}
+}
+
+// TestLoadHonoursBuildConstraints: two files that declare the same name
+// under opposite build constraints type-check as one build sees them,
+// with only the file this platform compiles.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"on.go":  "//go:build " + runtime.GOARCH + "\n\npackage p\n\nconst arch = true\n",
+		"off.go": "//go:build !" + runtime.GOARCH + "\n\npackage p\n\nconst arch = false\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := l.LoadDir(dir)
+	if err != nil {
+		t.Fatalf("loading a package with per-architecture files: %v", err)
+	}
+	if len(p.Files) != 1 || l.Fset.Position(p.Files[0].Pos()).Filename != filepath.Join(dir, "on.go") {
+		t.Fatalf("loaded %d files, want on.go alone", len(p.Files))
 	}
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -172,19 +173,38 @@ func Load(dir string, patterns ...string) ([]*Package, *Loader, error) {
 }
 
 // hasGoFiles reports whether dir contains at least one non-test .go
-// file.
+// file the default build context compiles.
 func hasGoFiles(dir string) bool {
+	names, err := sourceFiles(dir)
+	return err == nil && len(names) > 0
+}
+
+// sourceFiles lists dir's non-test .go files that the default build
+// context compiles, sorted. File-name GOOS/GOARCH suffixes and //go:build
+// lines count as the go command counts them, so a package with
+// per-architecture files type-checks as this platform's build sees it.
+func sourceFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return false
+		return nil, err
 	}
+	var names []string
 	for _, e := range entries {
-		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".go") &&
-			!strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(name, ".") {
-			return true
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
+			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, name)
 		}
 	}
-	return false
+	sort.Strings(names)
+	return names, nil
 }
 
 // LoadDir parses and type-checks the package in dir (memoized).
@@ -203,18 +223,10 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	l.loading[abs] = true
 	defer delete(l.loading, abs)
 
-	entries, err := os.ReadDir(abs)
+	names, err := sourceFiles(abs)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".go") &&
-			!strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(name, ".") {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
 	if len(names) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files in %s", abs)
 	}

@@ -224,13 +224,20 @@ func (v *Vector) GatherInto(dst []float64, idx []int) {
 // is hoisted out of the inner loop, leaving a unit-stride CAS scan in the
 // packed/banked layouts, and that the scaled deltas never round-trip
 // through a scratch buffer, which at d = 10⁶ removes two full vector
-// traversals from every dense apply. Panics if the run
+// traversals from every dense apply. On amd64 a packed or banked run of
+// at least pairRunMin coordinates goes through a CMPXCHG16B kernel that
+// applies two coordinates per locked instruction, each still one atomic
+// add with the same arithmetic (addPairRun, DESIGN §4). Panics if the run
 // [start, start+len(src)) leaves [0, Dim).
 //
 //asgd:hotpath
 func (v *Vector) FetchAddScaledRun(start int, src []float64, scale float64) {
 	if v.shift == 0 {
 		cells := v.cells[start : start+len(src)] // one bounds check for the run
+		if cx16 && len(src) >= pairRunMin {
+			addPairRun(cells, src, scale)
+			return
+		}
 		for k, x := range src {
 			cells[k].Add(scale * x)
 		}

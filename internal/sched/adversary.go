@@ -86,8 +86,9 @@ func (p *StaleGradient) Next(v *shm.View) shm.Decision {
 		}
 		return shm.Decision{Thread: p.Victim}
 	default:
-		// rr holds only while a single thread is live, and phase 3 keeps
-		// no state of its own, so its decision is forwarded whole.
+		// rr holds (to the thread's end) only while a single thread is
+		// live, and phase 3 keeps no state of its own, so its decision is
+		// forwarded whole.
 		return p.rr.Next(v)
 	}
 }
@@ -123,7 +124,8 @@ func (p *StaleGradient) otherLive(v *shm.View) int {
 // there is exactly one other thread (n = 2), that thread over its reads
 // and updates in phase 1, which counts only counter claims and skips only
 // gate-blocked threads. With more threads phase 1 rotates among them one
-// step each, so it is asked every step.
+// step each, so it is asked every step. At n = 1 it forwards RoundRobin's
+// decision, which holds to the thread's end (shm.HoldToEnd).
 type MaxStale struct {
 	Budget int // other-iteration starts to interpose per held iteration
 

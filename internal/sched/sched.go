@@ -21,7 +21,8 @@ import (
 
 // RoundRobin schedules live threads cyclically. It is the maximally fair
 // baseline: staleness stays O(n). With a single live thread every step
-// goes to that thread, so the decision holds over its pending role.
+// goes to that thread, so the decision holds to the thread's end
+// (shm.HoldToEnd).
 type RoundRobin struct {
 	last int
 }
@@ -37,8 +38,7 @@ func (p *RoundRobin) Next(v *shm.View) shm.Decision {
 			p.last = i
 			d := shm.Decision{Thread: i}
 			if v.LiveCount() == 1 {
-				req, _ := v.Pending(i)
-				d.Hold = req.Tag.Role
+				d.Hold = shm.HoldToEnd
 			}
 			return d
 		}

@@ -72,6 +72,13 @@ const (
 	RoleGate                // gated-discipline synchronization op
 )
 
+// HoldToEnd is a Decision.Hold that is no operation role: it keeps
+// granting Thread whatever its pending requests' roles and Last tags,
+// until the thread terminates or MaxSteps is reached. It suits a policy
+// that would pick the same thread on every remaining step, as RoundRobin
+// does once a single thread is live.
+const HoldToEnd Role = 255
+
 // String returns the role name.
 func (r Role) String() string {
 	switch r {
@@ -208,6 +215,7 @@ func (v *View) MemSize() int { return len(v.m.mem) }
 // operation executes, the machine keeps granting Thread, without calling
 // the policy, while Thread is live, its new pending request has
 // Tag.Role == Hold and is not tagged Last, and MaxSteps is not reached.
+// Hold == HoldToEnd drops the role and Last conditions.
 // A policy may hold only when every per-step call it skips would have
 // returned the same thread with no crash and no change to its own state,
 // so a held run replays the per-step schedule exactly. A wrapper that
@@ -419,7 +427,7 @@ func (m *Machine) Run() (RunStats, error) {
 				m.live--
 				break
 			}
-			if d.Hold == RoleNone || req.Tag.Role != d.Hold || req.Tag.Last ||
+			if d.Hold != HoldToEnd && (d.Hold == RoleNone || req.Tag.Role != d.Hold || req.Tag.Last) ||
 				(maxSteps != 0 && m.steps >= maxSteps) {
 				break
 			}

@@ -472,3 +472,36 @@ func TestHoldRunsUntilRoleChangeOrLast(t *testing.T) {
 		t.Fatalf("MaxSteps 2: %d steps, %d decisions; want 2 and 1", stats.Steps, stats.Decisions)
 	}
 }
+
+// TestHoldToEndRunsUntilTermination: a HoldToEnd decision keeps granting
+// its thread across role changes and Last tags until the thread
+// terminates, or until MaxSteps.
+func TestHoldToEndRunsUntilTermination(t *testing.T) {
+	body := func() Program {
+		return Func(func(th *T) {
+			th.Annotate(Tag{Role: RoleCounter})
+			th.FAA(0, 1)
+			th.Annotate(Tag{Role: RoleRead})
+			th.Read(0)
+			th.Annotate(Tag{Role: RoleUpdate, Last: true})
+			th.FAA(0, 1)
+			th.Annotate(Tag{})
+			th.Read(0)
+		})
+	}
+	pol := policyFunc(func(*View) Decision { return Decision{Thread: 0, Hold: HoldToEnd} })
+	for _, c := range []struct{ maxSteps, steps int }{{0, 4}, {2, 2}} {
+		m, err := New(Config{MemSize: 1, MaxSteps: c.maxSteps}, pol, body())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Steps != c.steps || stats.Decisions != 1 {
+			t.Fatalf("MaxSteps %d: %d steps, %d decisions; want %d and 1",
+				c.maxSteps, stats.Steps, stats.Decisions, c.steps)
+		}
+	}
+}
