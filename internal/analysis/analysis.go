@@ -112,7 +112,7 @@ func RunAnalyzers(pkgs []*Package, fset *token.FileSet, analyzers []*Analyzer) [
 }
 
 // Vet loads the patterns relative to dir and runs the full suite — the
-// shared entry point of cmd/asgdvet and the self-check test.
+// entry point of cmd/asgdvet and the fixture tests.
 func Vet(dir string, patterns ...string) ([]Diagnostic, error) {
 	pkgs, l, err := Load(dir, patterns...)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -68,16 +69,35 @@ func TestFixtures(t *testing.T) {
 // this tree has been either fixed or annotated with a reasoned allow,
 // and this test keeps it that way.
 func TestRepoClean(t *testing.T) {
+	pkgs, l := loadModule(t)
+	for _, d := range RunAnalyzers(pkgs, l.Fset, All) {
+		t.Errorf("unexpected diagnostic: %s", d)
+	}
+}
+
+// module is the whole module's non-test packages, loaded once for every
+// test that checks a repo invariant.
+var module struct {
+	once sync.Once
+	pkgs []*Package
+	l    *Loader
+	err  error
+}
+
+// loadModule returns the loaded module, type-checking it from source on
+// first use.
+func loadModule(t *testing.T) ([]*Package, *Loader) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
 	}
-	diags, err := Vet(filepath.Join("..", ".."), "./...")
-	if err != nil {
-		t.Fatalf("vetting module: %v", err)
+	module.once.Do(func() {
+		module.pkgs, module.l, module.err = Load(filepath.Join("..", ".."), "./...")
+	})
+	if module.err != nil {
+		t.Fatalf("loading module: %v", module.err)
 	}
-	for _, d := range diags {
-		t.Errorf("unexpected diagnostic: %s", d)
-	}
+	return module.pkgs, module.l
 }
 
 // TestRelPath pins the module-relative path logic the contract

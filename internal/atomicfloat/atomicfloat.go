@@ -43,12 +43,6 @@ func (f *Float64) Add(delta float64) float64 {
 	}
 }
 
-// CompareAndSwap performs a CAS on the float value. Note: the comparison is
-// on bit patterns, so -0 and +0 are distinct and NaNs compare by payload.
-func (f *Float64) CompareAndSwap(old, new float64) bool {
-	return f.bits.CompareAndSwap(math.Float64bits(old), math.Float64bits(new))
-}
-
 // cacheLineBytes is the assumed cache line size for padding and bank
 // alignment.
 const cacheLineBytes = 64
@@ -108,9 +102,8 @@ func (l Layout) String() string {
 // and Load of the hogwild inner loop. Banked and Padded additionally
 // align cells[0] to a cache-line boundary.
 type Vector struct {
-	cells  []Float64
-	shift  uint8
-	layout Layout
+	cells []Float64
+	shift uint8
 }
 
 // alignedCells allocates n cells whose first element sits on a cache-line
@@ -136,19 +129,16 @@ func alignedCells(n int) []Float64 {
 func New(d int, layout Layout) *Vector {
 	switch layout {
 	case Banked:
-		return &Vector{cells: alignedCells(d), layout: Banked}
+		return &Vector{cells: alignedCells(d)}
 	case Padded:
-		return &Vector{cells: alignedCells(d << padShift), shift: padShift, layout: Padded}
+		return &Vector{cells: alignedCells(d << padShift), shift: padShift}
 	default:
-		return &Vector{cells: make([]Float64, d), layout: Packed}
+		return &Vector{cells: make([]Float64, d)}
 	}
 }
 
 // Dim returns the dimension.
 func (v *Vector) Dim() int { return len(v.cells) >> v.shift }
-
-// Layout reports the vector's memory layout.
-func (v *Vector) Layout() Layout { return v.layout }
 
 // MemBytes reports the cell storage the layout addresses, in bytes —
 // 8·d for Packed/Banked, 64·d for Padded (the documented ~8x cost;
@@ -281,19 +271,4 @@ func (v *Vector) StoreAll(src []float64) {
 		panic("atomicfloat: StoreAll src dimension mismatch")
 	}
 	v.StoreRun(0, src)
-}
-
-// Zero resets every coordinate to 0.
-func (v *Vector) Zero() {
-	if v.shift == 0 {
-		cells := v.cells
-		for i := range cells {
-			cells[i].Store(0)
-		}
-		return
-	}
-	d := v.Dim()
-	for i := 0; i < d; i++ {
-		v.Store(i, 0)
-	}
 }

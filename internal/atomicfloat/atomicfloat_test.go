@@ -29,20 +29,6 @@ func TestFloat64AddReturnsPrior(t *testing.T) {
 	}
 }
 
-func TestFloat64CAS(t *testing.T) {
-	var f Float64
-	f.Store(1)
-	if !f.CompareAndSwap(1, 2) {
-		t.Error("CAS(1,2) failed")
-	}
-	if f.CompareAndSwap(1, 3) {
-		t.Error("stale CAS succeeded")
-	}
-	if f.Load() != 2 {
-		t.Errorf("value = %v", f.Load())
-	}
-}
-
 // The key linearizability property: concurrent fetch&adds never lose
 // updates (unlike plain read-modify-write on a shared float).
 func TestConcurrentAddNoLostUpdates(t *testing.T) {
@@ -88,12 +74,6 @@ func TestVectorBasics(t *testing.T) {
 		v.StoreAll([]float64{1, 2, 3, 4})
 		if v.Load(0) != 1 || v.Load(3) != 4 {
 			t.Errorf("StoreAll wrong")
-		}
-		v.Zero()
-		for i := 0; i < 4; i++ {
-			if v.Load(i) != 0 {
-				t.Errorf("Zero left v[%d]=%v", i, v.Load(i))
-			}
 		}
 	}
 }
@@ -152,8 +132,12 @@ var layouts = []struct {
 func TestNewSelectsLayout(t *testing.T) {
 	for _, l := range layouts {
 		v := New(5, l.kind)
-		if v.Layout() != l.kind {
-			t.Errorf("New(5, %v).Layout() = %v", l.kind, v.Layout())
+		want := 8 * 5
+		if l.kind == Padded {
+			want *= 8
+		}
+		if v.MemBytes() != want {
+			t.Errorf("New(5, %v).MemBytes() = %d, want %d", l.kind, v.MemBytes(), want)
 		}
 		if v.Dim() != 5 {
 			t.Errorf("New(5, %v).Dim() = %d", l.kind, v.Dim())
@@ -296,20 +280,8 @@ func TestBulkRunsAllocFree(t *testing.T) {
 			v.StoreRun(0, deltas)
 			v.LoadAll(dst)
 			v.GatherInto(gath, idx)
-			v.Zero()
 		}); n != 0 {
 			t.Errorf("%s: bulk paths allocate %v per run, want 0", l.name, n)
 		}
-	}
-}
-
-func TestNegativeZeroCASBitExact(t *testing.T) {
-	var f Float64
-	f.Store(math.Copysign(0, -1))
-	if f.CompareAndSwap(0, 1) {
-		t.Error("CAS(+0,...) matched -0; comparison should be bit-exact")
-	}
-	if !f.CompareAndSwap(math.Copysign(0, -1), 1) {
-		t.Error("CAS(-0,...) should match -0")
 	}
 }

@@ -18,17 +18,17 @@ func FuzzVectorOpsAcrossLayouts(f *testing.F) {
 	f.Add(uint8(24), []byte{4, 2, 11, 4, 120, 5})             // scaled runs, incl. out of range
 	f.Fuzz(func(t *testing.T, dim uint8, data []byte) {
 		d := int(dim)%96 + 1
-		vecs := []*Vector{New(d, Packed), New(d, Banked), New(d, Padded)}
+		vecs := []*Vector{New(d, Packed), New(d, Banked), New(d, Padded)} // in layouts order
 		ref := make([]float64, d)
 		buf := make([]float64, d)
 		check := func(op int) {
 			t.Helper()
-			for _, v := range vecs {
+			for li, v := range vecs {
 				v.LoadAll(buf)
 				for i := range ref {
 					if buf[i] != ref[i] {
 						t.Fatalf("op %d: %v layout v[%d] = %v, want %v",
-							op, v.Layout(), i, buf[i], ref[i])
+							op, layouts[li].name, i, buf[i], ref[i])
 					}
 				}
 			}
@@ -59,12 +59,12 @@ func FuzzVectorOpsAcrossLayouts(f *testing.F) {
 					scale = 1
 				}
 				inRange := pos >= 0 && pos+n <= d
-				for _, v := range vecs {
+				for li, v := range vecs {
 					func() {
 						defer func() {
 							if r := recover(); (r == nil) == !inRange {
 								t.Fatalf("op %d: %v layout run(start=%d,n=%d): panic=%v, in-range=%v",
-									k/3, v.Layout(), pos, n, r != nil, inRange)
+									k/3, layouts[li].name, pos, n, r != nil, inRange)
 							}
 						}()
 						if opcode == 3 {
@@ -92,12 +92,12 @@ func FuzzVectorOpsAcrossLayouts(f *testing.F) {
 			idx[i] = d - 1 - i // reversed, exercising non-unit access order
 		}
 		gath := make([]float64, d)
-		for _, v := range vecs {
+		for li, v := range vecs {
 			v.GatherInto(gath, idx)
 			for kk, i := range idx {
 				if gath[kk] != ref[i] {
 					t.Fatalf("%v layout GatherInto[%d] = %v, want ref[%d] = %v",
-						v.Layout(), kk, gath[kk], i, ref[i])
+						layouts[li].name, kk, gath[kk], i, ref[i])
 				}
 			}
 		}

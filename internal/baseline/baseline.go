@@ -105,26 +105,3 @@ func (r *SeqResult) HitTime(eps float64) int {
 	}
 	return -1
 }
-
-// FailureProbability estimates P(F_T) — the probability that sequential
-// SGD has not entered the success region by iteration T — over trials
-// Monte-Carlo runs with independent seeds derived from seed.
-func FailureProbability(cfg SeqConfig, eps float64, trials int, seed uint64) (float64, error) {
-	if trials <= 0 {
-		return 0, fmt.Errorf("%w: trials=%d", ErrBadConfig, trials)
-	}
-	fails := 0
-	for k := 0; k < trials; k++ {
-		c := cfg
-		c.Seed = seed + uint64(k)*0x9E3779B97F4A7C15
-		c.TrackDist = true
-		res, err := RunSequential(c)
-		if err != nil {
-			return 0, err
-		}
-		if res.HitTime(eps) < 0 {
-			fails++
-		}
-	}
-	return float64(fails) / float64(trials), nil
-}

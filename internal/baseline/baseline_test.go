@@ -111,30 +111,3 @@ func TestMiniBatchReducesVariance(t *testing.T) {
 		t.Errorf("batch-8 steady-state error %v not below batch-1 %v", v8, v1)
 	}
 }
-
-func TestFailureProbabilityMonotoneInT(t *testing.T) {
-	q := isoOracle(t, 2, 0.4)
-	eps := 0.3
-	cst := q.Constants()
-	alpha := cst.C * eps / cst.M2
-	pf := func(T int) float64 {
-		p, err := FailureProbability(SeqConfig{
-			Oracle: q, X0: vec.Dense{1.5, -1.5}, Alpha: alpha, Iters: T,
-		}, eps, 80, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	pShort, pLong := pf(30), pf(600)
-	if pLong > pShort {
-		t.Errorf("P(F_T) increased with T: %v -> %v", pShort, pLong)
-	}
-	if pLong > 0.5 {
-		t.Errorf("long-run failure probability %v too high", pLong)
-	}
-	if _, err := FailureProbability(SeqConfig{Oracle: q, Alpha: 0.1, Iters: 1},
-		eps, 0, 1); !errors.Is(err, ErrBadConfig) {
-		t.Error("trials=0 accepted")
-	}
-}

@@ -218,17 +218,9 @@ func (c *Coordinator) Close() {
 // Requeues returns the total number of cells requeued after lease loss.
 func (c *Coordinator) Requeues() int64 { return c.requeuedCells.Load() }
 
-// RemoteCells returns the total number of cell results accepted from
-// workers.
-func (c *Coordinator) RemoteCells() int64 { return c.remoteCells.Load() }
-
 // DuplicateCells returns the number of reported results dropped because
 // the cell was already complete (requeue overlap).
 func (c *Coordinator) DuplicateCells() int64 { return c.duplicateCells.Load() }
-
-// RecoveredCells returns the number of cell results replayed from the
-// job log instead of re-executed.
-func (c *Coordinator) RecoveredCells() int64 { return c.recoveredCells.Load() }
 
 // AttachMetrics registers the asgdserve_cluster_* families into the
 // server's registry (serve.New calls this automatically when the

@@ -1,9 +1,8 @@
-// Package data generates the synthetic datasets used by the regression and
-// classification workloads. The paper's experiments need no proprietary
-// data — its claims are about the optimization dynamics — so Gaussian
-// linear-model and logistic-model generators with controllable dimension,
-// sample count, conditioning, sparsity and noise are the faithful
-// substitute (see DESIGN.md §1).
+// Package data generates the synthetic datasets used by the regression
+// workloads. The paper's experiments need no proprietary data — its claims
+// are about the optimization dynamics — so a Gaussian linear-model
+// generator with controllable dimension, sample count, conditioning,
+// sparsity and noise is the faithful substitute (see DESIGN.md §1).
 package data
 
 import (
@@ -51,18 +50,6 @@ func (ds *Dataset) Dim() int {
 		return 0
 	}
 	return ds.Rows[0].Dim()
-}
-
-// MaxRowNorm2Sq returns max_i ‖a_i‖², which bounds the per-sample gradient
-// Lipschitz constants of least squares and logistic regression.
-func (ds *Dataset) MaxRowNorm2Sq() float64 {
-	var m float64
-	for _, r := range ds.Rows {
-		if s := r.Norm2Sq(); s > m {
-			m = s
-		}
-	}
-	return m
 }
 
 // Gram returns the empirical second-moment matrix (1/m)·Σ a_i a_iᵀ, whose
@@ -120,54 +107,6 @@ func GenLinear(cfg LinearConfig, r *rng.Rand) (*Dataset, error) {
 			row[j] *= scales[j]
 		}
 		ds.Labels[i] = vec.MustDot(row, truth) + cfg.NoiseStd*r.Normal()
-	}
-	return ds, nil
-}
-
-// LogisticConfig parameterizes GenLogistic.
-type LogisticConfig struct {
-	Samples  int
-	Dim      int
-	Margin   float64 // scale of the planted model; larger ⇒ more separable
-	FlipProb float64 // label noise: probability of flipping the label
-	CondExp  float64 // feature conditioning as in LinearConfig
-}
-
-// GenLogistic generates a binary classification dataset with labels ±1
-// drawn from the logistic model P(y=1|a) = σ(Margin·a·x♮), with optional
-// label flips.
-func GenLogistic(cfg LogisticConfig, r *rng.Rand) (*Dataset, error) {
-	if cfg.Samples <= 0 || cfg.Dim <= 0 || cfg.FlipProb < 0 || cfg.FlipProb > 0.5 {
-		return nil, ErrBadShape
-	}
-	if cfg.CondExp == 0 {
-		cfg.CondExp = 1
-	}
-	if cfg.Margin == 0 {
-		cfg.Margin = 1
-	}
-	scales := coordScales(cfg.Dim, cfg.CondExp)
-	truth := randomDirection(cfg.Dim, 1, r)
-	rows, slab := newRows(cfg.Samples, cfg.Dim)
-	ds := &Dataset{
-		Rows:   rows,
-		Labels: make([]float64, cfg.Samples),
-		Truth:  truth,
-		slab:   slab,
-	}
-	for i, row := range ds.Rows {
-		for j := range row {
-			row[j] = scales[j] * r.Normal()
-		}
-		p := 1 / (1 + math.Exp(-cfg.Margin*vec.MustDot(row, truth)))
-		y := -1.0
-		if r.Bernoulli(p) {
-			y = 1
-		}
-		if r.Bernoulli(cfg.FlipProb) {
-			y = -y
-		}
-		ds.Labels[i] = y
 	}
 	return ds, nil
 }

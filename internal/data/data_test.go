@@ -84,46 +84,6 @@ func TestGenLinearValidation(t *testing.T) {
 	}
 }
 
-func TestGenLogistic(t *testing.T) {
-	ds, err := GenLogistic(LogisticConfig{
-		Samples: 500, Dim: 3, Margin: 3,
-	}, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos, agree := 0, 0
-	for i, row := range ds.Rows {
-		y := ds.Labels[i]
-		if y != 1 && y != -1 {
-			t.Fatalf("label %v not ±1", y)
-		}
-		if y == 1 {
-			pos++
-		}
-		if y*vec.MustDot(row, ds.Truth) > 0 {
-			agree++
-		}
-	}
-	if pos < 100 || pos > 400 {
-		t.Errorf("positives = %d/500, badly unbalanced", pos)
-	}
-	// With margin 3, labels should mostly agree with the planted model.
-	if agree < 350 {
-		t.Errorf("only %d/500 labels agree with planted model", agree)
-	}
-}
-
-func TestGenLogisticValidation(t *testing.T) {
-	if _, err := GenLogistic(LogisticConfig{Samples: 1, Dim: 1, FlipProb: 0.6},
-		rng.New(1)); !errors.Is(err, ErrBadShape) {
-		t.Error("flip prob > 0.5 accepted")
-	}
-	if _, err := GenLogistic(LogisticConfig{Samples: 0, Dim: 1},
-		rng.New(1)); !errors.Is(err, ErrBadShape) {
-		t.Error("0 samples accepted")
-	}
-}
-
 func TestSparsifyRowsPreservesScaleAndSparsifies(t *testing.T) {
 	ds, err := GenLinear(LinearConfig{Samples: 2000, Dim: 10}, rng.New(5))
 	if err != nil {
@@ -156,17 +116,10 @@ func TestSparsifyRowsPreservesScaleAndSparsifies(t *testing.T) {
 	}
 }
 
-func TestMaxRowNorm2SqAndGramErrors(t *testing.T) {
+func TestGramErrors(t *testing.T) {
 	ds := &Dataset{}
-	if ds.MaxRowNorm2Sq() != 0 {
-		t.Error("empty max row norm nonzero")
-	}
 	if _, err := ds.Gram(); !errors.Is(err, ErrBadShape) {
 		t.Error("Gram on empty dataset accepted")
-	}
-	ds2 := &Dataset{Rows: []vec.Dense{{3, 4}, {1, 0}}, Labels: []float64{0, 0}}
-	if ds2.MaxRowNorm2Sq() != 25 {
-		t.Errorf("MaxRowNorm2Sq = %v", ds2.MaxRowNorm2Sq())
 	}
 }
 

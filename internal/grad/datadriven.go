@@ -252,103 +252,3 @@ func (l *LeastSquares) CloneFor(int) Oracle {
 	cp.xstar = l.xstar.Clone()
 	return &cp
 }
-
-// Logistic is ℓ2-regularized logistic regression:
-//
-//	f(x) = (1/m) Σ_i log(1 + exp(−y_i·a_iᵀx)) + (λ/2)‖x‖²
-//
-// with the uniform-sample oracle g̃(x) = −y_i·σ(−y_i a_iᵀx)·a_i + λx.
-// Constants: c = λ; per-sample gradients are (λ + ‖a_i‖²/4)-Lipschitz;
-// ‖g̃(x)‖ ≤ ‖a_i‖ + λ(R + ‖x*‖) on the ball.
-type Logistic struct {
-	ds     *data.Dataset
-	lambda float64
-	xstar  vec.Dense
-	cst    Constants
-}
-
-var _ Oracle = (*Logistic)(nil)
-
-// NewLogistic builds the oracle. The optimum is found by full-gradient
-// descent to tolerance tol (the objective is λ-strongly convex and smooth,
-// so this converges linearly); r0 is the ball radius for M².
-func NewLogistic(ds *data.Dataset, lambda, r0 float64) (*Logistic, error) {
-	d := ds.Dim()
-	if d == 0 || lambda <= 0 || r0 <= 0 {
-		return nil, ErrBadParam
-	}
-	lg := &Logistic{ds: ds, lambda: lambda}
-	maxA2 := ds.MaxRowNorm2Sq()
-	smooth := lambda + maxA2/4
-	x := vec.NewDense(d)
-	g := vec.NewDense(d)
-	step := 1 / smooth
-	for k := 0; k < 20000; k++ {
-		lg.FullGrad(g, x)
-		if g.Norm2() < 1e-11 {
-			break
-		}
-		_ = x.AddScaled(-step, g)
-	}
-	lg.xstar = x
-	maxA := math.Sqrt(maxA2)
-	bnd := maxA + lambda*(r0+x.Norm2())
-	lg.cst = Constants{C: lambda, L: smooth, M2: bnd * bnd, R: r0}
-	return lg, nil
-}
-
-// Dim implements Oracle.
-func (l *Logistic) Dim() int { return l.ds.Dim() }
-
-// Value implements Oracle.
-func (l *Logistic) Value(x vec.Dense) float64 {
-	var s float64
-	for i, a := range l.ds.Rows {
-		s += math.Log1p(math.Exp(-l.ds.Labels[i] * vec.MustDot(a, x)))
-	}
-	return s/float64(l.ds.Len()) + 0.5*l.lambda*x.Norm2Sq()
-}
-
-// FullGrad implements Oracle.
-func (l *Logistic) FullGrad(dst, x vec.Dense) {
-	dst.Zero()
-	w := 1 / float64(l.ds.Len())
-	for i, a := range l.ds.Rows {
-		y := l.ds.Labels[i]
-		s := sigmoid(-y * vec.MustDot(a, x))
-		_ = dst.AddScaled(-w*y*s, a)
-	}
-	_ = dst.AddScaled(l.lambda, x)
-}
-
-// Grad implements Oracle.
-func (l *Logistic) Grad(dst, x vec.Dense, r *rng.Rand) {
-	i := r.Intn(l.ds.Len())
-	a := l.ds.Rows[i]
-	y := l.ds.Labels[i]
-	s := sigmoid(-y * vec.MustDot(a, x))
-	for j := range dst {
-		dst[j] = -y*s*a[j] + l.lambda*x[j]
-	}
-}
-
-// Optimum implements Oracle.
-func (l *Logistic) Optimum() vec.Dense { return l.xstar.Clone() }
-
-// Constants implements Oracle.
-func (l *Logistic) Constants() Constants { return l.cst }
-
-// CloneFor implements Oracle.
-func (l *Logistic) CloneFor(int) Oracle {
-	cp := *l
-	cp.xstar = l.xstar.Clone()
-	return &cp
-}
-
-func sigmoid(z float64) float64 {
-	if z >= 0 {
-		return 1 / (1 + math.Exp(-z))
-	}
-	e := math.Exp(z)
-	return e / (1 + e)
-}

@@ -175,69 +175,6 @@ func TestLeastSquaresValueGradientConsistency(t *testing.T) {
 	}
 }
 
-func TestLogisticOracle(t *testing.T) {
-	ds, err := data.GenLogistic(data.LogisticConfig{
-		Samples: 300, Dim: 3, Margin: 2,
-	}, rng.New(61))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg, err := NewLogistic(ds, 0.1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkOptimum(t, lg, 1e-6)
-	checkStrongConvexity(t, lg, 62)
-	checkUnbiased(t, lg, 63, 60000, 0.05)
-	cst := lg.Constants()
-	if cst.C != 0.1 {
-		t.Errorf("c = %v, want λ", cst.C)
-	}
-	est := EstimateM2(lg, cst.R, 15, 400, rng.New(64))
-	if est > cst.M2*1.02 {
-		t.Errorf("empirical M² %.4g exceeds analytic %.4g", est, cst.M2)
-	}
-}
-
-func TestLogisticFiniteDifference(t *testing.T) {
-	ds, err := data.GenLogistic(data.LogisticConfig{
-		Samples: 120, Dim: 2, Margin: 1, FlipProb: 0.05,
-	}, rng.New(71))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg, err := NewLogistic(ds, 0.05, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := vec.Dense{0.4, -0.9}
-	g := vec.NewDense(2)
-	lg.FullGrad(g, x)
-	const h = 1e-6
-	for j := 0; j < 2; j++ {
-		xp, xm := x.Clone(), x.Clone()
-		xp[j] += h
-		xm[j] -= h
-		fd := (lg.Value(xp) - lg.Value(xm)) / (2 * h)
-		if math.Abs(fd-g[j]) > 1e-5*(1+math.Abs(fd)) {
-			t.Errorf("coord %d: finite diff %v vs grad %v", j, fd, g[j])
-		}
-	}
-}
-
-func TestLogisticValidation(t *testing.T) {
-	ds, err := data.GenLogistic(data.LogisticConfig{Samples: 20, Dim: 2}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewLogistic(ds, 0, 1); !errors.Is(err, ErrBadParam) {
-		t.Error("λ=0 accepted")
-	}
-	if _, err := NewLogistic(ds, 0.1, 0); !errors.Is(err, ErrBadParam) {
-		t.Error("r0=0 accepted")
-	}
-}
-
 func TestClonesShareDataButNotState(t *testing.T) {
 	ds := genDS(t, 50, 2, 0.1, 81)
 	ls, err := NewLeastSquares(ds, 1)

@@ -1,9 +1,9 @@
 // Package grad provides the stochastic gradient oracles the reproduction
 // optimizes: the paper's Section-5 one-dimensional quadratic, isotropic and
-// anisotropic strongly convex quadratics, linear least squares and
-// ℓ2-regularized logistic regression over synthetic datasets, plus a
-// single-non-zero-coordinate wrapper matching the sparsity assumption of
-// De Sa et al. that the paper's analysis removes.
+// anisotropic strongly convex quadratics and linear least squares over
+// synthetic datasets, plus a single-non-zero-coordinate wrapper matching
+// the sparsity assumption of De Sa et al. that the paper's analysis
+// removes.
 //
 // Every oracle reports its analytic constants: c (strong convexity, Eq. 2),
 // L (expected Lipschitz constant of the stochastic gradient, Eq. 3), and a

@@ -72,11 +72,11 @@ func checkStrongConvexity(t *testing.T, o Oracle, seed uint64) {
 		o.FullGrad(gx, x)
 		o.FullGrad(gy, y)
 		diff := x.Clone()
-		if err := diff.Sub(y); err != nil {
+		if err := diff.AddScaled(-1, y); err != nil {
 			t.Fatal(err)
 		}
 		gdiff := gx.Clone()
-		if err := gdiff.Sub(gy); err != nil {
+		if err := gdiff.AddScaled(-1, gy); err != nil {
 			t.Fatal(err)
 		}
 		lhs := vec.MustDot(diff, gdiff)

@@ -147,8 +147,7 @@ var _ SparseOracle = (*SparseLeastSquares)(nil)
 // coordinate form. r0 is the M² ball radius. The rows are laid out as
 // CSR: every row's Indices and Values are sub-slices of one index slab and
 // one value slab, capacity-limited to the row so an append to one row can
-// never write into the next; an all-zero row has nil slices, exactly as
-// vec.FromDense returns it.
+// never write into the next; an all-zero row has nil slices.
 //
 // Everything else is derived from the CSR rows, with the bits
 // NewLeastSquares derives from the dense ones: a skipped zero term adds

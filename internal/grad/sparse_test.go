@@ -243,8 +243,9 @@ func (badSupportOracle) GradSparseAt(dst *vec.Sparse, _ []float64, _ *rng.Rand) 
 }
 
 // FuzzSparseLeastSquaresRows: the CSR rows NewSparseLeastSquares carves
-// from its two slabs must each equal vec.FromDense of the dataset row —
-// same Dim, Indices and Values, and nil slices for an all-zero row — and
+// from its two slabs must each equal the dataset row's non-zeros in index
+// order — same Dim, Indices and Values, and nil slices for an all-zero
+// row — and
 // an append to one row must never write into the next.
 func FuzzSparseLeastSquaresRows(f *testing.F) {
 	f.Add(uint8(3), []byte{})
@@ -281,7 +282,13 @@ func FuzzSparseLeastSquaresRows(f *testing.F) {
 			t.Fatalf("%d sparse rows for %d dataset rows", len(s.rows), len(rows))
 		}
 		for i, row := range rows {
-			got, want := s.rows[i], vec.FromDense(row)
+			got, want := s.rows[i], vec.Sparse{Dim: len(row)}
+			for j, v := range row {
+				if v != 0 {
+					want.Indices = append(want.Indices, j)
+					want.Values = append(want.Values, v)
+				}
+			}
 			if got.Dim != want.Dim || !reflect.DeepEqual(got.Indices, want.Indices) ||
 				!reflect.DeepEqual(got.Values, want.Values) {
 				t.Fatalf("row %d = %+v, want %+v", i, got, want)

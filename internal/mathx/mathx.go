@@ -1,7 +1,7 @@
 // Package mathx provides the scalar mathematical helpers used across the
 // reproduction: the paper's piecewise logarithm plog, numerically stable
 // running statistics, simple confidence intervals for Monte-Carlo failure
-// probabilities, and a handful of clamps.
+// probabilities, a clamp and the least-squares fits.
 package mathx
 
 import "math"
@@ -29,28 +29,6 @@ func Clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// ClampInt limits v to [lo, hi].
-func ClampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// GeomSeriesSum returns Σ_{k=0}^{n-1} r^k, handling r == 1.
-func GeomSeriesSum(r float64, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if r == 1 {
-		return float64(n)
-	}
-	return (1 - math.Pow(r, float64(n))) / (1 - r)
 }
 
 // Welford accumulates a running mean and variance with Welford's algorithm.
@@ -104,29 +82,6 @@ func (w *Welford) Merge(o Welford) {
 	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
 	w.mean += d * float64(o.n) / float64(n)
 	w.n = n
-}
-
-// KahanSum accumulates float64s with compensated (Kahan) summation.
-// The zero value is ready to use.
-type KahanSum struct {
-	sum float64
-	c   float64
-}
-
-// Add incorporates x.
-func (k *KahanSum) Add(x float64) {
-	y := x - k.c
-	t := k.sum + y
-	k.c = (t - k.sum) - y
-	k.sum = t
-}
-
-// Sum returns the compensated total.
-func (k *KahanSum) Sum() float64 { return k.sum }
-
-// NormalCDF returns the standard normal CDF Φ(x) via erf.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
 // WilsonInterval returns a (lo, hi) Wilson score interval for a binomial

@@ -49,21 +49,6 @@ func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Error("Clamp wrong")
 	}
-	if ClampInt(5, 0, 3) != 3 || ClampInt(-1, 0, 3) != 0 || ClampInt(2, 0, 3) != 2 {
-		t.Error("ClampInt wrong")
-	}
-}
-
-func TestGeomSeriesSum(t *testing.T) {
-	if got := GeomSeriesSum(1, 5); got != 5 {
-		t.Errorf("r=1: %v", got)
-	}
-	if got := GeomSeriesSum(0.5, 3); math.Abs(got-1.75) > 1e-12 {
-		t.Errorf("r=0.5 n=3: %v", got)
-	}
-	if got := GeomSeriesSum(2, 0); got != 0 {
-		t.Errorf("n=0: %v", got)
-	}
 }
 
 func TestWelford(t *testing.T) {
@@ -115,26 +100,6 @@ func TestWelfordMerge(t *testing.T) {
 		if math.Abs(left.Variance()-whole.Variance()) > 1e-12 {
 			t.Errorf("cut %d: Variance = %v, want %v", cut, left.Variance(), whole.Variance())
 		}
-	}
-}
-
-func TestKahanSum(t *testing.T) {
-	var k KahanSum
-	k.Add(1e16)
-	for i := 0; i < 10; i++ {
-		k.Add(1)
-	}
-	if got := k.Sum() - 1e16; got != 10 {
-		t.Errorf("Kahan residual = %v, want 10", got)
-	}
-}
-
-func TestNormalCDF(t *testing.T) {
-	if math.Abs(NormalCDF(0)-0.5) > 1e-12 {
-		t.Errorf("Φ(0) = %v", NormalCDF(0))
-	}
-	if math.Abs(NormalCDF(1.959963985)-0.975) > 1e-6 {
-		t.Errorf("Φ(1.96) = %v", NormalCDF(1.959963985))
 	}
 }
 

@@ -163,9 +163,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add adds v (may be negative).
 func (g *Gauge) Add(v float64) { addFloat(&g.bits, v) }
 
@@ -227,38 +224,8 @@ func (h *Histogram) Observe(v float64) {
 	addFloat(&h.sum, v)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	n := h.inf.Load()
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Quantile returns an estimate of quantile q ∈ [0,1] from the bucket
-// counts: the upper bound of the first bucket whose cumulative count
-// reaches q·total (the resolution is the bucket grid — same estimate a
-// PromQL histogram_quantile gives). Returns NaN with no observations and
-// +Inf when the quantile lands past the last finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	cum := uint64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		if float64(cum) >= rank {
-			return b
-		}
-	}
-	return math.Inf(1)
-}
 
 func (h *Histogram) render(w *strings.Builder, name, labels string) {
 	// Splice le into the (possibly non-empty) label set.
@@ -284,20 +251,6 @@ func (h *Histogram) render(w *strings.Builder, name, labels string) {
 // sit in the sub-millisecond range.
 var DefBuckets = []float64{
 	.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60,
-}
-
-// ExponentialBuckets returns n bounds starting at start, each factor×
-// the previous (start > 0, factor > 1, n ≥ 1).
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("metrics: bad ExponentialBuckets parameters")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
 }
 
 // --- registration front doors ----------------------------------------------

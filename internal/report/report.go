@@ -1,9 +1,8 @@
-// Package report renders experiment results as aligned text tables and
-// CSV, the output format of cmd/asgdbench and the benchmark harness.
+// Package report renders experiment results as aligned text tables, the
+// output format of cmd/asgdbench and the benchmark harness.
 package report
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
@@ -75,21 +74,6 @@ func (t *Table) Fprint(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// FprintCSV writes the table as CSV (header + rows; title/note omitted).
-func (t *Table) FprintCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Columns); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := cw.Write(r); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // String renders the table as text.

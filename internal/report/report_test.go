@@ -37,19 +37,6 @@ func TestAddRowPadsAndTruncates(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	tbl := New("t", "a", "b")
-	tbl.AddRow("1", "x,y")
-	var b strings.Builder
-	if err := tbl.FprintCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n1,\"x,y\"\n"
-	if b.String() != want {
-		t.Errorf("csv = %q, want %q", b.String(), want)
-	}
-}
-
 func TestFl(t *testing.T) {
 	tests := map[float64]string{
 		0:       "0",

@@ -38,7 +38,7 @@ func SplitMix64(state *uint64) uint64 {
 }
 
 // Rand is a deterministic PRNG instance. It is NOT safe for concurrent use;
-// derive one per goroutine/thread with Split.
+// derive one per goroutine/thread with NewStream.
 type Rand struct {
 	state uint64
 	inc   uint64 // stream selector; must be odd
@@ -67,12 +67,6 @@ func NewStream(seed, stream uint64) *Rand {
 	r.state = SplitMix64(&sm)
 	r.step()
 	return r
-}
-
-// Split derives a new independent generator from r, advancing r. Successive
-// Split calls produce distinct streams. Use one Split per simulated thread.
-func (r *Rand) Split() *Rand {
-	return NewStream(r.Uint64(), r.Uint64())
 }
 
 func (r *Rand) step() uint64 {
@@ -191,21 +185,6 @@ func (r *Rand) polar() (float64, float64) {
 		}
 		f := math.Sqrt(-2 * math.Log(s) / s)
 		return u * f, v * f
-	}
-}
-
-// NormalScaled returns mean + stddev·Normal().
-func (r *Rand) NormalScaled(mean, stddev float64) float64 {
-	return mean + stddev*r.Normal()
-}
-
-// Exponential returns an Exp(1) sample.
-func (r *Rand) Exponential() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
 	}
 }
 

@@ -20,7 +20,7 @@ type serverMetrics struct {
 	submissions *metrics.CounterVec
 	// jobsFinished counts jobs reaching a terminal state, by state
 	// (done | failed | canceled). Cache hits count as done — they are
-	// terminal at birth and appear in FinishedOrder like any other job.
+	// terminal at birth and join the finished order like any other job.
 	jobsFinished *metrics.CounterVec
 	// running counts jobs in dispatch: up to two, since job N+1's
 	// dispatch starts while job N's runs.

@@ -135,8 +135,8 @@ func TestExecutorOverlapsOneJob(t *testing.T) {
 			t.Errorf("job %d ended %s, want %s", i+1, st.State, want)
 		}
 	}
-	if got, want := s.FinishedOrder(), []string{"j1", "j2", "j3"}; !slices.Equal(got, want) {
-		t.Errorf("FinishedOrder %v, want %v", got, want)
+	if got, want := finishedOrder(s), []string{"j1", "j2", "j3"}; !slices.Equal(got, want) {
+		t.Errorf("finished order %v, want %v", got, want)
 	}
 	jr.mu.Lock()
 	defer jr.mu.Unlock()

@@ -474,15 +474,6 @@ func (s *Server) job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// FinishedOrder returns job ids in completion order — the observable the
-// load-smoke test compares against submission order to pin FIFO
-// fairness.
-func (s *Server) FinishedOrder() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.finished...)
-}
-
 // Health is the /healthz document.
 type Health struct {
 	OK           bool   `json:"ok"`

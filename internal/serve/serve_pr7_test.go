@@ -316,7 +316,7 @@ func parseMetrics(t *testing.T, body string) map[string]float64 {
 
 // TestMetricsAgreeWithHealthAndFinishedOrder drives concurrent load
 // while polling /metrics, then cross-checks the settled metrics against
-// /healthz and FinishedOrder — the three observability surfaces must
+// /healthz and the finished order — the three observability surfaces must
 // tell one story.
 func TestMetricsAgreeWithHealthAndFinishedOrder(t *testing.T) {
 	s, hs := newTestServer(t, Config{QueueDepth: 32})
@@ -392,7 +392,7 @@ func TestMetricsAgreeWithHealthAndFinishedOrder(t *testing.T) {
 	}
 	hr.Body.Close()
 
-	finished := len(s.FinishedOrder())
+	finished := len(finishedOrder(s))
 	checks := []struct {
 		metric string
 		want   float64
@@ -489,7 +489,7 @@ func TestJobsListingCarriesFinishedOrder(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	want := s.FinishedOrder()
+	want := finishedOrder(s)
 	if fmt.Sprint(doc.Finished) != fmt.Sprint(want) {
 		t.Fatalf("finished %v, want %v", doc.Finished, want)
 	}

@@ -254,7 +254,7 @@ func TestLoadSmoke(t *testing.T) {
 	s.mu.Lock()
 	submitted := append([]string(nil), s.order...)
 	s.mu.Unlock()
-	finished := s.FinishedOrder()
+	finished := finishedOrder(s)
 	if len(finished) != n {
 		t.Fatalf("finished %d jobs, want %d", len(finished), n)
 	}
@@ -683,4 +683,12 @@ func TestFinishIsIdempotent(t *testing.T) {
 	if len(j.events) != 1 {
 		t.Fatalf("cell event appended after terminal: %+v", j.events)
 	}
+}
+
+// finishedOrder returns the server's job ids in completion order, the
+// observable the FIFO fairness tests compare against submission order.
+func finishedOrder(s *Server) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.finished...)
 }

@@ -1,55 +1,43 @@
 package shm
 
-// Func is the Program adapter for ordinary Go functions. The body runs on
-// its own goroutine and performs shared-memory operations through the
-// blocking methods of T; each call hands control back to the machine until
-// the scheduler grants the step, and the adapter's NextInto writes the
-// body's next operation into the pending slot. The adapter guarantees the
-// goroutine is released when the machine stops early (MaxSteps, policy
-// halt, error): Machine.Run calls Stop, which unwinds the body via a
-// recovered panic.
+import "iter"
+
+// Func is the Program adapter for ordinary Go functions. The body runs as
+// a coroutine (iter.Pull) and performs shared-memory operations through
+// the methods of T: each call yields the operation to the adapter's
+// NextInto, which writes it into the pending slot, and resumes with its
+// result once the scheduler has granted the step. When the machine stops
+// early (MaxSteps, policy halt, error), Machine.Run calls Stop, which
+// unwinds a body still waiting on an operation. A panic of the body's own
+// surfaces from Machine.Run.
 //
 // Func programs are convenient for tests, examples and baselines. Hot-path
 // workloads (the SGD iteration loop in internal/core) implement NextInto
-// directly as a state machine to avoid per-step channel handoffs.
+// directly as a state machine to avoid a coroutine switch per step.
 func Func(body func(*T)) Program {
-	return &funcProgram{
-		body: body,
-		t: &T{
-			reqCh:  make(chan Request),
-			resCh:  make(chan Result),
-			killCh: make(chan struct{}),
-		},
-		doneCh: make(chan struct{}),
-	}
+	return &funcProgram{body: body}
 }
 
-// T is the operation handle passed to a Func body. Its methods block until
-// the machine schedules the operation and return its result.
+// T is the operation handle passed to a Func body. Its methods return once
+// the machine has scheduled the operation, with its result.
 type T struct {
-	reqCh  chan Request
-	resCh  chan Result
-	killCh chan struct{}
-	tag    Tag
+	yield func(Request) bool
+	res   Result // the granted operation's result, set before resuming
+	tag   Tag
 }
 
+// killSentinel unwinds a body whose program was stopped: after stop,
+// yield keeps returning false, so a looping body would never return.
 type killSentinel struct{}
 
 func (t *T) do(req Request) Result {
 	if req.Tag == (Tag{}) {
 		req.Tag = t.tag
 	}
-	select {
-	case t.reqCh <- req:
-	case <-t.killCh:
+	if !t.yield(req) {
 		panic(killSentinel{})
 	}
-	select {
-	case res := <-t.resCh:
-		return res
-	case <-t.killCh:
-		panic(killSentinel{})
-	}
+	return t.res
 }
 
 // Read atomically reads register addr.
@@ -80,60 +68,47 @@ func (t *T) CAS(addr int, exp, v float64) (prior float64, swapped bool) {
 func (t *T) Annotate(tag Tag) { t.tag = tag }
 
 type funcProgram struct {
-	body    def
-	t       *T
-	doneCh  chan struct{}
-	started bool
-	stopped bool
+	body func(*T)
+	t    T
+	next func() (Request, bool)
+	stop func()
 }
-
-// def keeps the function field readable in the struct above.
-type def = func(*T)
 
 var _ Program = (*funcProgram)(nil)
 var _ Stopper = (*funcProgram)(nil)
 
-// NextInto implements Program by relaying results/requests to the body
-// goroutine, storing the body's next request into *req.
+// NextInto implements Program: it resumes the body with prev and stores
+// the body's next operation into *req.
 func (p *funcProgram) NextInto(prev Result, req *Request) bool {
-	if !p.started {
-		p.started = true
-		go func() {
-			defer close(p.doneCh)
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(killSentinel); !ok {
-						panic(r)
-					}
-				}
-			}()
-			p.body(p.t)
-		}()
-	} else {
-		select {
-		case p.t.resCh <- prev:
-		case <-p.doneCh:
-			return true
-		}
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.run)
 	}
-	select {
-	case *req = <-p.t.reqCh:
-		return false
-	case <-p.doneCh:
+	p.t.res = prev
+	r, ok := p.next()
+	if !ok {
 		return true
 	}
+	*req = r
+	return false
 }
 
-// Stop releases the body goroutine if it is still blocked on an operation.
+// run is the body as a sequence of operations. The sentinel is recovered
+// here, inside the sequence: one that escaped would be re-raised by stop.
+func (p *funcProgram) run(yield func(Request) bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killSentinel); !ok {
+				panic(r)
+			}
+		}
+	}()
+	p.t.yield = yield
+	p.body(&p.t)
+}
+
+// Stop unwinds the body if it is still waiting on an operation.
 func (p *funcProgram) Stop() {
-	if !p.started || p.stopped {
-		return
-	}
-	p.stopped = true
-	select {
-	case <-p.doneCh:
-	default:
-		close(p.t.killCh)
-		<-p.doneCh
+	if p.stop != nil {
+		p.stop()
 	}
 }

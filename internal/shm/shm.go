@@ -188,12 +188,6 @@ func (v *View) Pending(i int) (*Request, bool) {
 	return &v.m.pending[i], true
 }
 
-// Done reports whether thread i has terminated normally.
-func (v *View) Done(i int) bool { return v.m.done[i] }
-
-// Crashed reports whether thread i has been crashed by the adversary.
-func (v *View) Crashed(i int) bool { return v.m.crashed[i] }
-
 // Live reports whether thread i is schedulable (not done, not crashed).
 func (v *View) Live(i int) bool { return !v.m.done[i] && !v.m.crashed[i] }
 
@@ -202,9 +196,6 @@ func (v *View) LiveCount() int { return v.m.live }
 
 // Load lets the adversary inspect register addr.
 func (v *View) Load(addr int) float64 { return v.m.mem[addr] }
-
-// MemSize returns the number of registers.
-func (v *View) MemSize() int { return len(v.m.mem) }
 
 // Decision is a Policy's scheduling choice: execute thread Thread's pending
 // operation, after crashing the listed threads. Crashing all live threads
@@ -318,9 +309,6 @@ func New(cfg Config, policy Policy, progs ...Program) (*Machine, error) {
 // memory contents. The returned slice aliases machine state; treat it as
 // read-only.
 func (m *Machine) Mem() []float64 { return m.mem }
-
-// Steps returns the number of executed shared-memory steps so far.
-func (m *Machine) Steps() int { return m.steps }
 
 // Trace returns the recorded step log (empty unless Config.Trace).
 func (m *Machine) Trace() []Step { return m.trace }

@@ -171,6 +171,26 @@ func TestMaxStepsStopsAndReleasesGoroutines(t *testing.T) {
 	}
 }
 
+// TestFuncBodyPanicReachesRunCaller: a Func body's own panic surfaces
+// from Machine.Run on the caller's goroutine, with its value intact.
+func TestFuncBodyPanicReachesRunCaller(t *testing.T) {
+	prog := Func(func(th *T) {
+		th.FAA(0, 1)
+		panic("body failed")
+	})
+	m, err := New(Config{MemSize: 1}, &rrPolicy{}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r != "body failed" {
+			t.Errorf("recovered %v, want the body's panic", r)
+		}
+	}()
+	_, _ = m.Run()
+	t.Error("Run returned normally")
+}
+
 func TestCrashedThreadNeverRunsAgain(t *testing.T) {
 	mk := func() Program {
 		return Func(func(th *T) {
@@ -384,9 +404,6 @@ func TestViewAccessors(t *testing.T) {
 	pol := policyFunc(func(v *View) Decision {
 		if v.NumThreads() != 2 {
 			t.Errorf("NumThreads = %d", v.NumThreads())
-		}
-		if v.MemSize() != 3 {
-			t.Errorf("MemSize = %d", v.MemSize())
 		}
 		if req, ok := v.Pending(0); ok && req.Kind == OpFAA {
 			sawPending = true

@@ -124,16 +124,6 @@ func StripedLock(stripes int) Strategy {
 	}
 }
 
-// SparseLockFree is the sparse-aware Algorithm 1 (O(nnz) shared ops);
-// requires oracles with the grad.SparseOracle capability.
-func SparseLockFree() Strategy {
-	return Strategy{
-		Name:    "sparse-lock-free",
-		Hogwild: hogwild.NewSparseLockFree,
-		Machine: func(cfg *core.EpochConfig) { cfg.Sparse = true },
-	}
-}
-
 // BoundedStaleness is the τ-gated discipline on both runtimes. Sparse
 // oracles run the sparse view-read path on both sides.
 func BoundedStaleness(tau int) Strategy {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"asyncsgd/internal/core"
 	"asyncsgd/internal/grad"
 	"asyncsgd/internal/hogwild"
 	"asyncsgd/internal/rng"
@@ -253,10 +254,11 @@ func TestPanicCellsAreIsolated(t *testing.T) {
 // TestErrorCellsAreIsolated: a cell that cannot run (sparse strategy over
 // a dense-only oracle) reports its error without sinking the sweep.
 func TestErrorCellsAreIsolated(t *testing.T) {
+	sparse := Strategy{Name: "sparse-lock-free", Hogwild: hogwild.NewSparseLockFree, Machine: func(*core.EpochConfig) {}}
 	s := Spec{
 		Seed:       5,
 		Oracles:    []Oracle{quadOracle()},
-		Strategies: []Strategy{SparseLockFree(), LockFree()},
+		Strategies: []Strategy{sparse, LockFree()},
 		Alphas:     []float64{0.05},
 		Iters:      50,
 	}

@@ -21,9 +21,6 @@ func NewSym(n int) *Sym {
 	return &Sym{N: n, Data: make([]float64, n*n)}
 }
 
-// At returns element (i, j).
-func (s *Sym) At(i, j int) float64 { return s.Data[i*s.N+j] }
-
 // Set sets elements (i, j) and (j, i).
 func (s *Sym) Set(i, j int, v float64) {
 	s.Data[i*s.N+j] = v
@@ -110,22 +107,6 @@ func (s *Sym) CholeskyShifted(sigma float64) bool {
 		ri[i] = math.Sqrt(p)
 	}
 	return true
-}
-
-// MulVec computes dst = s·x.
-func (s *Sym) MulVec(dst, x Dense) error {
-	if len(x) != s.N || len(dst) != s.N {
-		return fmt.Errorf("mulvec: dims %d,%d vs %d: %w", len(dst), len(x), s.N, ErrDimMismatch)
-	}
-	for i := 0; i < s.N; i++ {
-		var acc float64
-		row := s.Data[i*s.N : (i+1)*s.N]
-		for j, v := range x {
-			acc += row[j] * v
-		}
-		dst[i] = acc
-	}
-	return nil
 }
 
 // Eigenvalues returns all eigenvalues of s in ascending order. It

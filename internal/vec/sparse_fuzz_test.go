@@ -86,9 +86,6 @@ func FuzzNewSparse(f *testing.F) {
 			if dense[i] != ref[i] {
 				t.Fatalf("ToDense[%d] = %v, want %v", i, dense[i], ref[i])
 			}
-			if s.At(i) != ref[i] {
-				t.Fatalf("At(%d) = %v, want %v", i, s.At(i), ref[i])
-			}
 		}
 	})
 }

@@ -39,20 +39,6 @@ func TestSparseIsSorted(t *testing.T) {
 	}
 }
 
-func TestSparseCopyFromClone(t *testing.T) {
-	src := Sparse{Dim: 6, Indices: []int{0, 4}, Values: []float64{1.5, -2}}
-	var dst Sparse
-	dst.CopyFrom(src)
-	cl := src.Clone()
-	src.Values[0] = 99
-	if dst.Values[0] != 1.5 || cl.Values[0] != 1.5 {
-		t.Error("CopyFrom/Clone alias the source")
-	}
-	if dst.Dim != 6 || cl.NNZ() != 2 {
-		t.Errorf("copy results: dst=%+v clone=%+v", dst, cl)
-	}
-}
-
 func TestGatherFrom(t *testing.T) {
 	x := Dense{10, 20, 30, 40}
 	got, err := GatherFrom(nil, x, []int{1, 3})

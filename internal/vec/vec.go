@@ -41,13 +41,6 @@ func Constant(d int, v float64) Dense {
 	return out
 }
 
-// Basis returns the i-th standard basis vector scaled by v in dimension d.
-func Basis(d, i int, v float64) Dense {
-	out := make(Dense, d)
-	out[i] = v
-	return out
-}
-
 // Dim returns the dimension of x.
 func (x Dense) Dim() int { return len(x) }
 
@@ -56,15 +49,6 @@ func (x Dense) Clone() Dense {
 	out := make(Dense, len(x))
 	copy(out, x)
 	return out
-}
-
-// CopyFrom copies src into x. The dimensions must match.
-func (x Dense) CopyFrom(src Dense) error {
-	if len(x) != len(src) {
-		return fmt.Errorf("copy %d <- %d: %w", len(x), len(src), ErrDimMismatch)
-	}
-	copy(x, src)
-	return nil
 }
 
 // Zero sets every entry of x to 0 in place.
@@ -101,9 +85,6 @@ func (x Dense) AddScaled(s float64, y Dense) error {
 
 // Add performs x += y in place.
 func (x Dense) Add(y Dense) error { return x.AddScaled(1, y) }
-
-// Sub performs x -= y in place.
-func (x Dense) Sub(y Dense) error { return x.AddScaled(-1, y) }
 
 // Dot returns the inner product <x, y>.
 func Dot(x, y Dense) (float64, error) {
@@ -154,15 +135,6 @@ func (x Dense) Norm2Sq() float64 {
 	var s float64
 	for _, v := range x {
 		s += v * v
-	}
-	return s
-}
-
-// Norm1 returns the L1 norm ‖x‖₁.
-func (x Dense) Norm1() float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
 	}
 	return s
 }
