@@ -33,6 +33,7 @@ import (
 	"io"
 
 	"asyncsgd/internal/baseline"
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/core"
 	"asyncsgd/internal/data"
 	"asyncsgd/internal/experiments"
@@ -165,6 +166,18 @@ func RunEpoch(cfg EpochConfig) (*EpochResult, error) { return core.RunEpoch(cfg)
 // RunFull executes Algorithm 2 (epoch halving with guaranteed
 // convergence, Corollary 7.1).
 func RunFull(cfg FullConfig) (*FullResult, error) { return core.RunFull(cfg) }
+
+// Window is one iteration's admission window, as EpochResult.Windows holds.
+type Window = contention.Window
+
+// TauMax is the paper's τmax, the maximum interval contention, over ws.
+func TauMax(ws []Window) int { return contention.TauMax(ws) }
+
+// TauAvg is the paper's τavg, the average interval contention, over ws.
+func TauAvg(ws []Window) float64 { return contention.TauAvg(ws) }
+
+// MaxAdmissions is the staleness the gated disciplines bound; it sorts ws.
+func MaxAdmissions(ws []Window) int { return contention.MaxAdmissions(ws) }
 
 // RunSequential executes the sequential SGD baseline.
 func RunSequential(cfg SeqConfig) (*SeqResult, error) { return baseline.RunSequential(cfg) }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/core"
 	"asyncsgd/internal/experiments"
 	"asyncsgd/internal/grad"
@@ -94,6 +95,6 @@ Examples:
 		fmt.Println(experiments.RenderTimeline(res.Tracker.Timelines(), *threads, *timelineWidth))
 	}
 	fmt.Printf("\nτmax (interval contention) = %d, τavg = %.2f, max view staleness = %d\n",
-		res.Tracker.TauMax(), res.Tracker.TauAvg(), res.Tracker.TauMaxView())
+		contention.TauMax(res.Windows), contention.TauAvg(res.Windows), res.Tracker.TauMaxView())
 	return nil
 }

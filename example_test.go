@@ -35,14 +35,13 @@ func ExampleRunEpoch() {
 		Seed:       1,
 		X0:         x0,
 		Record:     true,
-		Track:      true,
 	})
 	if err != nil {
 		panic(err)
 	}
 	hit := res.HitTime(oracle.Optimum(), eps)
 	fmt.Printf("hit success region by iteration %d: %v\n", T, hit > 0)
-	fmt.Printf("measured tau_max = %d\n", res.Tracker.TauMax())
+	fmt.Printf("measured tau_max = %d\n", asyncsgd.TauMax(res.Windows))
 	// Output:
 	// hit success region by iteration 2000: true
 	// measured tau_max = 10

@@ -81,7 +81,7 @@ func run() error {
 			label = fmt.Sprintf("gate τ=%d", tau)
 		}
 		fmt.Printf("  %-10s measured staleness %2d, τmax view %2d\n",
-			label, res.Tracker.MaxAdmissionsDuring(), res.Tracker.TauMaxView())
+			label, asyncsgd.MaxAdmissions(res.Windows), res.Tracker.TauMaxView())
 	}
 	fmt.Println("\nThe gate turns Theorem 6.5's delay parameter τ from an adversary's")
 	fmt.Println("choice into a runtime knob; E16 sweeps it against the Section-5 bound.")

@@ -65,7 +65,7 @@ func run() error {
 	hit := res.HitTime(xstar, eps)
 	fmt.Printf("lock-free (adversarial): hit success region at iteration %d\n", hit)
 	fmt.Printf("  measured τmax = %d, τavg = %.2f, max view staleness = %d\n",
-		res.Tracker.TauMax(), res.Tracker.TauAvg(), res.Tracker.TauMaxView())
+		asyncsgd.TauMax(res.Windows), asyncsgd.TauAvg(res.Windows), res.Tracker.TauMaxView())
 
 	// Sequential baseline with the Theorem-3.1 step size.
 	seq, err := asyncsgd.RunSequential(asyncsgd.SeqConfig{

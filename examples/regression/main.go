@@ -53,7 +53,7 @@ func run() error {
 		alpha, worstCase)
 
 	fmt.Printf("%-12s %8s %14s %12s %14s\n",
-		"mode", "workers", "updates/sec", "‖x−x*‖²", "avg staleness")
+		"mode", "workers", "updates/sec", "‖x−x*‖²", "τavg")
 	for _, cfg := range []asyncsgd.ParallelConfig{
 		// The lock-free arm measures throughput: pad out false sharing.
 		{Strategy: asyncsgd.NewLockFreeStrategy(), Layout: asyncsgd.LayoutPadded},

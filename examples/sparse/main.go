@@ -75,6 +75,6 @@ func run() error {
 		return err
 	}
 	fmt.Printf("simulator (sparse): %.1f steps/iter, interval τmax=%d, touched τmax=%d\n",
-		float64(res.Stats.Steps)/400, res.Tracker.TauMax(), res.Tracker.TauMaxTouched())
+		float64(res.Stats.Steps)/400, asyncsgd.TauMax(res.Windows), res.Tracker.TauMaxTouched())
 	return nil
 }

@@ -64,13 +64,12 @@ func TestPublicAPIDisciplines(t *testing.T) {
 	}
 	res, err := RunEpoch(EpochConfig{
 		Threads: 3, TotalIters: 300, Alpha: 0.05, Oracle: oracle,
-		Policy: &MaxStale{Budget: 20}, Seed: 8, Track: true,
-		StalenessBound: 3,
+		Policy: &MaxStale{Budget: 20}, Seed: 8, StalenessBound: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Tracker.MaxAdmissionsDuring(); got > 3 {
+	if got := MaxAdmissions(res.Windows); got > 3 {
 		t.Errorf("machine gate leaked: measured staleness %d > 3", got)
 	}
 }

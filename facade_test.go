@@ -37,7 +37,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	res, err := RunEpoch(EpochConfig{
 		Threads: threads, TotalIters: T, Alpha: alpha,
 		Oracle: oracle, Policy: &MaxStale{Budget: 6},
-		Seed: 3, X0: x0, Record: true, Track: true,
+		Seed: 3, X0: x0, Record: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if ht := res.HitTime(oracle.Optimum(), eps); ht < 0 {
 		t.Errorf("lock-free run never hit the success region")
 	}
-	if res.Tracker.TauMax() <= 0 {
+	if TauMax(res.Windows) <= 0 {
 		t.Errorf("adversary produced no contention")
 	}
 	bound := BoundAsync(cst, eps, 1, 12, threads, 4, T, 1.0)

@@ -205,7 +205,7 @@ func TestClusterHTTPWorkerByteIdentity(t *testing.T) {
 	if g, w := stripTiming(got), stripTiming(localDocument(t, req)); g != w {
 		t.Fatalf("HTTP cluster and local documents diverge beyond timing:\n--- cluster\n%s\n--- local\n%s", g, w)
 	}
-	if c.remoteCells.Load() == 0 {
+	if c.mRemoteCells.Value() == 0 {
 		t.Fatal("no cells traveled through the HTTP worker")
 	}
 }
@@ -472,15 +472,15 @@ func TestClusterCoordinatorCrashRecovery(t *testing.T) {
 	if g, w := stripTiming(got), stripTiming(localDocument(t, req)); g != w {
 		t.Fatalf("recovered document diverges beyond timing:\n--- recovered\n%s\n--- local\n%s", g, w)
 	}
-	if n := c2.recoveredCells.Load(); n != int64(len(phase1)) {
-		t.Fatalf("replayed %d cells from the log, want %d", n, len(phase1))
+	if n := c2.mRecovered.Value(); n != float64(len(phase1)) {
+		t.Fatalf("replayed %v cells from the log, want %d", n, len(phase1))
 	}
 	cells, err := req.CellCount()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := c2.remoteCells.Load(); n != int64(cells-len(phase1)) {
-		t.Fatalf("re-executed %d cells, want %d (recovered cells must not re-run)", n, cells-len(phase1))
+	if n := c2.mRemoteCells.Value(); n != float64(cells-len(phase1)) {
+		t.Fatalf("re-executed %v cells, want %d (recovered cells must not re-run)", n, cells-len(phase1))
 	}
 }
 
@@ -656,7 +656,7 @@ func TestClusterHogwildNeverCachedAndCacheShortCircuitsDispatch(t *testing.T) {
 	if n := cached(); n != 1 {
 		t.Fatalf("machine sweep not cached (%d entries)", n)
 	}
-	remoteBefore, leasesBefore := c.remoteCells.Load(), c.leasesGranted.Load()
+	remoteBefore, leasesBefore := c.mRemoteCells.Value(), c.mLeasesGranted.Value()
 	second, err := srv.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -675,7 +675,7 @@ func TestClusterHogwildNeverCachedAndCacheShortCircuitsDispatch(t *testing.T) {
 	if !bytes.Equal(doc1, doc2) {
 		t.Fatal("cache hit returned different bytes (must be the original computation's, timing included)")
 	}
-	if c.remoteCells.Load() != remoteBefore || c.leasesGranted.Load() != leasesBefore {
+	if c.mRemoteCells.Value() != remoteBefore || c.mLeasesGranted.Value() != leasesBefore {
 		t.Fatal("cache hit dispatched cells to workers; it must short-circuit lease dispatch entirely")
 	}
 }

@@ -144,13 +144,10 @@ type Coordinator struct {
 	pendingRecovery []*RecoveredJob
 	recovered       map[string]map[int]sweep.CellResult
 
-	// Monotone counters (atomics so tests and metrics read them without
-	// the lock).
-	leasesGranted  atomic.Int64
+	// Monotone counters the benchmark reads, without the lock or a
+	// registry; then the metric families, nil until AttachMetrics.
 	requeuedCells  atomic.Int64
-	remoteCells    atomic.Int64
 	duplicateCells atomic.Int64
-	recoveredCells atomic.Int64
 	mLeasesGranted *metrics.Counter
 	mRequeues      *metrics.Counter
 	mRemoteCells   *metrics.Counter
@@ -262,8 +259,8 @@ func (c *Coordinator) AttachMetrics(reg *metrics.Registry) {
 		})
 }
 
-func inc(m *metrics.Counter, a *atomic.Int64, n int64) {
-	a.Add(n)
+// inc adds n to a metric family, if AttachMetrics registered it.
+func inc(m *metrics.Counter, n int64) {
 	if m != nil {
 		m.Add(float64(n))
 	}
@@ -437,9 +434,9 @@ func (c *Coordinator) DispatchSweep(ctx context.Context, jobID string, req serve
 				n++
 			}
 		}
-		inc(c.mRecovered, &c.recoveredCells, n)
+		inc(c.mRecovered, n)
 	} else if len(recovered) > 0 {
-		inc(c.mRecovered, &c.recoveredCells, int64(len(recovered)))
+		inc(c.mRecovered, int64(len(recovered)))
 	}
 
 	select {
@@ -577,7 +574,7 @@ func (c *Coordinator) grantLease(workerID string) (*LeaseResponse, <-chan struct
 		c.leases[id] = ls
 		log := c.cfg.Log
 		c.mu.Unlock()
-		inc(c.mLeasesGranted, &c.leasesGranted, 1)
+		inc(c.mLeasesGranted, 1)
 		if log != nil {
 			// Written, not synced: replay ignores lease records, so a
 			// grant never waits for the disk.
@@ -638,7 +635,8 @@ func (c *Coordinator) applyResult(leaseID string, res sweep.CellResult) (bool, e
 		// Not part of this lease (already reported under it, or a
 		// protocol error): drop.
 		c.mu.Unlock()
-		inc(c.mDuplicates, &c.duplicateCells, 1)
+		c.duplicateCells.Add(1)
+		inc(c.mDuplicates, 1)
 		return false, nil
 	}
 	delete(ls.remaining, global)
@@ -647,7 +645,8 @@ func (c *Coordinator) applyResult(leaseID string, res sweep.CellResult) (bool, e
 	}
 	if _, dup := job.results[global]; dup {
 		c.mu.Unlock()
-		inc(c.mDuplicates, &c.duplicateCells, 1)
+		c.duplicateCells.Add(1)
+		inc(c.mDuplicates, 1)
 		return false, nil
 	}
 	res.Index = global
@@ -656,7 +655,7 @@ func (c *Coordinator) applyResult(leaseID string, res sweep.CellResult) (bool, e
 	log := c.cfg.Log
 	c.mu.Unlock()
 
-	inc(c.mRemoteCells, &c.remoteCells, 1)
+	inc(c.mRemoteCells, 1)
 	if log != nil {
 		// Written, not synced: the report stream syncs once at its end,
 		// before its ack (syncLog).
@@ -758,7 +757,8 @@ func (c *Coordinator) expireLeases(now time.Time) {
 	}
 	c.mu.Unlock()
 	if requeued > 0 {
-		inc(c.mRequeues, &c.requeuedCells, requeued)
+		c.requeuedCells.Add(requeued)
+		inc(c.mRequeues, requeued)
 	}
 }
 

@@ -7,8 +7,11 @@
 //
 // The statistics are functions of when each iteration claimed, read and
 // updated. The SGD workers write those times into a claim-indexed
-// iteration record (Window, Iter) as they execute, and NewTracker builds
-// a Tracker from the record once the run is over.
+// iteration record (Window, Iter) as they execute. The interval
+// statistics (IntervalContentions, TauMax, TauAvg, MaxBadCompletions,
+// MaxAdmissions) need only the windows, which both runtimes record; the
+// view statistics need the whole record, from which NewTracker builds a
+// Tracker once the run is over.
 //
 // It also names Tag, the annotation attached by SGD thread programs to
 // their shared-memory operations. Tags are visible to scheduling policies
@@ -74,8 +77,147 @@ type CoordTime struct{ Coord, Time int }
 // Start is its counter claim, FirstRead its first view read and End its
 // last model update. FirstRead is 0 for an iteration that read nothing,
 // End is 0 for one that did not complete, and the zero Window is an
-// iteration that was never claimed.
+// iteration that was never claimed. The real-thread runtime records the
+// same windows in claim-counter time.
 type Window struct{ Start, FirstRead, End int }
+
+// lastEvent returns the latest claim or completion in ws. It ends the
+// interval of every incomplete iteration: the statistics compare interval
+// ends only with starts and completions, so any later time, such as the
+// machine's last step, would give the same values.
+func lastEvent(ws []Window) int {
+	c := 0
+	for _, w := range ws {
+		if w.Start > 0 {
+			c = max(c, w.Start, w.End)
+		}
+	}
+	return c
+}
+
+// IntervalContentions returns ρ(θ) for every claimed iteration θ of ws,
+// in the order of ws: the number of other iterations whose [start, end]
+// interval overlaps θ's. Incomplete iterations end at the latest claim or
+// completion. Windows in claim order, as both runtimes record them, are
+// already in start order: they need no sort, and little work each.
+func IntervalContentions(ws []Window) []int {
+	type interval struct{ start, end, slot int }
+	clock := lastEvent(ws)
+	ivs := make([]interval, 0, len(ws))
+	for _, w := range ws {
+		if w.Start > 0 {
+			ivs = append(ivs, interval{w.Start, cmp.Or(w.End, clock), len(ivs)})
+		}
+	}
+	byStart := func(x, y interval) int { return cmp.Compare(x.start, y.start) }
+	if !slices.IsSortedFunc(ivs, byStart) {
+		slices.SortFunc(ivs, byStart)
+	}
+	starts := make([]int, len(ivs))
+	for k, v := range ivs {
+		starts[k] = v.start
+	}
+	// ρ = #(start ≤ end_k) − #(end < start_k) − 1 (self). With a_j =
+	// #(start ≤ end_j), end_j < starts[k] exactly when a_j ≤ k.
+	a, byA := make([]int, len(ivs)), make([]int, len(ivs)+1)
+	h := 0
+	for k, v := range ivs {
+		h = searchNear(starts, v.end+1, max(h, k+1)) // a_k ≥ k+1: end_k ≥ start_k
+		a[k] = h
+		byA[h]++
+	}
+	rho := make([]int, len(ivs))
+	ended := 0
+	for k, v := range ivs {
+		ended += byA[k]
+		rho[v.slot] = a[k] - ended - 1
+	}
+	return rho
+}
+
+// searchNear returns the number of elements of the sorted xs below x,
+// galloping out from hint, the answer to a nearby query. Windows arrive
+// in claim order, so consecutive queries cost O(1) rather than O(log n).
+func searchNear(xs []int, x, hint int) int {
+	lo, hi := hint, hint // xs[:lo] < x ≤ xs[hi:] once both loops end
+	for step := 1; lo > 0 && xs[lo-1] >= x; step *= 2 {
+		hi, lo = lo-1, max(lo-step, 0)
+	}
+	for step := 1; hi < len(xs) && xs[hi] < x; step *= 2 {
+		lo, hi = hi+1, min(hi+step, len(xs))
+	}
+	k, _ := slices.BinarySearch(xs[lo:hi], x)
+	return lo + k
+}
+
+// TauMax returns the maximum interval contention over the claimed
+// iterations of ws (the paper's τmax); 0 if none.
+func TauMax(ws []Window) int { return maxOf(IntervalContentions(ws)) }
+
+// TauAvg returns the average interval contention over the claimed
+// iterations of ws (the paper's τavg); 0 if none.
+func TauAvg(ws []Window) float64 { return mean(IntervalContentions(ws)) }
+
+// maxOf returns the largest of the non-negative counts xs, 0 if none.
+func maxOf(xs []int) int {
+	m := 0
+	for _, x := range xs {
+		m = max(m, x)
+	}
+	return m
+}
+
+// mean returns the mean of xs, 0 if xs is empty.
+func mean(xs []int) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := 0
+	for _, x := range xs {
+		s += x
+	}
+	return float64(s) / float64(len(xs))
+}
+
+// MaxBadCompletions evaluates the quantity bounded by Lemma 6.2 over the
+// claimed iterations of ws: for every interval I during which exactly K·n
+// consecutive iterations start, count the "bad" iterations (more than K·n
+// iterations start between their start and end) that complete during I,
+// and return the maximum over all such intervals. The lemma asserts the
+// result is < n.
+func MaxBadCompletions(ws []Window, k, n int) int {
+	win := k * n
+	var starts, badEnds []int
+	for _, w := range ws {
+		if w.Start > 0 {
+			starts = append(starts, w.Start)
+		}
+	}
+	if win <= 0 || len(starts) == 0 {
+		return 0
+	}
+	// Sorted start times define the intervals; an iteration's badness is
+	// #starts strictly inside (start, end).
+	slices.Sort(starts)
+	for _, w := range ws {
+		if w.Start > 0 && w.End > 0 && sort.SearchInts(starts, w.End)-sort.SearchInts(starts, w.Start+1) > win {
+			badEnds = append(badEnds, w.End)
+		}
+	}
+	slices.Sort(badEnds)
+	clock := lastEvent(ws)
+	maxBad := 0
+	for i := 0; i+win <= len(starts); i++ {
+		// The interval may extend until just before the (i+win)-th next
+		// start — it still contains exactly K·n starts.
+		lo, hi := starts[i], clock
+		if i+win < len(starts) {
+			hi = starts[i+win] - 1
+		}
+		maxBad = max(maxBad, sort.SearchInts(badEnds, hi+1)-sort.SearchInts(badEnds, lo))
+	}
+	return maxBad
+}
 
 // Iter is the rest of one claimed iteration's record, kept only by
 // tracked runs: the claiming thread and its thread-local iteration
@@ -99,27 +241,21 @@ type iter struct {
 // readTimeOf returns the time it read coord (0 if it never did). Reads
 // are in increasing coordinate order, so the list is searchable.
 func (it *iter) readTimeOf(coord int) int {
-	k := sort.Search(len(it.Reads), func(i int) bool {
-		return it.Reads[i].Coord >= coord
-	})
-	if k < len(it.Reads) && it.Reads[k].Coord == coord {
+	k, found := slices.BinarySearchFunc(it.Reads, coord, func(r CoordTime, c int) int { return cmp.Compare(r.Coord, c) })
+	if found {
 		return it.Reads[k].Time
 	}
 	return 0
 }
 
-// Tracker computes the paper's contention statistics from a run's
-// iteration record. The staleness sequence behind Taus, TauMaxView and
+// Tracker computes the paper's view statistics from a run's iteration
+// record. The staleness sequence behind Taus, TauMaxView and
 // DelayIndicatorMax is computed on the first call to one of them, since
 // most consumers never read it. Tracker is not safe for concurrent use.
 type Tracker struct {
-	d     int
-	iters []iter // claimed iterations in claim order, which is start order
-	// clockS ends the interval of every incomplete iteration: the latest
-	// claim or completion. The statistics compare interval ends only with
-	// starts and completions, so any later time, such as the machine's
-	// last step, would give the same values.
-	clockS int
+	d      int
+	iters  []iter // claimed iterations in claim order, which is start order
+	clockS int    // lastEvent of the windows: ends incomplete intervals
 
 	ordered []*iter // complete iterations in paper order
 	taus    []int   // taus[t-1] = τ_t for ordered iteration t (1-based); nil until computed
@@ -134,12 +270,11 @@ type Tracker struct {
 // ordered by their first update, the paper's total order (Lemma 6.1).
 func NewTracker(d int, wins []Window, its []Iter) *Tracker {
 	n := len(wins)
-	tr := &Tracker{d: d, iters: make([]iter, 0, n), ordered: make([]*iter, 0, n)}
+	tr := &Tracker{d: d, iters: make([]iter, 0, n), clockS: lastEvent(wins), ordered: make([]*iter, 0, n)}
 	for c, w := range wins {
 		if w.Start == 0 {
 			continue
 		}
-		tr.clockS = max(tr.clockS, w.Start, w.End)
 		tr.iters = append(tr.iters, iter{Window: w, Iter: its[c]})
 	}
 	for i := range tr.iters {
@@ -147,9 +282,7 @@ func NewTracker(d int, wins []Window, its []Iter) *Tracker {
 			tr.ordered = append(tr.ordered, it)
 		}
 	}
-	sort.Slice(tr.ordered, func(a, b int) bool {
-		return tr.ordered[a].FirstUp < tr.ordered[b].FirstUp
-	})
+	slices.SortFunc(tr.ordered, func(a, b *iter) int { return cmp.Compare(a.FirstUp, b.FirstUp) })
 	for i, it := range tr.ordered {
 		it.orderIdx = i + 1
 	}
@@ -270,94 +403,21 @@ func MaxAdmissions(ws []Window) int {
 				count++
 			}
 		}
-		if count > m {
-			m = count
-		}
+		m = max(m, count)
 	}
 	return m
-}
-
-// MaxAdmissionsDuring is MaxAdmissions over the tracked iterations.
-func (tr *Tracker) MaxAdmissionsDuring() int {
-	ws := make([]Window, len(tr.iters))
-	for i := range tr.iters {
-		ws[i] = tr.iters[i].Window
-	}
-	return MaxAdmissions(ws)
 }
 
 // TauMaxView returns max_t τ_t, the maximum view staleness.
-func (tr *Tracker) TauMaxView() int {
-	m := 0
-	for _, v := range tr.staleness() {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// IntervalContentions returns ρ(θ) for every started iteration θ: the
-// number of other iterations whose [start, end] interval overlaps θ's.
-// Incomplete iterations are treated as ending at the latest claim or
-// completion.
-func (tr *Tracker) IntervalContentions() []int {
-	n := len(tr.iters)
-	starts := make([]int, n)
-	ends := make([]int, n)
-	for i, it := range tr.iters {
-		starts[i] = it.Start
-		e := it.End
-		if e == 0 {
-			e = tr.clockS
-		}
-		ends[i] = e
-	}
-	sortedStarts := append([]int(nil), starts...)
-	sortedEnds := append([]int(nil), ends...)
-	sort.Ints(sortedStarts)
-	sort.Ints(sortedEnds)
-	rho := make([]int, n)
-	for i := range tr.iters {
-		// overlap count = #(start <= end_i) - #(end < start_i) - 1 (self)
-		a := sort.SearchInts(sortedStarts, ends[i]+1)
-		b := sort.SearchInts(sortedEnds, starts[i])
-		rho[i] = a - b - 1
-	}
-	return rho
-}
-
-// TauMax returns the maximum interval contention over all iterations (the
-// paper's τmax). Zero if no iterations ran.
-func (tr *Tracker) TauMax() int {
-	m := 0
-	for _, r := range tr.IntervalContentions() {
-		if r > m {
-			m = r
-		}
-	}
-	return m
-}
-
-// TauAvg returns the average interval contention (the paper's τavg).
-func (tr *Tracker) TauAvg() float64 {
-	rho := tr.IntervalContentions()
-	if len(rho) == 0 {
-		return 0
-	}
-	s := 0
-	for _, r := range rho {
-		s += r
-	}
-	return float64(s) / float64(len(rho))
-}
+func (tr *Tracker) TauMaxView() int { return maxOf(tr.staleness()) }
 
 // TouchedContentions restricts the Ω-overlap behind ρ(θ) to actual data
 // conflicts: for every started iteration it counts the other iterations
 // that both overlap it in time AND update at least one common coordinate.
 // For dense updates every overlapping pair conflicts and this coincides
-// with IntervalContentions; for sparse updates it measures the contention
-// the paper's per-coordinate fetch&add semantics actually see.
+// with IntervalContentions over the windows; for sparse updates it
+// measures the contention the paper's per-coordinate fetch&add semantics
+// actually see.
 func (tr *Tracker) TouchedContentions() []int {
 	n := len(tr.iters)
 	out := make([]int, n)
@@ -367,11 +427,7 @@ func (tr *Tracker) TouchedContentions() []int {
 	ends := make([]int, n)
 	byCoord := make(map[int][]int) // coord -> indices of iterations updating it
 	for i, it := range tr.iters {
-		e := it.End
-		if e == 0 {
-			e = tr.clockS
-		}
-		ends[i] = e
+		ends[i] = cmp.Or(it.End, tr.clockS)
 		seen := -1
 		for _, u := range it.Updates {
 			if u.Coord == seen { // consecutive duplicates (re-updates) are rare
@@ -402,29 +458,11 @@ func (tr *Tracker) TouchedContentions() []int {
 }
 
 // TauMaxTouched returns the maximum touched-coordinate contention — the
-// sparse-aware counterpart of TauMax.
-func (tr *Tracker) TauMaxTouched() int {
-	m := 0
-	for _, r := range tr.TouchedContentions() {
-		if r > m {
-			m = r
-		}
-	}
-	return m
-}
+// sparse-aware counterpart of TauMax over the windows.
+func (tr *Tracker) TauMaxTouched() int { return maxOf(tr.TouchedContentions()) }
 
 // TauAvgTouched returns the average touched-coordinate contention.
-func (tr *Tracker) TauAvgTouched() float64 {
-	rho := tr.TouchedContentions()
-	if len(rho) == 0 {
-		return 0
-	}
-	s := 0
-	for _, r := range rho {
-		s += r
-	}
-	return float64(s) / float64(len(rho))
-}
+func (tr *Tracker) TauAvgTouched() float64 { return mean(tr.TouchedContentions()) }
 
 // MaxIncomplete returns the maximum, over time, of the number of
 // simultaneously incomplete iterations — iterations that performed their
@@ -444,66 +482,15 @@ func (tr *Tracker) MaxIncomplete() int {
 			evs = append(evs, ev{it.End + 1, -1})
 		}
 	}
-	sort.Slice(evs, func(a, b int) bool {
-		if evs[a].t != evs[b].t {
-			return evs[a].t < evs[b].t
-		}
-		return evs[a].delta < evs[b].delta // apply -1 before +1 at ties
+	slices.SortFunc(evs, func(a, b ev) int { // apply -1 before +1 at ties
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.delta, b.delta))
 	})
 	cur, maxC := 0, 0
 	for _, e := range evs {
 		cur += e.delta
-		if cur > maxC {
-			maxC = cur
-		}
+		maxC = max(maxC, cur)
 	}
 	return maxC
-}
-
-// MaxBadCompletions evaluates the quantity bounded by Lemma 6.2: for every
-// interval I during which exactly K·n consecutive iterations start, count
-// the "bad" iterations (more than K·n iterations start between their start
-// and end) that complete during I, and return the maximum over all windows.
-// The lemma asserts the result is < n.
-func (tr *Tracker) MaxBadCompletions(k, n int) int {
-	win := k * n
-	if win <= 0 || len(tr.iters) == 0 {
-		return 0
-	}
-	// Sorted start times define the windows; for each iteration, its
-	// badness is #starts strictly inside (start, end).
-	starts := make([]int, len(tr.iters))
-	for i, it := range tr.iters {
-		starts[i] = it.Start
-	}
-	sort.Ints(starts)
-	var badEnds []int
-	for _, it := range tr.iters {
-		if it.End == 0 {
-			continue
-		}
-		inside := sort.SearchInts(starts, it.End) -
-			sort.SearchInts(starts, it.Start+1)
-		if inside > win {
-			badEnds = append(badEnds, it.End)
-		}
-	}
-	sort.Ints(badEnds)
-	maxBad := 0
-	for i := 0; i+win <= len(starts); i++ {
-		// The interval may extend until just before the (i+win)-th next
-		// start — it still contains exactly K·n starts.
-		lo := starts[i]
-		hi := tr.clockS
-		if i+win < len(starts) {
-			hi = starts[i+win] - 1
-		}
-		c := sort.SearchInts(badEnds, hi+1) - sort.SearchInts(badEnds, lo)
-		if c > maxBad {
-			maxBad = c
-		}
-	}
-	return maxBad
 }
 
 // DelayIndicatorMax evaluates the left side of Lemma 6.4:
@@ -520,9 +507,7 @@ func (tr *Tracker) DelayIndicatorMax() int {
 				s++
 			}
 		}
-		if s > best {
-			best = s
-		}
+		best = max(best, s)
 	}
 	return best
 }

@@ -1,7 +1,10 @@
 package contention
 
 import (
+	"cmp"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -43,8 +46,7 @@ func (r *record) tracker(d int) *Tracker { return NewTracker(d, r.wins, r.its) }
 // buildSequential records k iterations of a single thread, each with
 // pattern: claim, read all coords, update all coords. Fully sequential, so
 // all staleness and contention metrics must be zero.
-func buildSequential(t *testing.T, d, k int) *Tracker {
-	t.Helper()
+func buildSequential(d, k int) record {
 	var r record
 	clock := 0
 	for i := 0; i < k; i++ {
@@ -60,21 +62,22 @@ func buildSequential(t *testing.T, d, k int) *Tracker {
 		}
 		r.end(c, clock)
 	}
-	return r.tracker(d)
+	return r
 }
 
 func TestSequentialHasNoStalenessOrContention(t *testing.T) {
-	tr := buildSequential(t, 3, 10)
+	r := buildSequential(3, 10)
+	tr := r.tracker(3)
 	if tr.Iterations() != 10 || tr.Completed() != 10 {
 		t.Fatalf("iters=%d completed=%d", tr.Iterations(), tr.Completed())
 	}
 	if got := tr.TauMaxView(); got != 0 {
 		t.Errorf("TauMaxView = %d, want 0", got)
 	}
-	if got := tr.TauMax(); got != 0 {
+	if got := TauMax(r.wins); got != 0 {
 		t.Errorf("TauMax = %d, want 0", got)
 	}
-	if got := tr.TauAvg(); got != 0 {
+	if got := TauAvg(r.wins); got != 0 {
 		t.Errorf("TauAvg = %v, want 0", got)
 	}
 	if got := tr.MaxIncomplete(); got != 1 {
@@ -83,7 +86,7 @@ func TestSequentialHasNoStalenessOrContention(t *testing.T) {
 	if got := tr.DelayIndicatorMax(); got != 0 {
 		t.Errorf("DelayIndicatorMax = %d, want 0", got)
 	}
-	if got := tr.MaxBadCompletions(2, 1); got != 0 {
+	if got := MaxBadCompletions(r.wins, 2, 1); got != 0 {
 		t.Errorf("MaxBadCompletions = %d, want 0", got)
 	}
 }
@@ -119,10 +122,10 @@ func TestStaleViewDetected(t *testing.T) {
 	if taus[1] != 1 {
 		t.Errorf("τ_2 = %d, want 1 (missed iteration 1's updates)", taus[1])
 	}
-	if got := tr.TauMax(); got != 1 {
+	if got := TauMax(r.wins); got != 1 {
 		t.Errorf("TauMax (interval contention) = %d, want 1", got)
 	}
-	if got := tr.TauAvg(); got != 1 {
+	if got := TauAvg(r.wins); got != 1 {
 		t.Errorf("TauAvg = %v, want 1 (both overlap)", got)
 	}
 	// Update phases [6,7] and [8,9] do not overlap: at most one iteration
@@ -149,8 +152,8 @@ func TestFreshViewDespiteOverlap(t *testing.T) {
 	if taus[1] != 0 {
 		t.Errorf("τ_2 = %d, want 0 (view fresh)", taus[1])
 	}
-	if tr.TauMax() != 1 {
-		t.Errorf("interval contention = %d, want 1", tr.TauMax())
+	if got := TauMax(r.wins); got != 1 {
+		t.Errorf("interval contention = %d, want 1", got)
 	}
 }
 
@@ -168,6 +171,11 @@ func TestIncompleteIterationExcludedFromOrder(t *testing.T) {
 	}
 	if tr.Completed() != 1 || tr.Iterations() != 2 {
 		t.Errorf("completed=%d iterations=%d", tr.Completed(), tr.Iterations())
+	}
+	// The incomplete interval [2, ·) ends at the latest claim or
+	// completion (3), so it overlaps [1, 3].
+	if got := IntervalContentions(r.wins); !reflect.DeepEqual(got, []int{1, 1}) {
+		t.Errorf("IntervalContentions = %v, want [1 1]", got)
 	}
 }
 
@@ -195,13 +203,9 @@ func TestMaxBadCompletionsDetectsDelayedIteration(t *testing.T) {
 	}
 	r.update(victim, 0, clock) // ...finish late: 6 starts in between
 	r.end(victim, clock)
-	tr := r.tracker(1)
-	if got := tr.MaxBadCompletions(1, 2); got != 1 {
+	// One delayed victim, and Lemma 6.2's bound n−1 = 1 holds.
+	if got := MaxBadCompletions(r.wins, 1, 2); got != 1 {
 		t.Errorf("MaxBadCompletions = %d, want 1 (the delayed victim)", got)
-	}
-	// Lemma 6.2: must be < n.
-	if got := tr.MaxBadCompletions(1, 2); got >= 2 {
-		t.Errorf("Lemma 6.2 violated: %d bad completions >= n=2", got)
 	}
 }
 
@@ -238,9 +242,6 @@ func TestTrackerUnaffectedBySortedWindows(t *testing.T) {
 	if after := tr.Timelines(); !reflect.DeepEqual(before, after) {
 		t.Errorf("timelines changed by sorting the record's windows:\n before %+v\n after  %+v", before, after)
 	}
-	if got := tr.MaxAdmissionsDuring(); got != 0 {
-		t.Errorf("MaxAdmissionsDuring = %d, want 0", got)
-	}
 }
 
 // TestUnknownIterationIgnored: record entries at a counter value nobody
@@ -248,8 +249,48 @@ func TestTrackerUnaffectedBySortedWindows(t *testing.T) {
 func TestUnknownIterationIgnored(t *testing.T) {
 	its := []Iter{{Thread: 3, LocalIter: 9, FirstUp: 2,
 		Reads: []CoordTime{{0, 1}}, Updates: []CoordTime{{0, 2}}}}
-	tr := NewTracker(1, []Window{{FirstRead: 1, End: 2}}, its)
+	ws := []Window{{FirstRead: 1, End: 2}}
+	tr := NewTracker(1, ws, its)
 	if tr.Iterations() != 0 || tr.Completed() != 0 || len(tr.Taus()) != 0 {
 		t.Errorf("phantom iterations recorded: %d", tr.Iterations())
+	}
+	if rho := IntervalContentions(ws); len(rho) != 0 || MaxBadCompletions(ws, 1, 1) != 0 {
+		t.Errorf("phantom window counted: contentions %v", rho)
+	}
+}
+
+// TestIntervalContentionsMatchesPairwiseCount checks the counting
+// algorithm against the definition, pair by pair, on random windows in
+// random order: unclaimed ones, incomplete ones, shared start times.
+func TestIntervalContentionsMatchesPairwiseCount(t *testing.T) {
+	r := rand.New(rand.NewPCG(2, 3))
+	for trial := 0; trial < 3000; trial++ {
+		ws := make([]Window, r.IntN(12))
+		for i := range ws {
+			if r.IntN(6) > 0 {
+				ws[i].Start = 1 + r.IntN(20)
+				if r.IntN(4) > 0 {
+					ws[i].End = ws[i].Start + r.IntN(8)
+				}
+			}
+		}
+		clock := lastEvent(ws)
+		end := func(w Window) int { return cmp.Or(w.End, clock) } // incomplete: the clock
+		var want []int
+		for i, w := range ws {
+			if w.Start == 0 {
+				continue
+			}
+			rho := 0
+			for j, v := range ws {
+				if j != i && v.Start > 0 && v.Start <= end(w) && w.Start <= end(v) {
+					rho++
+				}
+			}
+			want = append(want, rho)
+		}
+		if got := IntervalContentions(ws); !slices.Equal(got, want) {
+			t.Fatalf("windows %v: contentions %v, want %v", ws, got, want)
+		}
 	}
 }

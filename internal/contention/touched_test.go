@@ -22,7 +22,7 @@ func TestTouchedContentions(t *testing.T) {
 	r.end(c, 8)
 	tr := r.tracker(4)
 
-	rho := tr.IntervalContentions()
+	rho := IntervalContentions(r.wins)
 	if rho[0] != 2 || rho[1] != 2 || rho[2] != 2 {
 		t.Errorf("interval contentions = %v, want all 2", rho)
 	}
@@ -54,7 +54,7 @@ func TestTouchedMatchesIntervalWhenDense(t *testing.T) {
 		r.end(it, 10+th)
 	}
 	tr := r.tracker(2)
-	rho := tr.IntervalContentions()
+	rho := IntervalContentions(r.wins)
 	touched := tr.TouchedContentions()
 	for i := range rho {
 		if rho[i] != touched[i] {

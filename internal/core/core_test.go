@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/grad"
 	"asyncsgd/internal/rng"
 	"asyncsgd/internal/sched"
@@ -66,9 +67,9 @@ func TestSingleThreadEpochMatchesSequentialSemantics(t *testing.T) {
 		t.Errorf("final X %v != x_T %v", res.FinalX, accs[len(accs)-1])
 	}
 	// Staleness all zero; contention zero.
-	if res.Tracker.TauMaxView() != 0 || res.Tracker.TauMax() != 0 {
+	if res.Tracker.TauMaxView() != 0 || contention.TauMax(res.Windows) != 0 {
 		t.Errorf("sequential run has staleness %d / contention %d",
-			res.Tracker.TauMaxView(), res.Tracker.TauMax())
+			res.Tracker.TauMaxView(), contention.TauMax(res.Windows))
 	}
 	// And it converges on this easy quadratic.
 	dist, err := vec.Dist2(res.FinalX, q.Optimum())
@@ -155,7 +156,7 @@ func TestAdversaryStaleGradientDelaysVictim(t *testing.T) {
 		t.Errorf("stale-gradient adversary produced τmax=%d, want ≥ 15", tauMax)
 	}
 	// Interval contention reflects the delay too.
-	if got := res.Tracker.TauMax(); got < 15 {
+	if got := contention.TauMax(res.Windows); got < 15 {
 		t.Errorf("interval contention %d, want ≥ 15", got)
 	}
 }
@@ -171,7 +172,7 @@ func TestAdversaryMaxStaleRespectsBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tauMax := res.Tracker.TauMax()
+		tauMax := contention.TauMax(res.Windows)
 		// Contention should scale with the budget but stay near it.
 		if tauMax < budget/2 {
 			t.Errorf("budget %d: τmax=%d too small", budget, tauMax)
@@ -193,7 +194,7 @@ func TestLemma62BadIterationsUnderAdversary(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 2, 4} {
-		if got := res.Tracker.MaxBadCompletions(k, n); got >= n {
+		if got := contention.MaxBadCompletions(res.Windows, k, n); got >= n {
 			t.Errorf("Lemma 6.2 violated at K=%d: %d bad ≥ n=%d", k, got, n)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/grad"
 	"asyncsgd/internal/rng"
 	"asyncsgd/internal/sched"
@@ -96,7 +97,7 @@ func TestStalenessBoundCapsTauOnMachine(t *testing.T) {
 			if res.Stats.Stalled > 0 {
 				t.Fatalf("%s tau=%d: %d threads stalled at MaxSteps", name, tau, res.Stats.Stalled)
 			}
-			if got := res.Tracker.MaxAdmissionsDuring(); got > tau {
+			if got := contention.MaxAdmissions(res.Windows); got > tau {
 				t.Errorf("%s tau=%d: MaxAdmissionsDuring = %d exceeds the gate", name, tau, got)
 			}
 			if got := res.Tracker.TauMaxView(); got > 3*tau {
@@ -131,7 +132,7 @@ func TestStalenessBoundDefeatsStaleGradient(t *testing.T) {
 	if res.Stats.Stalled > 0 {
 		t.Fatalf("%d threads stalled", res.Stats.Stalled)
 	}
-	if got := res.Tracker.MaxAdmissionsDuring(); got > tau {
+	if got := contention.MaxAdmissions(res.Windows); got > tau {
 		t.Errorf("MaxAdmissionsDuring = %d, want ≤ %d despite a %d-iteration adversary",
 			got, tau, delay)
 	}
@@ -230,7 +231,7 @@ func TestFenceOnMachineConsistentEpochs(t *testing.T) {
 		if res.Stats.Stalled > 0 {
 			t.Fatalf("%s: %d threads stalled", name, res.Stats.Stalled)
 		}
-		if got := res.Tracker.MaxAdmissionsDuring(); got > E-1 {
+		if got := contention.MaxAdmissions(res.Windows); got > E-1 {
 			t.Errorf("%s: MaxAdmissionsDuring = %d, want ≤ %d", name, got, E-1)
 		}
 		if got := res.Tracker.TauMaxView(); got > E-1 {
@@ -258,7 +259,7 @@ func TestSparseWithGateOnMachine(t *testing.T) {
 	if res.Stats.Stalled > 0 {
 		t.Fatalf("%d threads stalled", res.Stats.Stalled)
 	}
-	if got := res.Tracker.MaxAdmissionsDuring(); got > 2 {
+	if got := contention.MaxAdmissions(res.Windows); got > 2 {
 		t.Errorf("MaxAdmissionsDuring = %d, want ≤ 2", got)
 	}
 }

@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"asyncsgd/internal/grad"
+	"asyncsgd/internal/martingale"
 	"asyncsgd/internal/shm"
 	"asyncsgd/internal/vec"
 )
@@ -41,17 +41,6 @@ type FullResult struct {
 	EpochFinals []vec.Dense
 }
 
-// EpochCount returns the paper's epoch count for Algorithm 2,
-// ⌈log₂(α²·M·n/√ε)⌉ clamped to at least 1, where M = √M².
-func EpochCount(alpha0 float64, cst grad.Constants, n int, eps float64) int {
-	m := math.Sqrt(cst.M2)
-	v := alpha0 * alpha0 * m * float64(n) / math.Sqrt(eps)
-	if v <= 2 {
-		return 1
-	}
-	return int(math.Ceil(math.Log2(v)))
-}
-
 // RunFull executes Algorithm 2.
 func RunFull(cfg FullConfig) (*FullResult, error) {
 	if cfg.Threads <= 0 || cfg.Epsilon <= 0 || cfg.Alpha0 <= 0 ||
@@ -60,7 +49,7 @@ func RunFull(cfg FullConfig) (*FullResult, error) {
 	}
 	epochs := cfg.Epochs
 	if epochs <= 0 {
-		epochs = EpochCount(cfg.Alpha0, cfg.Oracle.Constants(), cfg.Threads, cfg.Epsilon)
+		epochs = martingale.EpochCount(cfg.Alpha0, cfg.Oracle.Constants(), cfg.Threads, cfg.Epsilon)
 	}
 
 	x := vec.NewDense(cfg.Oracle.Dim())

@@ -26,17 +26,6 @@ func TestRunFullValidation(t *testing.T) {
 	}
 }
 
-func TestEpochCount(t *testing.T) {
-	cst := grad.Constants{C: 1, L: 1, M2: 16}
-	if got := EpochCount(1e-6, cst, 2, 0.01); got != 1 {
-		t.Errorf("tiny α should give 1 epoch, got %d", got)
-	}
-	// α=1, M=4, n=4, ε=1e-4: α²Mn/√ε = 16/0.01 = 1600 → ⌈log2⌉ = 11.
-	if got := EpochCount(1, cst, 4, 1e-4); got != 11 {
-		t.Errorf("EpochCount = %d, want 11", got)
-	}
-}
-
 func TestFullSGDConvergesUnderBenignSchedule(t *testing.T) {
 	q := isoOracle(t, 3, 0.3)
 	res, err := RunFull(FullConfig{

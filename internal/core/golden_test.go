@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/data"
 	"asyncsgd/internal/grad"
 	"asyncsgd/internal/rng"
@@ -66,10 +67,10 @@ func TestGoldenDenseRandomTracked(t *testing.T) {
 		0xbf9ee91a5e47c3ba, 0xbfa03f0247832fa4, 0x3fae6cf942b4b8f8, 0x3f96080b92f2696e,
 	})
 	tr := res.Tracker
-	if got := tr.TauMax(); got != 7 {
+	if got := contention.TauMax(res.Windows); got != 7 {
 		t.Errorf("TauMax = %d, want 7", got)
 	}
-	if got := tr.TauAvg(); math.Abs(got-3.735) > 1e-12 {
+	if got := contention.TauAvg(res.Windows); math.Abs(got-3.735) > 1e-12 {
 		t.Errorf("TauAvg = %v, want 3.735", got)
 	}
 	if tr.Iterations() != 400 || tr.Completed() != 400 {
@@ -78,7 +79,7 @@ func TestGoldenDenseRandomTracked(t *testing.T) {
 	if got := tr.MaxIncomplete(); got != 3 {
 		t.Errorf("MaxIncomplete = %d, want 3", got)
 	}
-	if got := tr.MaxAdmissionsDuring(); got != 4 {
+	if got := contention.MaxAdmissions(res.Windows); got != 4 {
 		t.Errorf("MaxAdmissionsDuring = %d, want 4", got)
 	}
 }
@@ -137,7 +138,7 @@ func TestGoldenGatedUnderAdversary(t *testing.T) {
 		0x3f971121b8428d75, 0xbfa24ceb00daa435, 0xbf6265d29abf0b20, 0x3fbafa5ca6fde85e,
 		0x3f89c9729671c67a, 0xbfb6189b4c5f7f52, 0xbfb0463c0507a732, 0x3faa3c850a1b59fa,
 	})
-	if got := res.Tracker.MaxAdmissionsDuring(); got != 3 {
+	if got := contention.MaxAdmissions(res.Windows); got != 3 {
 		t.Errorf("MaxAdmissionsDuring = %d, want 3", got)
 	}
 	if got := res.Stats.Steps; got != 4004 {
@@ -179,10 +180,10 @@ func TestGoldenTrackerReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Tracker.TauMax(); got != 7 {
+		if got := contention.TauMax(res.Windows); got != 7 {
 			t.Errorf("round %d: TauMax = %d, want 7", round, got)
 		}
-		if got := res.Tracker.TauAvg(); math.Abs(got-3.735) > 1e-12 {
+		if got := contention.TauAvg(res.Windows); math.Abs(got-3.735) > 1e-12 {
 			t.Errorf("round %d: TauAvg = %v, want 3.735", round, got)
 		}
 	}

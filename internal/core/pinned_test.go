@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"slices"
 	"testing"
 
 	"asyncsgd/internal/contention"
@@ -20,8 +21,9 @@ import (
 // statistics built from the workers' iteration record to those bits.
 const trackerStatisticsSHA256 = "ac31f4112a862ff4954ebf89f18f95d8fdc5edfabba1ba212ef7d360b0f3f463"
 
-// TestTrackerStatisticsPinned hashes every contention.Tracker statistic
-// of tracked runs over the schedule-case matrix (thread counts 1–4, dense
+// TestTrackerStatisticsPinned hashes every contention statistic — the
+// interval statistics over the windows and the Tracker's view statistics
+// — of tracked runs over the schedule-case matrix (thread counts 1–4, dense
 // and sparse pipelines, every discipline, round-robin, MaxStale and
 // Faulty-with-recovery, three draws each), plus three runs at the edges
 // of the iteration record: threads crashed mid-iteration (incomplete
@@ -31,7 +33,8 @@ const trackerStatisticsSHA256 = "ac31f4112a862ff4954ebf89f18f95d8fdc5edfabba1ba2
 // iteration owns. Each case first checks that the claimed windows are a
 // prefix in start order, the order the tracker keeps, then runs
 // contention.MaxAdmissions over the result's Windows, which sorts them in
-// place as the sweep does; the tracker must not see that sort.
+// place as the sweep does; the tracker must not see that sort, and the
+// interval statistics read a claim-ordered copy taken before it.
 func TestTrackerStatisticsPinned(t *testing.T) {
 	dense, sparse := scheduleOracles(t)
 	h := sha256.New()
@@ -44,7 +47,7 @@ func TestTrackerStatisticsPinned(t *testing.T) {
 					for rep := 0; rep < 3; rep++ {
 						c := drawScheduleCase(r, n, sp, disc, pol)
 						res := hashTrackedRun(t, h, c.String(), c.config(dense, sparse))
-						admitted += res.Tracker.MaxAdmissionsDuring()
+						admitted += contention.MaxAdmissions(res.Windows)
 						crashed += res.Stats.Crashed
 					}
 				}
@@ -107,13 +110,15 @@ func hashTrackedRun(t *testing.T, h hash.Hash, label string, cfg EpochConfig) *E
 		}
 	}
 	n := cfg.Threads
-	fmt.Fprintln(h, label, contention.MaxAdmissions(res.Windows))
+	ws := slices.Clone(res.Windows)
+	admissions := contention.MaxAdmissions(res.Windows)
+	fmt.Fprintln(h, label, admissions)
 	tr := res.Tracker
-	fmt.Fprintln(h, tr.Iterations(), tr.Completed(), tr.IntervalContentions(),
-		tr.TauMax(), math.Float64bits(tr.TauAvg()), tr.Taus(), tr.TauMaxView(),
-		tr.DelayIndicatorMax(), tr.MaxBadCompletions(1, n), tr.MaxBadCompletions(2, n),
-		tr.MaxIncomplete(), tr.TouchedContentions(), tr.TauMaxTouched(),
-		math.Float64bits(tr.TauAvgTouched()), tr.MaxAdmissionsDuring())
+	fmt.Fprintln(h, tr.Iterations(), tr.Completed(), contention.IntervalContentions(ws),
+		contention.TauMax(ws), math.Float64bits(contention.TauAvg(ws)), tr.Taus(), tr.TauMaxView(),
+		tr.DelayIndicatorMax(), contention.MaxBadCompletions(ws, 1, n),
+		contention.MaxBadCompletions(ws, 2, n), tr.MaxIncomplete(), tr.TouchedContentions(),
+		tr.TauMaxTouched(), math.Float64bits(tr.TauAvgTouched()), admissions)
 	for _, tl := range tr.Timelines() {
 		fmt.Fprintf(h, "%+v\n", tl)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/grad"
 	"asyncsgd/internal/rng"
 	"asyncsgd/internal/sched"
@@ -51,7 +52,7 @@ func TestPropertyEpochStructuralInvariants(t *testing.T) {
 		if res.Tracker.MaxIncomplete() > n {
 			return false
 		}
-		if res.Tracker.TauMaxView() > res.Tracker.TauMax() {
+		if res.Tracker.TauMaxView() > contention.TauMax(res.Windows) {
 			return false
 		}
 		return true
@@ -87,7 +88,7 @@ func TestPropertyEpochDeterminism(t *testing.T) {
 		if !vec.ApproxEqual(a.FinalX, b.FinalX, 0) {
 			return false
 		}
-		if a.Tracker.TauMax() != b.Tracker.TauMax() ||
+		if contention.TauMax(a.Windows) != contention.TauMax(b.Windows) ||
 			a.Stats.Steps != b.Stats.Steps {
 			return false
 		}
@@ -121,11 +122,11 @@ func TestPropertyLemmas62And64(t *testing.T) {
 			return false
 		}
 		for _, k := range []int{1, 2} {
-			if res.Tracker.MaxBadCompletions(k, n) >= n {
+			if contention.MaxBadCompletions(res.Windows, k, n) >= n {
 				return false
 			}
 		}
-		tauMax := res.Tracker.TauMax()
+		tauMax := contention.TauMax(res.Windows)
 		bound := 2.0
 		if tauMax > 0 {
 			bound = 2 * math.Sqrt(float64(tauMax)*float64(n))

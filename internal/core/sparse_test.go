@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/grad"
 	"asyncsgd/internal/rng"
 	"asyncsgd/internal/sched"
@@ -104,9 +105,9 @@ func TestSparseEpochConservation(t *testing.T) {
 	// Touched-coordinate contention can only be tighter than interval
 	// contention.
 	tr := res.Tracker
-	if tr.TauMaxTouched() > tr.TauMax() {
+	if tr.TauMaxTouched() > contention.TauMax(res.Windows) {
 		t.Errorf("touched τmax %d exceeds interval τmax %d",
-			tr.TauMaxTouched(), tr.TauMax())
+			tr.TauMaxTouched(), contention.TauMax(res.Windows))
 	}
 }
 

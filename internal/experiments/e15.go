@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/core"
 	"asyncsgd/internal/data"
 	"asyncsgd/internal/grad"
@@ -103,7 +104,7 @@ func E15SparsePipeline(s Scale) ([]*report.Table, error) {
 		tr := res.Tracker
 		b.AddRow(name,
 			report.Fl(float64(res.Stats.Steps)/float64(T)),
-			report.In(tr.TauMax()), report.In(tr.TauMaxTouched()),
+			report.In(contention.TauMax(res.Windows)), report.In(tr.TauMaxTouched()),
 			report.Fl(tr.TauAvgTouched()))
 	}
 	return []*report.Table{a, b}, nil

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/core"
 	"asyncsgd/internal/grad"
 	"asyncsgd/internal/martingale"
@@ -55,7 +56,7 @@ func E16StalenessGate(s Scale) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		meas := res.Tracker.MaxAdmissionsDuring()
+		meas := contention.MaxAdmissions(res.Windows)
 		label, holds := report.In(tau), "-"
 		if tau == 0 {
 			label = "off"
@@ -87,7 +88,7 @@ func E16StalenessGate(s Scale) ([]*report.Table, error) {
 		res, err := core.RunEpoch(core.EpochConfig{
 			Threads: 6, TotalIters: T, Alpha: 0.05, Oracle: q,
 			Policy: &sched.MaxStale{Budget: s.pick(30, 60)},
-			Seed:   62, X0: x0, Track: true, StalenessBound: tau,
+			Seed:   62, X0: x0, StalenessBound: tau,
 		})
 		if err != nil {
 			return nil, err
@@ -96,7 +97,7 @@ func E16StalenessGate(s Scale) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		meas := res.Tracker.MaxAdmissionsDuring()
+		meas := contention.MaxAdmissions(res.Windows)
 		label, holds := report.In(tau), "-"
 		if tau == 0 {
 			label = "off"

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/core"
 	"asyncsgd/internal/martingale"
 	"asyncsgd/internal/report"
@@ -33,16 +34,16 @@ func structuralPolicies(budget int) []policyCase {
 	}
 }
 
-// trackedRun executes one tracked epoch of the standard quadratic under
-// the given policy.
-func trackedRun(n, T int, pol shm.Policy, seed uint64) (*core.EpochResult, error) {
+// structuralRun executes one epoch of the standard quadratic under the
+// given policy, tracked when the caller reads a view statistic.
+func structuralRun(n, T int, pol shm.Policy, seed uint64, track bool) (*core.EpochResult, error) {
 	q, x0, err := stdQuadratic(4, 0.5, 3, 1)
 	if err != nil {
 		return nil, err
 	}
 	return core.RunEpoch(core.EpochConfig{
 		Threads: n, TotalIters: T, Alpha: 0.02, Oracle: q,
-		Policy: pol, Seed: seed, X0: x0, Track: true,
+		Policy: pol, Seed: seed, X0: x0, Track: track,
 	})
 }
 
@@ -56,12 +57,12 @@ func E3BadIterations(s Scale) ([]*report.Table, error) {
 		"policy", "n", "K", "max_bad", "bound n-1", "holds")
 	for _, n := range []int{2, 4, 8} {
 		for _, pc := range structuralPolicies(3 * n) {
-			res, err := trackedRun(n, T, pc.mk(uint64(77+n)), uint64(7*n))
+			res, err := structuralRun(n, T, pc.mk(uint64(77+n)), uint64(7*n), false)
 			if err != nil {
 				return nil, err
 			}
 			for _, k := range []int{1, 2} {
-				got := res.Tracker.MaxBadCompletions(k, n)
+				got := contention.MaxBadCompletions(res.Windows, k, n)
 				tbl.AddRow(pc.name, report.In(n), report.In(k),
 					report.In(got), report.In(n-1), boolCell(got < n))
 			}
@@ -88,11 +89,11 @@ func E4DelaySum(s Scale) ([]*report.Table, error) {
 				}},
 			}
 			for _, pc := range pcs {
-				res, err := trackedRun(n, T, pc.mk(uint64(100+budget)), uint64(9*budget+n))
+				res, err := structuralRun(n, T, pc.mk(uint64(100+budget)), uint64(9*budget+n), true)
 				if err != nil {
 					return nil, err
 				}
-				tauMax := res.Tracker.TauMax()
+				tauMax := contention.TauMax(res.Windows)
 				sum := res.Tracker.DelayIndicatorMax()
 				bound := martingale.DelaySumBound(tauMax, n)
 				ratio := 0.0
@@ -117,13 +118,13 @@ func E7AvgContention(s Scale) ([]*report.Table, error) {
 		"policy", "n", "tau_avg", "tau_max", "2n", "tau_avg<=2n")
 	for _, n := range []int{2, 4, 8} {
 		for _, pc := range structuralPolicies(2 * n) {
-			res, err := trackedRun(n, T, pc.mk(uint64(3*n)), uint64(13*n))
+			res, err := structuralRun(n, T, pc.mk(uint64(3*n)), uint64(13*n), false)
 			if err != nil {
 				return nil, err
 			}
-			avg := res.Tracker.TauAvg()
+			avg := contention.TauAvg(res.Windows)
 			tbl.AddRow(pc.name, report.In(n), report.Fl(avg),
-				report.In(res.Tracker.TauMax()), report.In(2*n),
+				report.In(contention.TauMax(res.Windows)), report.In(2*n),
 				boolCell(avg <= float64(2*n)))
 		}
 	}

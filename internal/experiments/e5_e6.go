@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/core"
 	"asyncsgd/internal/martingale"
 	"asyncsgd/internal/mathx"
@@ -72,15 +73,14 @@ func E5UpperBound(s Scale) ([]*report.Table, error) {
 			p := float64(fails) / float64(trials)
 			_, hi := mathx.WilsonInterval(fails, trials, 1.96)
 
-			// One tracked run for the honest measured τmax.
+			// One more run for the honest measured τmax.
 			tcfg := mk()
-			tcfg.Track = true
 			tcfg.Seed = uint64(5 + budget)
 			tres, err := core.RunEpoch(tcfg)
 			if err != nil {
 				return nil, err
 			}
-			tauMeas := tres.Tracker.TauMax()
+			tauMeas := contention.TauMax(tres.Windows)
 
 			w, err := martingale.NewWitness(eps, alpha, cst)
 			if err != nil {
@@ -154,7 +154,7 @@ func E6FullSGD(s Scale) ([]*report.Table, error) {
 		"epsilon", "sqrt(eps)", "epochs(formula)", "mean ‖r-x*‖", "max ‖r-x*‖", "holds(mean)")
 	tbl.Note = "adversary = max-stale(6), α₀ = 0.5, T per epoch = " + report.In(T)
 	for _, eps := range []float64{0.2, 0.05} {
-		epochs := core.EpochCount(0.5, cst, 3, eps)
+		epochs := martingale.EpochCount(0.5, cst, 3, eps)
 		var w mathx.Welford
 		worst := 0.0
 		for k := 0; k < trials; k++ {

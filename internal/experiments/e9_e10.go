@@ -211,7 +211,9 @@ func RenderFigure1(tr *contention.Tracker, d, horizon int) string {
 // per second and solution quality for lock-free vs coarse-lock vs
 // striped-lock across worker counts. On a single-core host the absolute
 // numbers compress; the recorded shape claim is that lock-free never loses
-// to coarse locking and the gap widens with workers and contention.
+// to coarse locking and the gap widens with workers and contention. The τ
+// columns are the paper's interval contention over each run's windows in
+// claim-counter time (Spec.Probe), so τavg ≤ 2n holds in every row.
 //
 // The mode × workers grid is a sweep spec: the engine derives per-cell
 // seeds, schedules the cells on its weighted pool (multi-worker cells get
@@ -241,8 +243,9 @@ func E10Throughput(s Scale) ([]*report.Table, error) {
 		return nil, err
 	}
 	tbl := report.New("E10: real-thread throughput and quality",
-		"mode", "workers", "updates/sec", "final_dist2", "avg_staleness", "max_staleness")
-	tbl.Note = "iso quadratic d=16; CAS-emulated float fetch&add; single trial per cell (sweep engine)"
+		"mode", "workers", "updates/sec", "final_dist2", "tau_avg", "tau_max")
+	tbl.Note = "iso quadratic d=16; CAS-emulated float fetch&add; single trial per cell (sweep engine); " +
+		"tau = interval contention over the claim-counter windows"
 	for _, r := range results {
 		if r.Err != "" {
 			return nil, fmt.Errorf("cell %d (%s, %d workers): %s", r.Index, r.Strategy, r.Workers, r.Err)

@@ -200,6 +200,9 @@ func TestE10Throughput(t *testing.T) {
 		if parseF(t, row[2]) <= 0 {
 			t.Errorf("non-positive throughput in row %v", row)
 		}
+		if n := parseF(t, row[1]); parseF(t, row[4]) > 2*n {
+			t.Errorf("τavg above 2n in row %v", row)
+		}
 	}
 }
 

@@ -16,7 +16,10 @@
 //   - For gated disciplines, the measured staleness — admissions past the
 //     gate while an iteration is in flight — must respect the configured
 //     bound τ on both runtimes (hogwild.StalenessBounded on real threads,
-//     contention.MaxAdmissionsDuring on the machine).
+//     contention.MaxAdmissions over the windows on the machine).
+//   - Both runtimes record their iterations' windows, and the average
+//     interval contention over them obeys the paper's τavg ≤ 2n (on the
+//     machine, when every claimed iteration recorded its end).
 //   - Invalid configurations must be rejected by both runtimes
 //     (rejection parity), and interval contention must be monotone in the
 //     worker count on the machine.
@@ -26,7 +29,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/core"
 	"asyncsgd/internal/grad"
 	"asyncsgd/internal/hogwild"
@@ -145,8 +150,18 @@ func RunDifferential(c Case) (*Report, error) {
 	if sb, ok := hogM.strat.(hogwild.StalenessBounded); ok {
 		rep.HogStaleness = sb.ObservedMaxStaleness()
 	}
-	if simM.Tracker != nil && (c.Sim.StalenessBound > 0 || c.Sim.FenceEvery > 0) {
-		rep.SimStaleness = simM.Tracker.MaxAdmissionsDuring()
+	// A machine iteration that applies no update of its own (a zero
+	// direction, a batch-buffered gradient) records no end and so runs to
+	// the end of the run: the machine's bound is checked where all ended.
+	hogTauAvg, simTauAvg := hogM.res.AvgStaleness, contention.TauAvg(simM.Windows)
+	open := func(w contention.Window) bool { return w.Start > 0 && w.End == 0 }
+	simEnded := !slices.ContainsFunc(simM.Windows, open)
+	if hogTauAvg > 2*diffWorkers || simEnded && simTauAvg > 2*simThreads {
+		return nil, fmt.Errorf("%w: %s: τavg %v (threads, n=%d) or %v (machine, n=%d) exceeds 2n",
+			ErrInvariant, c.Name, hogTauAvg, diffWorkers, simTauAvg, simThreads)
+	}
+	if c.Sim.StalenessBound > 0 || c.Sim.FenceEvery > 0 {
+		rep.SimStaleness = contention.MaxAdmissions(simM.Windows)
 	}
 	if c.Tau > 0 {
 		if rep.HogStaleness > c.Tau {
@@ -182,7 +197,7 @@ func (c Case) run(workers, threads int, mkPolicy func() shm.Policy) (*hogRun, *c
 	hog, err := hogwild.Run(hogwild.Config{
 		Workers: workers, TotalIters: c.Iters, Alpha: c.Alpha,
 		Oracle: oh, Seed: c.Seed, Strategy: strat,
-		X0: vec.Constant(d, c.X0Val),
+		X0: vec.Constant(d, c.X0Val), SampleStaleness: true,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("hogwild %s: %w", c.Name, err)
@@ -194,7 +209,7 @@ func (c Case) run(workers, threads int, mkPolicy func() shm.Policy) (*hogRun, *c
 	sim, err := core.RunEpoch(core.EpochConfig{
 		Threads: threads, TotalIters: c.Iters, Alpha: c.Alpha,
 		Oracle: os, Policy: mkPolicy(), Seed: c.Seed,
-		X0: vec.Constant(d, c.X0Val), Track: true,
+		X0:             vec.Constant(d, c.X0Val),
 		Sparse:         c.Sim.Sparse,
 		StalenessBound: c.Sim.StalenessBound,
 		Batch:          c.Sim.Batch,
@@ -258,12 +273,12 @@ func CheckContentionMonotone(mk func() (grad.Oracle, error), iters int, alpha fl
 		}
 		res, err := core.RunEpoch(core.EpochConfig{
 			Threads: n, TotalIters: iters, Alpha: alpha, Oracle: o,
-			Policy: &sched.RoundRobin{}, Seed: seed, Track: true,
+			Policy: &sched.RoundRobin{}, Seed: seed,
 		})
 		if err != nil {
 			return err
 		}
-		cur := res.Tracker.TauMax()
+		cur := contention.TauMax(res.Windows)
 		if prev >= 0 && cur < prev {
 			return fmt.Errorf("%w: τmax dropped from %d (n=%d) to %d (n=%d)",
 				ErrInvariant, prev, prevN, cur, n)

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"testing"
 
+	"asyncsgd/internal/core"
 	"asyncsgd/internal/data"
 	"asyncsgd/internal/grad"
 	"asyncsgd/internal/hogwild"
 	"asyncsgd/internal/rng"
+	"asyncsgd/internal/sched"
+	"asyncsgd/internal/shm"
 )
 
 // denseOracle builds the standard dense differential workload: an
@@ -62,7 +65,8 @@ func builtinStrategies() []strategyCase {
 // TestDifferentialAllStrategies is the acceptance matrix: every built-in
 // strategy × {dense, sparse} oracle, each run on both runtimes with the
 // full invariant set (bit-exact single-worker agreement, exact CoordOps,
-// statistical convergence, staleness ≤ τ for the gated disciplines).
+// statistical convergence, τavg ≤ 2n over both runtimes' windows,
+// staleness ≤ τ for the gated disciplines).
 func TestDifferentialAllStrategies(t *testing.T) {
 	oracles := []struct {
 		name   string
@@ -118,6 +122,44 @@ func TestDifferentialAllStrategies(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFullEpochCountsAgree: both runtimes' Algorithm 2 default to the
+// same Corollary-7.1 epoch count for the same ε, α₀, n and oracle.
+func TestFullEpochCountsAgree(t *testing.T) {
+	o, err := denseOracle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for _, eps := range []float64{1e-4, 0.05, 4} {
+		for _, alpha0 := range []float64{0.05, 0.5} {
+			for _, n := range []int{1, 3} {
+				sim, err := core.RunFull(core.FullConfig{
+					Threads: n, Epsilon: eps, Alpha0: alpha0, ItersPerEpoch: 10,
+					Oracle: o, Seed: 1, PolicyFactory: func(int) shm.Policy { return &sched.RoundRobin{} },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				hog, err := hogwild.RunFull(hogwild.FullConfig{
+					Workers: n, Epsilon: eps, Alpha0: alpha0, ItersPerEpoch: 10,
+					Oracle: o, Seed: 1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sim.Epochs != hog.Epochs {
+					t.Errorf("ε=%v α₀=%v n=%d: %d epochs (machine) vs %d (threads)",
+						eps, alpha0, n, sim.Epochs, hog.Epochs)
+				}
+				seen[sim.Epochs] = true
+			}
+		}
+	}
+	if len(seen) < 3 {
+		t.Errorf("epoch counts %v; want the grid to reach at least three", seen)
 	}
 }
 

@@ -2,10 +2,10 @@ package hogwild
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"asyncsgd/internal/grad"
+	"asyncsgd/internal/martingale"
 	"asyncsgd/internal/vec"
 )
 
@@ -58,14 +58,7 @@ func RunFull(cfg FullConfig) (*FullResult, error) {
 	}
 	epochs := cfg.Epochs
 	if epochs <= 0 {
-		cst := cfg.Oracle.Constants()
-		v := cfg.Alpha0 * cfg.Alpha0 * math.Sqrt(cst.M2) * float64(cfg.Workers) /
-			math.Sqrt(cfg.Epsilon)
-		if v <= 2 {
-			epochs = 1
-		} else {
-			epochs = int(math.Ceil(math.Log2(v)))
-		}
+		epochs = martingale.EpochCount(cfg.Alpha0, cfg.Oracle.Constants(), cfg.Workers, cfg.Epsilon)
 	}
 	x := vec.NewDense(cfg.Oracle.Dim())
 	alpha := cfg.Alpha0

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"asyncsgd/internal/atomicfloat"
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/grad"
 	"asyncsgd/internal/rng"
 	"asyncsgd/internal/vec"
@@ -74,9 +75,10 @@ type Config struct {
 	// effect on results — only on timing.
 	PinWorkers bool
 	X0         vec.Dense // nil ⇒ zeros
-	// SampleStaleness enables the staleness probe: each iteration records
-	// how many iterations were claimed between its view snapshot and its
-	// last update (an online proxy for interval contention).
+	// SampleStaleness records every claimed iteration's window in
+	// claim-counter time — Start the claim, End the counter read at
+	// publish — and reports the interval contention over them as
+	// Result.MaxStaleness (τmax) and Result.AvgStaleness (τavg).
 	SampleStaleness bool
 	// OnTelemetry, when non-nil, receives periodic snapshots of the
 	// running meters — completed iterations, shared coordinate ops, the
@@ -99,9 +101,9 @@ const DefaultTelemetryEvery = 50 * time.Millisecond
 
 // Telemetry is one point-in-time snapshot of a running Run, delivered
 // through Config.OnTelemetry. Iters and CoordOps are monotone across the
-// samples of one run; MaxStaleness is the same gauge Result.MaxStaleness
-// reports (the exact StalenessBounded gauge for gated strategies, the
-// probe max under SampleStaleness, −1 when the run measures neither).
+// samples of one run; MaxStaleness is the exact StalenessBounded gauge
+// for gated strategies, −1 for the others (the windows of SampleStaleness
+// are read only once the workers exit).
 // Every field is wall-clock-dependent: two runs of the same seed produce
 // identical Results but never identical telemetry streams.
 type Telemetry struct {
@@ -114,8 +116,6 @@ type Telemetry struct {
 	// MaxStaleness is the staleness gauge at sampling time (−1 when
 	// unmeasured).
 	MaxStaleness int
-	// AvgStaleness is the probe mean so far (0 unless SampleStaleness).
-	AvgStaleness float64
 	// Done marks the final snapshot, taken after every worker has exited
 	// (its Iters and CoordOps match the run's Result exactly).
 	Done bool
@@ -186,10 +186,13 @@ type Result struct {
 	CoordOps int64
 	// MaxStaleness is the largest observed iteration staleness. For
 	// strategies that enforce a bound (StalenessBounded) it is the
-	// strategy's exact gauge — populated whether or not the sampling probe
-	// is on; otherwise it is the max probe value (SampleStaleness).
+	// strategy's exact gauge, whether or not SampleStaleness is on;
+	// otherwise it is τmax over the SampleStaleness windows.
 	MaxStaleness int
-	AvgStaleness float64 // mean probe value (SampleStaleness)
+	AvgStaleness float64 // τavg over the SampleStaleness windows
+	// Windows holds claim c's SampleStaleness window at index c (nil with
+	// it off): Start = FirstRead = c+1, End the counter at publish, ≤ T.
+	Windows []contention.Window
 	// Crashed / Rejoined count the fault plan's executed crashes and
 	// replacement workers; RecoveredTickets counts orphaned gate tickets
 	// the supervisor tombstoned on behalf of in-flight victims
@@ -289,11 +292,14 @@ func Run(cfg Config) (*Result, error) {
 		counter  atomic.Int64 // iteration claims (over-claims by one per finishing worker)
 		done     atomic.Int64 // iterations that completed their updates
 		coordOps atomic.Int64
-		staleSum atomic.Int64
-		staleMax atomic.Int64
-		staleN   atomic.Int64
 	)
 	total := int64(cfg.TotalIters)
+	// wins[c] is claim c's window, written once by its claimer and read
+	// after the workers exit.
+	var wins []contention.Window
+	if cfg.SampleStaleness {
+		wins = make([]contention.Window, total)
+	}
 
 	// With telemetry on, each worker publishes its cumulative ops into its
 	// own padded slot every iteration (instead of one shared add at exit),
@@ -381,24 +387,9 @@ func Run(cfg Config) (*Result, error) {
 			}
 			if cfg.SampleStaleness {
 				// Claims past the budget are workers exiting, not SGD
-				// iterations; capping at the budget keeps the probe a
-				// count of concurrent iterations only.
-				cur := counter.Load()
-				if cur > total {
-					cur = total
-				}
-				span := cur - claimed - 1
-				if span < 0 {
-					span = 0
-				}
-				staleSum.Add(span)
-				staleN.Add(1)
-				for {
-					m := staleMax.Load()
-					if span <= m || staleMax.CompareAndSwap(m, span) {
-						break
-					}
-				}
+				// iterations, so the window ends at the budget at most.
+				s := int(claimed) + 1
+				wins[claimed] = contention.Window{Start: s, FirstRead: s, End: int(min(counter.Load(), total))}
 			}
 			if yield {
 				runtime.Gosched()
@@ -445,10 +436,6 @@ func Run(cfg Config) (*Result, error) {
 			CoordOps:     coordOps.Load() + sumProgress(),
 			MaxStaleness: -1,
 			Done:         final,
-		}
-		if n := staleN.Load(); n > 0 {
-			tel.AvgStaleness = float64(staleSum.Load()) / float64(n)
-			tel.MaxStaleness = int(staleMax.Load())
 		}
 		if sb, ok := strat.(StalenessBounded); ok {
 			tel.MaxStaleness = sb.ObservedMaxStaleness()
@@ -542,16 +529,16 @@ func Run(cfg Config) (*Result, error) {
 		Crashed:          crashedN,
 		Rejoined:         rejoinedN,
 		RecoveredTickets: recoveredN,
+		Windows:          wins,
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
 		res.UpdatesPerSec = float64(res.Iters) / secs
 	}
-	if n := staleN.Load(); n > 0 {
-		res.AvgStaleness = float64(staleSum.Load()) / float64(n)
-		res.MaxStaleness = int(staleMax.Load())
+	if wins != nil {
+		res.MaxStaleness, res.AvgStaleness = contention.TauMax(wins), contention.TauAvg(wins)
 	}
 	// Gated strategies hold the exact staleness gauge; prefer it over the
-	// probe's online proxy (and report it even with the probe off).
+	// windows' τmax (and report it even with SampleStaleness off).
 	if sb, ok := strat.(StalenessBounded); ok {
 		res.MaxStaleness = sb.ObservedMaxStaleness()
 	}

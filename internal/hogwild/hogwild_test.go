@@ -102,6 +102,8 @@ func TestConvergesOnQuadraticAllModes(t *testing.T) {
 	}
 }
 
+// TestStalenessProbe: the interval contention over the SampleStaleness
+// windows is non-negative, and its maximum bounds its mean.
 func TestStalenessProbe(t *testing.T) {
 	res, err := Run(Config{
 		Workers: 8, TotalIters: 5000, Alpha: 0.001,
@@ -110,11 +112,55 @@ func TestStalenessProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Windows) != 5000 {
+		t.Fatalf("%d windows, want one per iteration (5000)", len(res.Windows))
+	}
 	if res.AvgStaleness < 0 || res.MaxStaleness < 0 {
 		t.Errorf("staleness stats negative: %+v", res)
 	}
 	if float64(res.MaxStaleness) < res.AvgStaleness {
 		t.Errorf("max %d < avg %v", res.MaxStaleness, res.AvgStaleness)
+	}
+}
+
+// TestWindowsBoundAvgStaleness checks every SampleStaleness window —
+// claim c's is [c+1, End] with c+1 ≤ End ≤ T — and the paper's τavg ≤ 2n
+// on lock-free, striped-lock and bounded-staleness runs. The windows give
+// the tighter 2(n−1): a worker's own windows never overlap, so a claim
+// lies inside at most one window of each other worker, and each
+// overlapping pair is counted once from its later claim and once from
+// its earlier one. One worker therefore reads 0 and 0.
+func TestWindowsBoundAvgStaleness(t *testing.T) {
+	const T = 3000
+	strategies := map[string]func() Strategy{
+		"lock-free":         func() Strategy { return NewLockFree() },
+		"striped-lock":      func() Strategy { return NewStripedLock(4) },
+		"bounded-staleness": func() Strategy { return NewBoundedStaleness(3) },
+	}
+	for name, mk := range strategies {
+		for _, n := range []int{1, 2, 4, 8} {
+			res, err := Run(Config{
+				Workers: n, TotalIters: T, Alpha: 0.001, Seed: uint64(n),
+				Oracle: constOracle{d: 4}, Strategy: mk(), SampleStaleness: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Windows) != T {
+				t.Fatalf("%s n=%d: %d windows, want %d", name, n, len(res.Windows), T)
+			}
+			for c, w := range res.Windows {
+				if w.Start != c+1 || w.FirstRead != w.Start || w.End < w.Start || w.End > T {
+					t.Fatalf("%s n=%d: claim %d has window %+v, want [%d, ≤ %d]", name, n, c, w, c+1, T)
+				}
+			}
+			if res.AvgStaleness > float64(2*(n-1)) {
+				t.Errorf("%s n=%d: τavg = %v exceeds 2(n−1) = %d", name, n, res.AvgStaleness, 2*(n-1))
+			}
+			if n == 1 && (res.AvgStaleness != 0 || res.MaxStaleness != 0) {
+				t.Errorf("%s: one worker reads τavg %v, staleness %d; want 0 and 0", name, res.AvgStaleness, res.MaxStaleness)
+			}
+		}
 	}
 }
 

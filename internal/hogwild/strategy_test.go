@@ -181,8 +181,8 @@ func TestStrategyReusableAcrossSequentialRuns(t *testing.T) {
 // TestItersAndStalenessNotInflatedByOverclaims is the regression test for
 // the over-claim bug: with W workers racing for a single iteration, W−1
 // claims land past the budget (they are exits, not iterations). Iters
-// must report completed iterations and the staleness probe must not count
-// the phantom claims.
+// must report completed iterations and the SampleStaleness windows must
+// not count the phantom claims.
 func TestItersAndStalenessNotInflatedByOverclaims(t *testing.T) {
 	res, err := Run(Config{
 		Workers: 8, TotalIters: 1, Alpha: 0.01,
@@ -194,8 +194,9 @@ func TestItersAndStalenessNotInflatedByOverclaims(t *testing.T) {
 	if res.Iters != 1 {
 		t.Errorf("Iters = %d, want 1 (completed iterations)", res.Iters)
 	}
-	if res.MaxStaleness != 0 {
-		t.Errorf("MaxStaleness = %d for a single iteration, want 0", res.MaxStaleness)
+	if len(res.Windows) != 1 || res.MaxStaleness != 0 {
+		t.Errorf("%d windows, MaxStaleness = %d for a single iteration; want 1 and 0",
+			len(res.Windows), res.MaxStaleness)
 	}
 }
 

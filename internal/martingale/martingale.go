@@ -109,6 +109,17 @@ func BoundAsync(cst grad.Constants, eps, vartheta float64, tauMax, n, d, T int, 
 		mathx.Plog(math.E*x0DistSq/eps)
 }
 
+// EpochCount is Algorithm 2's epoch count ⌈log₂(α²·M·n/√ε)⌉ (Corollary
+// 7.1), at least 1, where M = √M²; both runtimes' RunFull default to it.
+func EpochCount(alpha0 float64, cst grad.Constants, n int, eps float64) int {
+	m := math.Sqrt(cst.M2)
+	v := alpha0 * alpha0 * m * float64(n) / math.Sqrt(eps)
+	if v <= 2 {
+		return 1
+	}
+	return int(math.Ceil(math.Log2(v)))
+}
+
 // BoundTheorem65 is the raw Theorem-6.5 bound
 // P(F_T) ≤ E[W_0]/((1 − α²HLMC√d)·T) for an arbitrary witness.
 func BoundTheorem65(w Witness, tauMax, n, d, T int, x0DistSq float64) float64 {

@@ -393,7 +393,6 @@ func runHogwild(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResu
 				Iters:        t.Iters,
 				CoordOps:     t.CoordOps,
 				MaxStaleness: t.MaxStaleness,
-				AvgStaleness: t.AvgStaleness,
 				Done:         t.Done,
 			})
 		}

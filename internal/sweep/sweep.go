@@ -200,8 +200,9 @@ type Spec struct {
 
 	// Iters is the per-cell iteration budget (required).
 	Iters int
-	// Probe enables the hogwild staleness sampling probe on Hogwild cells
-	// (fills AvgStaleness, and MaxStaleness for ungated strategies).
+	// Probe records the iteration windows of Hogwild cells
+	// (hogwild.Config.SampleStaleness): AvgStaleness becomes their τavg,
+	// and MaxStaleness their τmax for ungated strategies.
 	Probe bool
 	// PinWorkers pins each Hogwild cell's worker goroutines to OS
 	// threads (hogwild.Config.PinWorkers): steadier throughput numbers
@@ -250,12 +251,9 @@ type TelemetrySample struct {
 	Iters int `json:"iters"`
 	// CoordOps is the shared model-coordinate traffic so far (monotone).
 	CoordOps int64 `json:"coord_ops"`
-	// MaxStaleness is the cell's staleness gauge at sampling time: the
-	// exact bounded-staleness gauge for gated strategies, the probe max
-	// under Spec.Probe, −1 when the cell measures neither.
+	// MaxStaleness is the gated strategies' exact staleness gauge at
+	// sampling time, −1 for the others.
 	MaxStaleness int `json:"max_staleness"`
-	// AvgStaleness is the probe mean so far (0 unless Spec.Probe).
-	AvgStaleness float64 `json:"avg_staleness,omitempty"`
 	// Done marks the cell's final snapshot, taken after its workers
 	// exited; its Iters and CoordOps equal the cell's CellResult.
 	Done bool `json:"done,omitempty"`
@@ -315,13 +313,13 @@ type CellResult struct {
 	// result stays JSON-serializable; Diverged is the record that they
 	// were not real zeros.
 	Diverged bool `json:"diverged,omitempty"`
-	// MaxStaleness is the observed maximum staleness: the gated gauge
-	// (Hogwild) or the max admissions during flight over the workers'
-	// recorded iteration windows (Machine);
-	// −1 when the cell does not measure it.
+	// MaxStaleness is the observed maximum staleness: the gated gauge or,
+	// under Spec.Probe, τmax over the recorded windows (Hogwild), or the
+	// max admissions during flight over the workers' recorded iteration
+	// windows (Machine); −1 when the cell does not measure it.
 	MaxStaleness int `json:"max_staleness"`
-	// AvgStaleness is the probe's mean (Hogwild cells with Spec.Probe;
-	// 0 otherwise).
+	// AvgStaleness is τavg over the recorded windows (Hogwild cells with
+	// Spec.Probe; 0 otherwise).
 	AvgStaleness float64 `json:"avg_staleness,omitempty"`
 	// Crashed, Rejoined and RecoveredTickets are the fault-axis outcome:
 	// workers the plan killed, replacements that joined, and orphaned gate
