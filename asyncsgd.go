@@ -316,7 +316,7 @@ type (
 const SweepMachine = sweep.Machine
 
 // SweepBoundedStaleness is the τ-gated discipline on both runtimes (the
-// same strategy↔machine-discipline pairing the differential harness
+// same strategy↔machine-discipline pairing the differential suite
 // checks).
 func SweepBoundedStaleness(tau int) SweepStrategy { return sweep.BoundedStaleness(tau) }
 

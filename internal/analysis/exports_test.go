@@ -49,7 +49,6 @@ var internalExemptions = map[string]string{
 	"core.EpochResult.DistSqSeries": "the V-process and determinism tests read ‖x_t − x*‖²",
 
 	"hogwild.LayoutAuto": "names the zero value of Config.Layout",
-	"harness":            "the test harness package: its callers are tests by design",
 }
 
 // checkExports applies the dead-export rule to the subject packages and

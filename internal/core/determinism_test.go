@@ -1,10 +1,9 @@
-package harness
+package core
 
 import (
 	"testing"
 
-	"asyncsgd/internal/core"
-	"asyncsgd/internal/hogwild"
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/rng"
 	"asyncsgd/internal/sched"
 	"asyncsgd/internal/shm"
@@ -38,13 +37,9 @@ func TestAdversaryDeterminism(t *testing.T) {
 	}
 	for _, pc := range policies {
 		t.Run(pc.name, func(t *testing.T) {
-			run := func() *core.EpochResult {
-				o, err := denseOracle()
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := core.RunEpoch(core.EpochConfig{
-					Threads: 3, TotalIters: 120, Alpha: 0.05, Oracle: o,
+			run := func() *EpochResult {
+				res, err := RunEpoch(EpochConfig{
+					Threads: 3, TotalIters: 120, Alpha: 0.05, Oracle: isoOracle(t, 8, 0.2),
 					Policy: pc.mk(), Seed: 42, Record: true, Track: true,
 				})
 				if err != nil {
@@ -88,50 +83,24 @@ func TestAdversaryDeterminism(t *testing.T) {
 	}
 }
 
-// TestStrategyDeterminism: with one worker, every built-in strategy is a
-// deterministic function of the seed — two runs must agree bit for bit on
-// the final model and exactly on the work accounting. (Multi-worker real
-// threads are inherently schedule-dependent; single-worker determinism is
-// the property the differential harness's exact leg builds on.)
-func TestStrategyDeterminism(t *testing.T) {
-	for _, oc := range []struct {
-		name   string
-		sparse bool
-	}{{"dense", false}, {"sparse", true}} {
-		for _, sc := range builtinStrategies() {
-			if sc.needsSp && !oc.sparse {
-				continue
-			}
-			t.Run(oc.name+"/"+sc.name, func(t *testing.T) {
-				run := func() *hogwild.Result {
-					mk := denseOracle
-					if oc.sparse {
-						mk = sparseOracle
-					}
-					oracle, err := mk()
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := hogwild.Run(hogwild.Config{
-						Workers: 1, TotalIters: 400, Alpha: 0.01,
-						Oracle: oracle, Seed: 97, Strategy: sc.mk(),
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
-				}
-				a, b := run(), run()
-				if a.Iters != b.Iters || a.CoordOps != b.CoordOps {
-					t.Fatalf("accounting differs: %d/%d vs %d/%d",
-						a.Iters, a.CoordOps, b.Iters, b.CoordOps)
-				}
-				for j := range a.Final {
-					if a.Final[j] != b.Final[j] {
-						t.Fatalf("Final[%d]: %v vs %v", j, a.Final[j], b.Final[j])
-					}
-				}
-			})
+// TestContentionMonotoneInWorkers is the metamorphic contention
+// invariant: under the fair round-robin schedule, adding threads can only
+// increase the maximum interval contention τmax (more iterations overlap
+// any given one). The run is deterministic, so the check is exact.
+func TestContentionMonotoneInWorkers(t *testing.T) {
+	prev, prevN := -1, 0
+	for _, n := range []int{1, 2, 4, 8} {
+		res, err := RunEpoch(EpochConfig{
+			Threads: n, TotalIters: 400, Alpha: 0.05, Oracle: isoOracle(t, 8, 0.2),
+			Policy: &sched.RoundRobin{}, Seed: 33,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		cur := contention.TauMax(res.Windows)
+		if cur < prev {
+			t.Fatalf("τmax dropped from %d (n=%d) to %d (n=%d)", prev, prevN, cur, n)
+		}
+		prev, prevN = cur, n
 	}
 }

@@ -32,8 +32,8 @@ import (
 //
 // The simulated-machine counterparts live in internal/core
 // (EpochConfig.StalenessBound / Batch / FenceEvery), so every discipline
-// runs on both runtimes and internal/harness can check them against each
-// other.
+// runs on both runtimes and internal/sweep's differential tests check
+// them against each other.
 
 // StalenessBounded is implemented by strategies that enforce a staleness
 // bound. TauBound returns the enforced bound τ; ObservedMaxStaleness

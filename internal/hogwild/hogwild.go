@@ -534,13 +534,27 @@ func Run(cfg Config) (*Result, error) {
 	if secs := elapsed.Seconds(); secs > 0 {
 		res.UpdatesPerSec = float64(res.Iters) / secs
 	}
-	if wins != nil {
-		res.MaxStaleness, res.AvgStaleness = contention.TauMax(wins), contention.TauAvg(wins)
-	}
 	// Gated strategies hold the exact staleness gauge; prefer it over the
 	// windows' τmax (and report it even with SampleStaleness off).
-	if sb, ok := strat.(StalenessBounded); ok {
+	sb, gauged := strat.(StalenessBounded)
+	if gauged {
 		res.MaxStaleness = sb.ObservedMaxStaleness()
+	}
+	if wins != nil {
+		// One pass over the interval contentions gives τavg and τmax
+		// (contention.TauAvg and TauMax would build them twice).
+		rho := contention.IntervalContentions(wins)
+		sum, top := 0, 0
+		for _, r := range rho {
+			sum += r
+			top = max(top, r)
+		}
+		if len(rho) > 0 {
+			res.AvgStaleness = float64(sum) / float64(len(rho))
+		}
+		if !gauged {
+			res.MaxStaleness = top
+		}
 	}
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"asyncsgd/internal/contention"
 	"asyncsgd/internal/grad"
 	"asyncsgd/internal/rng"
 	"asyncsgd/internal/vec"
@@ -120,6 +121,36 @@ func TestStalenessProbe(t *testing.T) {
 	}
 	if float64(res.MaxStaleness) < res.AvgStaleness {
 		t.Errorf("max %d < avg %v", res.MaxStaleness, res.AvgStaleness)
+	}
+}
+
+// TestStalenessStatsOnePass pins Run's one pass over the interval
+// contentions to the two-call form on the run's recorded windows: τavg
+// is contention.TauAvg bit for bit, and τmax is contention.TauMax unless
+// the strategy's staleness gauge wins.
+func TestStalenessStatsOnePass(t *testing.T) {
+	for _, mk := range []func() Strategy{
+		func() Strategy { return NewLockFree() },
+		func() Strategy { return NewBoundedStaleness(3) },
+	} {
+		strat := mk()
+		res, err := Run(Config{
+			Workers: 4, TotalIters: 4000, Alpha: 0.001, Seed: 5,
+			Oracle: constOracle{d: 4}, Strategy: strat, SampleStaleness: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := contention.TauAvg(res.Windows); math.Float64bits(res.AvgStaleness) != math.Float64bits(want) {
+			t.Errorf("%s: τavg %v, want %v", res.Strategy, res.AvgStaleness, want)
+		}
+		want := contention.TauMax(res.Windows)
+		if sb, ok := strat.(StalenessBounded); ok {
+			want = sb.ObservedMaxStaleness()
+		}
+		if res.MaxStaleness != want {
+			t.Errorf("%s: MaxStaleness %d, want %d", res.Strategy, res.MaxStaleness, want)
+		}
 	}
 }
 

@@ -328,11 +328,7 @@ func runCell(s *Spec, c Cell) CellResult {
 	if c.runtime == Hogwild {
 		run = runHogwild
 	}
-	//asgdvet:allow nondet(feeds elapsed/updates_per_sec, the two documented nondeterministic report fields)
-	start := time.Now()
-	final, err := run(s, c, oracle, x0, &res)
-	//asgdvet:allow nondet(feeds elapsed/updates_per_sec, the two documented nondeterministic report fields)
-	elapsed := time.Since(start)
+	final, elapsed, err := run(s, c, oracle, x0, &res)
 	// The meters are shared across every worker clone, so the wrapper
 	// handles read run totals.
 	if corrMeter != nil {
@@ -349,12 +345,10 @@ func runCell(s *Spec, c Cell) CellResult {
 	return res
 }
 
-// runHogwild is the real-thread adapter: it runs the cell through
-// hogwild.Run, writes the run's counters into res and returns the final
-// model.
-func runHogwild(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResult) (vec.Dense, error) {
+// hogwildConfig builds the hogwild.Config a real-thread cell runs with.
+func hogwildConfig(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense) (hogwild.Config, error) {
 	if c.strategy.Hogwild == nil {
-		return nil, fmt.Errorf("strategy %s has no real-thread implementation", c.Strategy)
+		return hogwild.Config{}, fmt.Errorf("strategy %s has no real-thread implementation", c.Strategy)
 	}
 	var strat hogwild.Strategy
 	if c.defense != nil && c.defense.Median {
@@ -397,32 +391,41 @@ func runHogwild(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResu
 			})
 		}
 	}
+	return cfg, nil
+}
+
+// runHogwild is the real-thread adapter: it runs the cell through
+// hogwild.Run, writes the run's counters into res and returns the final
+// model with the workers' run time, which leaves out the τ statistics
+// hogwild.Run computes after its workers exit.
+func runHogwild(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResult) (vec.Dense, time.Duration, error) {
+	cfg, err := hogwildConfig(s, c, oracle, x0)
+	if err != nil {
+		return nil, 0, err
+	}
 	out, err := hogwild.Run(cfg)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	res.Iters = out.Iters
 	res.CoordOps = out.CoordOps
 	res.AvgStaleness = out.AvgStaleness
-	if _, gauged := strat.(hogwild.StalenessBounded); gauged || s.Probe {
+	if _, gauged := cfg.Strategy.(hogwild.StalenessBounded); gauged || s.Probe {
 		res.MaxStaleness = out.MaxStaleness
 	}
 	res.Crashed = out.Crashed
 	res.Rejoined = out.Rejoined
 	res.RecoveredTickets = int64(out.RecoveredTickets)
-	return out.Final, nil
+	return out.Final, out.Elapsed, nil
 }
 
-// runMachine is the simulator adapter: it runs the cell through
-// core.RunEpoch, writes the run's counters into res and returns the
-// final model. The cell runs untracked: the two statistics it reports
-// come from the admission windows the workers record on every run.
-func runMachine(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResult) (vec.Dense, error) {
+// machineConfig builds the core.EpochConfig a simulator cell runs with.
+func machineConfig(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense) (core.EpochConfig, error) {
 	if c.strategy.Machine == nil {
-		return nil, fmt.Errorf("strategy %s has no machine implementation", c.Strategy)
+		return core.EpochConfig{}, fmt.Errorf("strategy %s has no machine implementation", c.Strategy)
 	}
 	if c.defense != nil && c.defense.Median {
-		return nil, fmt.Errorf("defense %s has no machine implementation (a round-membership barrier has no meaning under one-op-at-a-time scheduling)", c.Defense)
+		return core.EpochConfig{}, fmt.Errorf("defense %s has no machine implementation (a round-membership barrier has no meaning under one-op-at-a-time scheduling)", c.Defense)
 	}
 	cfg := core.EpochConfig{
 		Threads:    c.Workers,
@@ -448,9 +451,24 @@ func runMachine(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResu
 		}
 	}
 	c.strategy.Machine(&cfg)
+	return cfg, nil
+}
+
+// runMachine is the simulator adapter: it runs the cell through
+// core.RunEpoch, writes the run's counters into res and returns the
+// final model with the adapter's wall-clock time. The cell runs
+// untracked: the two statistics it reports come from the admission
+// windows the workers record on every run.
+func runMachine(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResult) (vec.Dense, time.Duration, error) {
+	//asgdvet:allow nondet(feeds elapsed/updates_per_sec, the two documented nondeterministic report fields)
+	start := time.Now()
+	cfg, err := machineConfig(s, c, oracle, x0)
+	if err != nil {
+		return nil, 0, err
+	}
 	out, err := core.RunEpoch(cfg)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for _, w := range out.Windows {
 		if w.End > 0 {
@@ -466,7 +484,8 @@ func runMachine(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense, res *CellResu
 		// Each fired crash activates one parked spare.
 		res.Rejoined = out.Stats.Crashed
 	}
-	return out.FinalX, nil
+	//asgdvet:allow nondet(feeds elapsed/updates_per_sec, the two documented nondeterministic report fields)
+	return out.FinalX, time.Since(start), nil
 }
 
 // fill computes the quality metrics and timing of a finished cell.

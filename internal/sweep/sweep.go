@@ -92,8 +92,9 @@ type Strategy struct {
 }
 
 // Built-in strategy-axis entries, mirroring the hogwild roster and its
-// machine counterparts (the same mapping internal/harness checks
-// differentially).
+// machine counterparts. This roster is the one pairing of each
+// discipline with its two runtimes; the differential tests check it
+// through the cell adapters' config builders.
 
 // LockFree is plain dense Algorithm 1 on both runtimes.
 func LockFree() Strategy {

@@ -83,6 +83,42 @@ func TestTelemetryStreamsPerCell(t *testing.T) {
 	}
 }
 
+// TestHogwildCellTimesItsWorkers: a hogwild cell's seconds are its
+// workers' run time (hogwild.Result.Elapsed), which ends before the final
+// telemetry snapshot is taken: they leave out hogwild.Run's setup and the
+// τ statistics it computes over the Probe windows.
+func TestHogwildCellTimesItsWorkers(t *testing.T) {
+	var done TelemetrySample
+	s := Spec{
+		Seed:       13,
+		Oracles:    []Oracle{quadOracle()},
+		Strategies: []Strategy{LockFree()},
+		Workers:    []int{2},
+		Alphas:     []float64{0.01},
+		Iters:      20000,
+		Probe:      true,
+		OnTelemetry: func(ts TelemetrySample) {
+			if ts.Done {
+				done = ts
+			}
+		},
+	}
+	results, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := results[0]
+	if r.Err != "" || !done.Done {
+		t.Fatalf("cell %+v, final snapshot %+v", r, done)
+	}
+	if r.Seconds <= 0 || r.Seconds > done.Seconds {
+		t.Errorf("cell seconds %v, want in (0, %v]: the final snapshot's time", r.Seconds, done.Seconds)
+	}
+	if r.UpdatesPerSec != float64(r.Iters)/r.Seconds {
+		t.Errorf("updates/s %v, want %d iterations / %v s", r.UpdatesPerSec, r.Iters, r.Seconds)
+	}
+}
+
 // TestTelemetrySilentOnMachineRuntime: the simulator has no live gauges;
 // a machine sweep with OnTelemetry set must emit nothing rather than
 // fabricate samples.
