@@ -199,11 +199,9 @@ type (
 	// ParallelConfig parameterizes the real-goroutine runtime. Beyond
 	// workers/iterations/step size it carries the synchronization
 	// discipline (Strategy; nil runs lock-free Algorithm 1) and the
-	// performance knobs: Layout pins the model's memory layout (the
+	// performance knob Layout, which pins the model's memory layout (the
 	// hogwild.LayoutAuto default picks the cache-line-banked layout at
-	// d ≥ hogwild.BankedAbove and the packed one below it), and PinWorkers
-	// locks each worker goroutine to an OS thread for stable cache/NUMA
-	// placement.
+	// d ≥ hogwild.BankedAbove and the packed one below it).
 	ParallelConfig = hogwild.Config
 	// ParallelResult is its outcome.
 	ParallelResult = hogwild.Result

@@ -171,7 +171,6 @@ func runSweep(args []string, out io.Writer) error {
 	req.Seed = fs.Uint64("seed", serve.DefaultSeed, "spec seed (per-cell seeds are split from it)")
 	req.Adversary = fs.Int("adversary", serve.DefaultAdversary, "machine runtime: MaxStale budget (0 = round-robin)")
 	fs.StringVar(&req.Runtime, "runtime", serve.DefaultRuntime, "cell runtime: machine, hogwild or both")
-	fs.BoolVar(&req.Pin, "pin", false, "hogwild runtime: pin worker goroutines to OS threads")
 	fs.Func("faults", "crash/rejoin axis: none, crash/<n>[/rejoin], ticket/<n>[/rejoin] (comma list; default none)",
 		func(s string) error { req.Faults = splitList(s); return nil })
 	fs.Func("byzantine", "gradient-corruption axis: none, signflip/<f>, scale/<f>, nan/<f> (comma list; default none)",

@@ -28,7 +28,6 @@ var internalExemptions = map[string]string{
 	// Checkers and references that tests compare against.
 	"grad.EstimateM2":     "the Monte-Carlo M² every oracle's analytic constant is checked against",
 	"grad.GradSparseVia":  "the dense reference the sparse gradients are checked against",
-	"shm.CheckTrace":      "replays a trace against the memory model; the property tests' oracle",
 	"vec.ApproxEqual":     "the tolerance comparison numeric tests share",
 	"vec.Sparse.IsSorted": "the strictly increasing index invariant FuzzNewSparse and grad's sparse tests check",
 
@@ -54,11 +53,38 @@ var internalExemptions = map[string]string{
 // checkExports applies the dead-export rule to the subject packages and
 // returns its findings, sorted: each exported package-level name or
 // exported method that no loaded package uses outside the name's own
-// declaration and that implements no interface method, unless exempt;
-// and each exemption that silences nothing.
+// declaration and outside every blank-identifier declaration, and that
+// implements no interface method, unless exempt; and each exemption that
+// silences nothing.
 func checkExports(pkgs []*Package, subject func(*Package) bool, exempt map[string]string) []string {
 	type span struct{ from, to token.Pos }
+	within := func(spans []span, pos token.Pos) bool {
+		for _, s := range spans {
+			if s.from <= pos && pos < s.to {
+				return true
+			}
+		}
+		return false
+	}
 	own := make(map[types.Object][]span) // a declaration's own extent
+	// A blank-identifier declaration (var _ I = (*T)(nil)) declares
+	// nothing anyone can reach, so a name it mentions is not used by it.
+	var blank []span
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				d, ok := decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range d.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok && allBlank(vs.Names) {
+						blank = append(blank, span{vs.Pos(), vs.End()})
+					}
+				}
+			}
+		}
+	}
 	type candidate struct {
 		key string
 		obj types.Object
@@ -119,14 +145,7 @@ func checkExports(pkgs []*Package, subject func(*Package) bool, exempt map[strin
 	for _, p := range pkgs {
 		for id, obj := range p.Info.Uses {
 			obj = origin(obj)
-			inside := false
-			for _, s := range own[obj] {
-				if s.from <= id.Pos() && id.Pos() < s.to {
-					inside = true
-					break
-				}
-			}
-			if !inside {
+			if !within(own[obj], id.Pos()) && !within(blank, id.Pos()) {
 				used[obj] = true
 			}
 		}
@@ -178,6 +197,17 @@ func checkExports(pkgs []*Package, subject func(*Package) bool, exempt map[strin
 	}
 	sort.Strings(out)
 	return out
+}
+
+// allBlank reports whether every name a value spec declares is the
+// blank identifier.
+func allBlank(names []*ast.Ident) bool {
+	for _, id := range names {
+		if id.Name != "_" {
+			return false
+		}
+	}
+	return true
 }
 
 // origin maps an instantiated generic function, method or field back to
@@ -272,7 +302,8 @@ func TestInternalExportsAreUsed(t *testing.T) {
 // TestCheckExportsFixture pins the rule itself on a fixture package
 // with one dead export, one used export, one method reached only
 // through an interface, one type used only by its own methods, one
-// honoured exemption and one stale exemption.
+// type named only in a blank interface assertion, one honoured
+// exemption and one stale exemption.
 func TestCheckExportsFixture(t *testing.T) {
 	pkgs, _, err := Load(filepath.Join("testdata", "exports"), ".")
 	if err != nil {
@@ -285,6 +316,7 @@ func TestCheckExportsFixture(t *testing.T) {
 	got := checkExports(pkgs, func(*Package) bool { return true }, exempt)
 	want := []string{
 		"stale exemption exports.Used: it covers no unused name",
+		"unused export exports.Asserted",
 		"unused export exports.Dead",
 		"unused export exports.ReceiverOnly",
 	}

@@ -1,6 +1,6 @@
-// Package exports is the dead-export rule's fixture: Dead and
-// ReceiverOnly are findings; Used, stringer.String and the exempt Kept
-// are not.
+// Package exports is the dead-export rule's fixture: Dead, ReceiverOnly
+// and Asserted are findings; Used, stringer.String, Asserted.String and
+// the exempt Kept are not.
 package exports
 
 import "fmt"
@@ -11,7 +11,7 @@ func Dead() {}
 // Used has a caller below: clean.
 func Used() int { return 1 }
 
-var _ = Used()
+var used = Used()
 
 // Kept has no caller, but the test exempts it: clean.
 func Kept() {}
@@ -28,3 +28,11 @@ type stringer struct{}
 func (stringer) String() string { return "stringer" }
 
 var _ = fmt.Sprint(stringer{})
+
+// Asserted is named only by a blank interface assertion, which uses
+// nothing: finding. Its String method implements fmt.Stringer: clean.
+type Asserted struct{}
+
+func (Asserted) String() string { return "asserted" }
+
+var _ fmt.Stringer = Asserted{}

@@ -1,7 +1,7 @@
-// Package baseline provides the non-concurrent comparison algorithms: the
+// Package baseline provides the non-concurrent comparison algorithm: the
 // sequential SGD iteration the paper's bounds are measured against
-// (Theorem 3.1 / the "no adversary" side of Section 5), and a mini-batch
-// variant used in ablations.
+// (Theorem 3.1 / the "no adversary" side of Section 5). A mini-batch
+// variant is the same iteration over a grad.MiniBatch oracle.
 package baseline
 
 import (
@@ -23,7 +23,6 @@ type SeqConfig struct {
 	Alpha     float64
 	Iters     int
 	Seed      uint64
-	Batch     int  // mini-batch size; 0 or 1 ⇒ plain SGD
 	TrackDist bool // record ‖x_t − x*‖² for every t
 }
 
@@ -48,14 +47,9 @@ func RunSequential(cfg SeqConfig) (*SeqResult, error) {
 	if x.Dim() != d {
 		return nil, fmt.Errorf("%w: X0 dim %d vs oracle %d", ErrBadConfig, x.Dim(), d)
 	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		batch = 1
-	}
 	r := rng.New(cfg.Seed)
 	xstar := cfg.Oracle.Optimum()
 	g := vec.NewDense(d)
-	sum := vec.NewDense(d)
 	res := &SeqResult{}
 	if cfg.TrackDist {
 		res.DistSq = make([]float64, 0, cfg.Iters+1)
@@ -66,22 +60,9 @@ func RunSequential(cfg SeqConfig) (*SeqResult, error) {
 		res.DistSq = append(res.DistSq, d2)
 	}
 	for t := 0; t < cfg.Iters; t++ {
-		if batch == 1 {
-			cfg.Oracle.Grad(g, x, r)
-			if err := x.AddScaled(-cfg.Alpha, g); err != nil {
-				return nil, err
-			}
-		} else {
-			sum.Zero()
-			for b := 0; b < batch; b++ {
-				cfg.Oracle.Grad(g, x, r)
-				if err := sum.Add(g); err != nil {
-					return nil, err
-				}
-			}
-			if err := x.AddScaled(-cfg.Alpha/float64(batch), sum); err != nil {
-				return nil, err
-			}
+		cfg.Oracle.Grad(g, x, r)
+		if err := x.AddScaled(-cfg.Alpha, g); err != nil {
+			return nil, err
 		}
 		if cfg.TrackDist {
 			d2, err := vec.Dist2Sq(x, xstar)

@@ -96,7 +96,7 @@ func TestMiniBatchReducesVariance(t *testing.T) {
 		const trials = 60
 		for k := 0; k < trials; k++ {
 			res, err := RunSequential(SeqConfig{
-				Oracle: q, Alpha: 0.1, Iters: 200, Seed: uint64(k), Batch: batch,
+				Oracle: grad.NewMiniBatch(q, batch), Alpha: 0.1, Iters: 200, Seed: uint64(k),
 			})
 			if err != nil {
 				t.Fatal(err)

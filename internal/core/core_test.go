@@ -204,9 +204,9 @@ func TestCrashedThreadsDoNotBlockProgress(t *testing.T) {
 	q := isoOracle(t, 2, 0.1)
 	res, err := RunEpoch(EpochConfig{
 		Threads: 4, TotalIters: 80, Alpha: 0.05, Oracle: q,
-		Policy: &sched.CrashAt{
-			Inner: &sched.RoundRobin{},
-			Times: map[int]int{0: 30, 2: 60},
+		Policy: &crashAt{
+			inner: &sched.RoundRobin{},
+			times: map[int]int{0: 30, 2: 60},
 		},
 		Seed: 29, Track: true,
 	})

@@ -30,7 +30,7 @@ func TestAdversaryDeterminism(t *testing.T) {
 		}},
 		{"max-stale", func() shm.Policy { return &sched.MaxStale{Budget: 6} }},
 		{"crash-at", func() shm.Policy {
-			return &sched.CrashAt{Inner: &sched.RoundRobin{}, Times: map[int]int{2: 40}}
+			return &crashAt{inner: &sched.RoundRobin{}, times: map[int]int{2: 40}}
 		}},
 		{"quantum", func() shm.Policy { return &sched.Quantum{Q: 7} }},
 		{"quantum-random", func() shm.Policy { return &sched.Quantum{Q: 5, R: rng.New(79)} }},

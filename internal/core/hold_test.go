@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"asyncsgd/internal/data"
@@ -23,6 +24,49 @@ func (p perStep) Next(v *shm.View) shm.Decision {
 	return d
 }
 
+// crashAt wraps a policy and crashes the given threads at the given
+// machine times (thread id -> time), re-picking a live thread when the
+// inner decision names one being crashed. It clears the inner decision's
+// Hold: a held run would postpone a crash falling due inside it. The
+// tests use it to crash threads at a machine time, where sched.Faulty
+// crashes them at an iteration point.
+type crashAt struct {
+	inner shm.Policy
+	times map[int]int
+
+	fired map[int]bool
+}
+
+func (p *crashAt) Next(v *shm.View) shm.Decision {
+	if p.fired == nil {
+		p.fired = make(map[int]bool, len(p.times))
+	}
+	var crash []int
+	for tid, at := range p.times {
+		if !p.fired[tid] && v.Time() >= at {
+			p.fired[tid] = true
+			crash = append(crash, tid)
+		}
+	}
+	// Map iteration order is random; d.Crash feeds the trajectory, so
+	// two threads crashing at the same machine time must die in a fixed
+	// order for runs to replay bit-identically.
+	slices.Sort(crash)
+	d := p.inner.Next(v)
+	d.Hold = shm.RoleNone
+	if slices.Contains(crash, d.Thread) {
+		d.Thread = -1
+		for i := 0; i < v.NumThreads(); i++ {
+			if v.Live(i) && !slices.Contains(crash, i) {
+				d.Thread = i
+				break
+			}
+		}
+	}
+	d.Crash = append(d.Crash, crash...)
+	return d
+}
+
 // Disciplines and policies of the schedule-equivalence cases.
 var (
 	scheduleDisciplines = []string{"lock-free", "bounded", "batch", "fence"}
@@ -38,7 +82,7 @@ type scheduleCase struct {
 	discipline string
 	policy     string
 	budget     int              // MaxStale budget; StaleGradient delay
-	crashAt    int              // CrashAt machine time
+	crashAt    int              // crashAt machine time
 	point      sched.CrashPoint // Faulty crash point
 }
 
@@ -112,7 +156,7 @@ func (c scheduleCase) config(dense, sparse grad.Oracle) EpochConfig {
 		if c.n > 1 { // the last live thread may not be crashed
 			times[c.n-1] = c.crashAt
 		}
-		cfg.Policy = &sched.CrashAt{Inner: &sched.MaxStale{Budget: c.budget}, Times: times}
+		cfg.Policy = &crashAt{inner: &sched.MaxStale{Budget: c.budget}, times: times}
 	case "faulty":
 		// One crash with a parked spare to replace it; recovery keeps the
 		// gated disciplines from wedging on the orphaned ticket.
@@ -190,7 +234,7 @@ func checkHoldMatchesPerStep(t testing.TB, c scheduleCase, dense, sparse grad.Or
 // replays the schedule its policy would have produced asked on every
 // step — for the policies that hold (RoundRobin, MaxStale at budgets 1
 // and 24), the one that forwards a hold (StaleGradient), the wrapper that
-// must clear it (CrashAt) and one that never holds (Faulty), on every
+// must clear it (crashAt) and one that never holds (Faulty), on every
 // thread count, pipeline and discipline.
 func TestHoldMatchesPerStepSchedule(t *testing.T) {
 	dense, sparse := scheduleOracles(t)

@@ -62,7 +62,7 @@ func TestTrackerStatisticsPinned(t *testing.T) {
 
 	crash := hashTrackedRun(t, h, "crash-at", EpochConfig{
 		Threads: 4, TotalIters: 80, Alpha: 0.05, Oracle: isoOracle(t, 2, 0.1),
-		Policy: &sched.CrashAt{Inner: &sched.RoundRobin{}, Times: map[int]int{0: 30, 2: 60}},
+		Policy: &crashAt{inner: &sched.RoundRobin{}, times: map[int]int{0: 30, 2: 60}},
 		Seed:   29,
 	})
 	if crash.Stats.Crashed != 2 || crash.Tracker.Completed() == crash.Tracker.Iterations() {

@@ -47,7 +47,10 @@ func E9Views(s Scale) ([]*report.Table, error) {
 	maxInc := tracker.MaxIncomplete()
 	inv.AddRow("Lemma 6.1: max simultaneously incomplete iterations",
 		report.In(maxInc), report.In(n), boolCell(maxInc <= n))
-	replayErrs := replayCheck(trace, 1+d, append([]float64{0}, x0...))
+	replayErrs := 0
+	if err := shm.CheckTrace(trace, 1+d, append([]float64{0}, x0...)); err != nil {
+		replayErrs = 1
+	}
 	inv.AddRow("views contained in x_t (trace replay mismatches)",
 		report.In(replayErrs), "0", boolCell(replayErrs == 0))
 	ordered := 0
@@ -81,8 +84,11 @@ func runTraced(n, T int, q grad.Oracle, x0 vec.Dense,
 
 // traceTap wraps a policy and records every executed step by observing
 // pending requests at decision time; the executed op is the chosen
-// thread's pending request, executed at time Time()+1. It clears the
-// inner decision's Hold, since a held run would skip the steps it records.
+// thread's pending request, executed at time Time()+1. Its result is
+// recorded from the register at decision time: the value read, or the
+// prior value of a write, fetch&add or CAS, and a CAS's outcome. It
+// clears the inner decision's Hold, since a held run would skip the steps
+// it records.
 type traceTap struct {
 	inner shm.Policy
 	trace *[]shm.Step
@@ -92,56 +98,13 @@ func (t traceTap) Next(v *shm.View) shm.Decision {
 	d := t.inner.Next(v)
 	d.Hold = shm.RoleNone
 	if req, ok := v.Pending(d.Thread); ok {
+		old := v.Load(req.Addr)
 		*t.trace = append(*t.trace, shm.Step{
 			Time: v.Time() + 1, Thread: d.Thread, Req: *req,
+			Res: shm.Result{Valid: true, Val: old, OK: req.Kind == shm.OpCAS && old == req.Exp},
 		})
 	}
 	return d
-}
-
-// replayCheck replays a trace against a fresh register file and counts
-// read results inconsistent with sequential consistency. Because the tap
-// records requests (not results), it re-executes each op and compares
-// reads against the view the actual worker used — mismatches would
-// indicate the machine violated atomicity or ordering.
-func replayCheck(trace []shm.Step, memSize int, initMem []float64) int {
-	mem := make([]float64, memSize)
-	copy(mem, initMem)
-	errs := 0
-	for _, s := range trace {
-		switch s.Req.Kind {
-		case shm.OpRead:
-			// nothing to apply
-		case shm.OpWrite:
-			mem[s.Req.Addr] = s.Req.Val
-		case shm.OpFAA:
-			mem[s.Req.Addr] += s.Req.Val
-		case shm.OpCAS:
-			if mem[s.Req.Addr] == s.Req.Exp {
-				mem[s.Req.Addr] = s.Req.Val
-			}
-		}
-	}
-	// Conservation: counter equals number of counter FAAs; model equals
-	// sum of update FAAs. A mismatch counts as one error per register.
-	var counterClaims float64
-	sum := make([]float64, memSize)
-	copy(sum, initMem)
-	for _, s := range trace {
-		if s.Req.Kind == shm.OpFAA {
-			sum[s.Req.Addr] += s.Req.Val
-			if s.Req.Addr == 0 {
-				counterClaims++
-			}
-		}
-	}
-	for a := 0; a < memSize; a++ {
-		if diff := mem[a] - sum[a]; diff > 1e-9 || diff < -1e-9 {
-			errs++
-		}
-	}
-	_ = counterClaims
-	return errs
 }
 
 // RenderFigure1 renders the paper's Figure 1: rows are ordered iterations,

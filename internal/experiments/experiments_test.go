@@ -3,11 +3,15 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"asyncsgd/internal/grad"
 	"asyncsgd/internal/report"
+	"asyncsgd/internal/shm"
+	"asyncsgd/internal/vec"
 )
 
 func TestIDsAndTitles(t *testing.T) {
@@ -185,6 +189,40 @@ func TestE9InvariantsAndFigure(t *testing.T) {
 	fig := tables[1].String()
 	if !strings.Contains(fig, "#") {
 		t.Errorf("figure rendering has no applied updates:\n%s", fig)
+	}
+}
+
+// TestE9TraceTapRecordsResults: the tap records each step's result, so
+// shm.CheckTrace judges E9's trace: the run's own trace passes, and a
+// copy with one read value altered fails.
+func TestE9TraceTapRecordsResults(t *testing.T) {
+	const n, d = 3, 6
+	q, err := grad.NewIsoQuadratic(d, 1, 0.5, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := vec.Constant(d, 0.5)
+	var trace []shm.Step
+	if _, err := runTraced(n, 24, q, x0, &trace); err != nil {
+		t.Fatal(err)
+	}
+	initMem := append([]float64{0}, x0...)
+	if err := shm.CheckTrace(trace, 1+d, initMem); err != nil {
+		t.Fatalf("E9's trace fails the check: %v", err)
+	}
+	last := -1
+	for i, s := range trace {
+		if s.Req.Kind == shm.OpRead {
+			last = i
+		}
+	}
+	if last < 0 {
+		t.Fatal("E9's trace has no read")
+	}
+	bad := slices.Clone(trace)
+	bad[last].Res.Val++
+	if err := shm.CheckTrace(bad, 1+d, initMem); err == nil {
+		t.Errorf("a trace with step %d's read value altered passes the check", last)
 	}
 }
 

@@ -76,8 +76,12 @@ func (p *FaultPlan) validate(workers int) error {
 	return nil
 }
 
-// faultFor returns the plan's fault for one worker, or nil.
+// faultFor returns the plan's fault for one worker, or nil (always nil
+// for a nil plan).
 func (p *FaultPlan) faultFor(w int) *WorkerFault {
+	if p == nil {
+		return nil
+	}
 	for i := range p.Faults {
 		if p.Faults[i].Worker == w {
 			return &p.Faults[i]
@@ -86,8 +90,12 @@ func (p *FaultPlan) faultFor(w int) *WorkerFault {
 	return nil
 }
 
-// rejoins counts faults that request a replacement worker.
+// rejoins counts faults that request a replacement worker (0 for a nil
+// plan).
 func (p *FaultPlan) rejoins() int {
+	if p == nil {
+		return 0
+	}
 	n := 0
 	for _, f := range p.Faults {
 		if f.Rejoin {

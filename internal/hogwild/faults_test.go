@@ -186,6 +186,39 @@ func TestRejoinSpawnsReplacement(t *testing.T) {
 	}
 }
 
+// TestCrashRejoinCoordOpsExact: every stepper's ops reach the total,
+// the replacement's included. Lock-free on the constant gradient, each
+// iteration reads and writes all d coordinates, so CoordOps is exactly
+// 2·d·T whatever the interleaving, with and without live telemetry.
+func TestCrashRejoinCoordOpsExact(t *testing.T) {
+	const d, T = 6, 2000
+	for _, telemetry := range []bool{false, true} {
+		var last Telemetry
+		cfg := Config{
+			Workers: 3, TotalIters: T, Alpha: 0.001, Oracle: constOracle{d: d}, Seed: 5,
+			Faults: &FaultPlan{Faults: []WorkerFault{{Worker: 1, AfterIters: 5, Rejoin: true}}},
+		}
+		if telemetry {
+			cfg.OnTelemetry = func(tel Telemetry) { last = tel }
+			cfg.TelemetryEvery = time.Millisecond
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Crashed != 1 || res.Rejoined != 1 || res.Iters != T {
+			t.Fatalf("telemetry=%v: crashed=%d rejoined=%d iters=%d, want 1/1/%d",
+				telemetry, res.Crashed, res.Rejoined, res.Iters, T)
+		}
+		if want := int64(2 * d * T); res.CoordOps != want {
+			t.Errorf("telemetry=%v: CoordOps = %d, want 2·d·T = %d", telemetry, res.CoordOps, want)
+		}
+		if telemetry && (!last.Done || last.CoordOps != res.CoordOps) {
+			t.Errorf("final snapshot %+v, want Done with CoordOps %d", last, res.CoordOps)
+		}
+	}
+}
+
 // TestStrategyBusyDetection: a Strategy value already bound by a
 // concurrent Run is rejected with ErrStrategyBusy; sequential reuse is
 // fine.

@@ -67,14 +67,7 @@ type Config struct {
 	// dimension-based auto-pick (LayoutAuto, the zero value). Benchmarks
 	// use this to hold the layout fixed while varying everything else.
 	Layout Layout
-	// PinWorkers wires each worker goroutine to its own OS thread
-	// (runtime.LockOSThread) for the duration of the run. On a
-	// multi-socket or multi-core host this keeps a worker's cache and
-	// NUMA locality stable instead of migrating mid-run; throughput
-	// numbers get less noisy at the cost of scheduler flexibility. No
-	// effect on results — only on timing.
-	PinWorkers bool
-	X0         vec.Dense // nil ⇒ zeros
+	X0     vec.Dense // nil ⇒ zeros
 	// SampleStaleness records every claimed iteration's window in
 	// claim-counter time — Start the claim, End the counter read at
 	// publish — and reports the interval contention over them as
@@ -121,7 +114,7 @@ type Telemetry struct {
 	Done bool
 }
 
-// progressSlot is one worker's live ops counter, cache-line padded so
+// progressSlot is one stepper's ops counter, cache-line padded so
 // concurrent per-iteration stores by different workers never false-share.
 type progressSlot struct {
 	ops atomic.Int64
@@ -264,11 +257,7 @@ func Run(cfg Config) (*Result, error) {
 	// Replacement workers' steppers are built here too: the gated
 	// disciplines' slot registration is not thread-safe, so everything
 	// registers before any worker starts.
-	rejoins := 0
-	if plan != nil {
-		rejoins = plan.rejoins()
-	}
-	steppers := make([]Stepper, cfg.Workers+rejoins)
+	steppers := make([]Stepper, cfg.Workers+plan.rejoins())
 	for w := range steppers {
 		st, err := strat.NewStepper(w, cfg.Oracle.CloneFor(w), rng.NewStream(cfg.Seed, uint64(w)+1))
 		if err != nil {
@@ -289,9 +278,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	var (
-		counter  atomic.Int64 // iteration claims (over-claims by one per finishing worker)
-		done     atomic.Int64 // iterations that completed their updates
-		coordOps atomic.Int64
+		counter atomic.Int64 // iteration claims (over-claims by one per finishing worker)
+		done    atomic.Int64 // iterations that completed their updates
 	)
 	total := int64(cfg.TotalIters)
 	// wins[c] is claim c's window, written once by its claimer and read
@@ -301,14 +289,12 @@ func Run(cfg Config) (*Result, error) {
 		wins = make([]contention.Window, total)
 	}
 
-	// With telemetry on, each worker publishes its cumulative ops into its
-	// own padded slot every iteration (instead of one shared add at exit),
-	// so the sampler can read live totals without contending with the hot
-	// path; coordOps then stays zero until the run-end fold below.
-	var progress []progressSlot
-	if cfg.OnTelemetry != nil {
-		progress = make([]progressSlot, cfg.Workers)
-	}
+	// Every stepper, original or replacement, stores its cumulative ops
+	// into its own padded slot when it exits. With telemetry on it also
+	// stores them every iteration, so the sampler reads live totals
+	// without contending with the hot path.
+	progress := make([]progressSlot, len(steppers))
+	live := cfg.OnTelemetry != nil
 	sumProgress := func() int64 {
 		var s int64
 		for i := range progress {
@@ -319,26 +305,19 @@ func Run(cfg Config) (*Result, error) {
 
 	yield := cfg.FairYield || plan != nil
 
-	// runWorker is the worker body shared by originals and replacements.
-	// It returns true when the worker died by its planned fault. Exits of
+	// runWorker is the body of stepper w, original or replacement. It
+	// returns true when the worker died by its planned fault. Exits of
 	// every kind retire the worker from round-membership strategies
 	// (Leaver), so a barrier-shaped discipline never waits on the gone.
-	runWorker := func(st Stepper, slot *atomic.Int64, fault *WorkerFault) (crashed bool) {
-		if cfg.PinWorkers {
-			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
-		}
+	runWorker := func(w int, fault *WorkerFault) (crashed bool) {
+		st, slot := steppers[w], &progress[w].ops
 		if j, ok := st.(Joiner); ok {
 			j.Join()
 		}
 		var ops int64
 		steps := 0
 		defer func() {
-			if slot != nil {
-				slot.Store(ops)
-			} else {
-				coordOps.Add(ops)
-			}
+			slot.Store(ops)
 			if l, ok := st.(Leaver); ok {
 				l.Leave()
 			}
@@ -382,7 +361,7 @@ func Run(cfg Config) (*Result, error) {
 			ops += int64(st.Step())
 			steps++
 			done.Add(1)
-			if slot != nil {
+			if live {
 				slot.Store(ops)
 			}
 			if cfg.SampleStaleness {
@@ -398,32 +377,19 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	type workerExit struct {
+		w       int
 		crashed bool
-		st      Stepper
-		fault   *WorkerFault
 	}
-	var wg sync.WaitGroup
-	var exits chan workerExit
-	if plan != nil {
-		exits = make(chan workerExit, len(steppers))
+	// launch runs stepper w and sends its one exit message: every worker,
+	// original or replacement, exits through the supervisor below. The
+	// buffer holds one message per stepper, so no exit blocks.
+	exits := make(chan workerExit, len(steppers))
+	launch := func(w int, fault *WorkerFault) {
+		exits <- workerExit{w, runWorker(w, fault)}
 	}
 	start := time.Now()
 	for w := 0; w < cfg.Workers; w++ {
-		var slot *atomic.Int64
-		if progress != nil {
-			slot = &progress[w].ops
-		}
-		if plan == nil {
-			wg.Add(1)
-			go func(st Stepper, slot *atomic.Int64) {
-				defer wg.Done()
-				runWorker(st, slot, nil)
-			}(steppers[w], slot)
-			continue
-		}
-		go func(st Stepper, slot *atomic.Int64, fault *WorkerFault) {
-			exits <- workerExit{crashed: runWorker(st, slot, fault), st: st, fault: fault}
-		}(steppers[w], slot, plan.faultFor(w))
+		go launch(w, plan.faultFor(w))
 	}
 
 	// The sampler owns every OnTelemetry call: periodic snapshots while
@@ -433,7 +399,7 @@ func Run(cfg Config) (*Result, error) {
 		tel := Telemetry{
 			Elapsed:      time.Since(start),
 			Iters:        int(done.Load()),
-			CoordOps:     coordOps.Load() + sumProgress(),
+			CoordOps:     sumProgress(),
 			MaxStaleness: -1,
 			Done:         final,
 		}
@@ -465,50 +431,44 @@ func Run(cfg Config) (*Result, error) {
 		}()
 	}
 
+	// The supervisor: one exit message per worker, original or
+	// replacement. Only a fault plan's victims exit crashed. Crashed
+	// in-flight victims get their orphaned tickets reclaimed here (never
+	// from the dead goroutine), which is what unblocks any peer spinning
+	// at the gate — including a second victim still inside its own
+	// AbandonTicket.
 	var crashedN, rejoinedN, recoveredN int
-	if plan == nil {
-		wg.Wait()
-	} else {
-		// The supervisor: one exit message per worker, original or
-		// replacement. Crashed in-flight victims get their orphaned
-		// tickets reclaimed here (never from the dead goroutine), which
-		// is what unblocks any peer spinning at the gate — including a
-		// second victim still inside its own AbandonTicket.
-		remaining := cfg.Workers
-		next := cfg.Workers // index of the next unused replacement stepper
-		for remaining > 0 {
-			ex := <-exits
-			remaining--
-			if !ex.crashed {
-				continue
+	remaining := cfg.Workers
+	next := cfg.Workers // index of the next unused replacement stepper
+	for remaining > 0 {
+		ex := <-exits
+		remaining--
+		if !ex.crashed {
+			continue
+		}
+		crashedN++
+		fault := plan.faultFor(ex.w)
+		if fault.InFlight && plan.Recover {
+			if rec, ok := steppers[ex.w].(TicketReclaimer); ok {
+				rec.ReclaimTicket()
+				recoveredN++
 			}
-			crashedN++
-			if ex.fault != nil && ex.fault.InFlight && plan.Recover {
-				if rec, ok := ex.st.(TicketReclaimer); ok {
-					rec.ReclaimTicket()
-					recoveredN++
+		}
+		if fault.Rejoin && next < len(steppers) {
+			target := min(done.Load()+int64(fault.RejoinAfter), total)
+			remaining++
+			rejoinedN++
+			go func(w int, target int64) {
+				// The rejoin delay: wait until the survivors have pushed
+				// global progress past the target. At least one fault-free
+				// worker exists (plan validation), so the target ≤ total
+				// is always reached.
+				for done.Load() < target {
+					runtime.Gosched()
 				}
-			}
-			if ex.fault != nil && ex.fault.Rejoin && next < len(steppers) {
-				target := done.Load() + int64(ex.fault.RejoinAfter)
-				if target > total {
-					target = total
-				}
-				st := steppers[next]
-				next++
-				remaining++
-				rejoinedN++
-				go func(st Stepper, target int64) {
-					// The rejoin delay: wait until the survivors have
-					// pushed global progress past the target. At least one
-					// fault-free worker exists (plan validation), so the
-					// target ≤ total is always reached.
-					for done.Load() < target {
-						runtime.Gosched()
-					}
-					exits <- workerExit{crashed: runWorker(st, nil, nil), st: st}
-				}(st, target)
-			}
+				launch(w, nil)
+			}(next, target)
+			next++
 		}
 	}
 	elapsed := time.Since(start)
@@ -525,7 +485,7 @@ func Run(cfg Config) (*Result, error) {
 		Iters:            int(done.Load()),
 		Strategy:         strat.Name(),
 		Elapsed:          elapsed,
-		CoordOps:         coordOps.Load() + sumProgress(),
+		CoordOps:         sumProgress(),
 		Crashed:          crashedN,
 		Rejoined:         rejoinedN,
 		RecoveredTickets: recoveredN,

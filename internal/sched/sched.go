@@ -12,8 +12,6 @@
 package sched
 
 import (
-	"sort"
-
 	"asyncsgd/internal/contention"
 	"asyncsgd/internal/rng"
 	"asyncsgd/internal/shm"
@@ -121,61 +119,6 @@ func (p *GeometricPause) Next(v *shm.View) shm.Decision {
 		p.pausedUntil[tid] = now + 1 + p.R.Geometric(p.Resume)
 	}
 	return shm.Decision{Thread: tid}
-}
-
-// CrashAt wraps an inner policy and crashes the given threads at the given
-// machine times (thread id -> time). The adversary may crash at most n−1
-// threads; excess crash requests are rejected by the machine. It clears
-// the inner decision's Hold: a held run would postpone a crash falling
-// due inside it.
-type CrashAt struct {
-	Inner shm.Policy
-	Times map[int]int
-
-	fired map[int]bool
-}
-
-var _ shm.Policy = (*CrashAt)(nil)
-
-// Next implements shm.Policy.
-func (p *CrashAt) Next(v *shm.View) shm.Decision {
-	if p.fired == nil {
-		p.fired = make(map[int]bool, len(p.Times))
-	}
-	var crash []int
-	for tid, at := range p.Times {
-		if !p.fired[tid] && v.Time() >= at {
-			p.fired[tid] = true
-			crash = append(crash, tid)
-		}
-	}
-	// Map iteration order is random; d.Crash feeds the trajectory, so
-	// two threads crashing at the same machine time must die in a fixed
-	// order for runs to replay bit-identically.
-	sort.Ints(crash)
-	d := p.Inner.Next(v)
-	d.Hold = shm.RoleNone
-	for _, c := range crash {
-		if d.Thread == c {
-			// Re-pick a live thread other than the ones being crashed.
-			d.Thread = pickOther(v, crash)
-		}
-	}
-	d.Crash = append(d.Crash, crash...)
-	return d
-}
-
-func pickOther(v *shm.View, exclude []int) int {
-	ex := make(map[int]bool, len(exclude))
-	for _, e := range exclude {
-		ex[e] = true
-	}
-	for i := 0; i < v.NumThreads(); i++ {
-		if v.Live(i) && !ex[i] {
-			return i
-		}
-	}
-	return -1
 }
 
 // tagOf extracts the contention tag of thread i's pending op, if any.

@@ -99,14 +99,6 @@ func TestGeometricPauseAllPausedWakesEarliest(t *testing.T) {
 	}
 }
 
-func TestCrashAtCrashesAndContinues(t *testing.T) {
-	pol := &CrashAt{Inner: &RoundRobin{}, Times: map[int]int{1: 5}}
-	_, stats := runWith(t, pol, counterBody(0, 20), counterBody(1, 20))
-	if stats.Crashed != 1 || stats.Completed != 1 {
-		t.Errorf("stats = %+v", stats)
-	}
-}
-
 func TestStaleGradientHoldsVictimUpdate(t *testing.T) {
 	pol := &StaleGradient{Victim: 1, DelayIters: 6}
 	m, stats := runWith(t, pol, counterBody(0, 10), counterBody(1, 10))

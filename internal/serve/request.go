@@ -80,11 +80,6 @@ type SweepRequest struct {
 	// Runtime is "machine", "hogwild" or "both" (default "machine").
 	// Only machine sweeps are deterministic and therefore cacheable.
 	Runtime string `json:"runtime,omitempty"`
-	// Pin pins hogwild worker goroutines to OS threads
-	// (sweep.Spec.PinWorkers). It affects timing only, never results,
-	// so it is deliberately excluded from the cache key: a pinned and an
-	// unpinned request for the same machine grid share cached results.
-	Pin bool `json:"pin_workers,omitempty"`
 	// Faults is the crash/rejoin fault axis: sweep.ParseFaults labels
 	// ("none", "crash/1", "ticket/1/rejoin", …; default ["none"]).
 	Faults []string `json:"faults,omitempty"`
@@ -374,7 +369,6 @@ func (q SweepRequest) Specs() ([]sweep.Spec, error) {
 			Alphas:     []float64{0.3 / lmax},
 			Replicates: q.Replicates,
 			Iters:      q.Iters,
-			PinWorkers: q.Pin,
 			Faults:     faults,
 			Byzantine:  byz,
 			Defenses:   defenses,

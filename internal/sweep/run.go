@@ -364,7 +364,6 @@ func hogwildConfig(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense) (hogwild.C
 		Seed:            c.Seed,
 		Strategy:        strat,
 		Layout:          c.strategy.Layout,
-		PinWorkers:      s.PinWorkers,
 		X0:              x0,
 		SampleStaleness: s.Probe,
 	}

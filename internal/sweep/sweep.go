@@ -205,10 +205,6 @@ type Spec struct {
 	// (hogwild.Config.SampleStaleness): AvgStaleness becomes their τavg,
 	// and MaxStaleness their τmax for ungated strategies.
 	Probe bool
-	// PinWorkers pins each Hogwild cell's worker goroutines to OS
-	// threads (hogwild.Config.PinWorkers): steadier throughput numbers
-	// on multi-core hosts, no effect on results. Machine cells ignore it.
-	PinWorkers bool
 	// Policy builds the scheduling adversary for Machine cells from the
 	// cell's thread count and a cell-seeded generator (nil ⇒ round-robin).
 	Policy func(threads int, r *rng.Rand) shm.Policy
