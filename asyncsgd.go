@@ -199,9 +199,9 @@ type (
 	// ParallelConfig parameterizes the real-goroutine runtime. Beyond
 	// workers/iterations/step size it carries the synchronization
 	// discipline (Strategy; nil runs lock-free Algorithm 1) and the
-	// performance knob Layout, which pins the model's memory layout (the
-	// hogwild.LayoutAuto default picks the cache-line-banked layout at
-	// d ≥ hogwild.BankedAbove and the packed one below it).
+	// performance knob Padded, which gives every model coordinate its own
+	// cache line — the choice for a small write-hot model; the default is
+	// the compact cache-line-aligned layout.
 	ParallelConfig = hogwild.Config
 	// ParallelResult is its outcome.
 	ParallelResult = hogwild.Result
@@ -210,10 +210,6 @@ type (
 	// touching RunParallel.
 	Strategy = hogwild.Strategy
 )
-
-// LayoutPadded gives every model coordinate its own cache line
-// (ParallelConfig.Layout), the choice for a small write-hot model.
-const LayoutPadded = hogwild.LayoutPadded
 
 // NewLockFreeStrategy returns the Algorithm-1 lock-free strategy.
 func NewLockFreeStrategy() Strategy { return hogwild.NewLockFree() }

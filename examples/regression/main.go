@@ -56,7 +56,7 @@ func run() error {
 		"mode", "workers", "updates/sec", "‖x−x*‖²", "τavg")
 	for _, cfg := range []asyncsgd.ParallelConfig{
 		// The lock-free arm measures throughput: pad out false sharing.
-		{Strategy: asyncsgd.NewLockFreeStrategy(), Layout: asyncsgd.LayoutPadded},
+		{Strategy: asyncsgd.NewLockFreeStrategy(), Padded: true},
 		{Strategy: asyncsgd.NewCoarseLockStrategy()},
 	} {
 		for _, workers := range []int{1, 4} {

@@ -46,8 +46,6 @@ var internalExemptions = map[string]string{
 	"contention.Tracker.Taus":       "TestTrackerStatisticsPinned and the V-process tests read per-iteration τ",
 	"core.EpochResult.Accumulators": "core's extension, discipline and sparse tests check the x_t sequence",
 	"core.EpochResult.DistSqSeries": "the V-process and determinism tests read ‖x_t − x*‖²",
-
-	"hogwild.LayoutAuto": "names the zero value of Config.Layout",
 }
 
 // checkExports applies the dead-export rule to the subject packages and

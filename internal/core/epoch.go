@@ -296,16 +296,6 @@ func runEpoch(cfg EpochConfig, trace bool) (*EpochResult, error) {
 		sort.SliceStable(res.Records, func(a, b int) bool {
 			return res.Records[a].FirstUp < res.Records[b].FirstUp
 		})
-		// Drop iterations that generated a gradient but never completed
-		// their updates (stalled at MaxSteps): they are not ordered.
-		k := 0
-		for _, r := range res.Records {
-			if r.FirstUp > 0 && r.LastUp > 0 {
-				res.Records[k] = r
-				k++
-			}
-		}
-		res.Records = res.Records[:k]
 	}
 	if cfg.Accumulate {
 		sum := x0.Clone()

@@ -600,9 +600,6 @@ func (w *worker) gradReady(req *shm.Request) bool {
 // step, records bookkeeping, and issues the first model update (or skips
 // straight to the next iteration on a zero direction).
 func (w *worker) beginUpdates(req *shm.Request) bool {
-	if w.opts.batch > 0 {
-		return w.bufferIntoBatch(req)
-	}
 	w.nz = w.nz[:0]
 	w.nzv = w.nzv[:0]
 	if w.so != nil {
@@ -622,6 +619,9 @@ func (w *worker) beginUpdates(req *shm.Request) bool {
 			_ = w.acc.AddScaled(-w.alphaEff, w.g)
 		}
 	}
+	if w.opts.batch > 0 {
+		return w.bufferIntoBatch(req)
+	}
 	if w.rec != nil {
 		w.cur.AlphaEff = w.alphaEff
 	}
@@ -633,27 +633,13 @@ func (w *worker) beginUpdates(req *shm.Request) bool {
 	return w.beginUpdatePass(req)
 }
 
-// bufferIntoBatch folds the fresh gradient into the worker-local batch
-// accumulator (the same arithmetic, in the same coordinate order, as the
-// real runtime's batch stepper) and scatters the whole batch with one
-// fetch&add pass every opts.batch gradients.
+// bufferIntoBatch folds the fresh direction nz/nzv into the worker-local
+// batch accumulator (the same arithmetic, in the same coordinate order,
+// as the real runtime's batch stepper) and scatters the whole batch with
+// one fetch&add pass every opts.batch gradients.
 func (w *worker) bufferIntoBatch(req *shm.Request) bool {
-	if w.so != nil {
-		for k, j := range w.sg.Indices {
-			w.batchAdd(j, w.sg.Values[k])
-		}
-		if w.acc != nil {
-			_ = w.sg.AddScaledInto(w.acc, -w.alphaEff)
-		}
-	} else {
-		for j, v := range w.g {
-			if v != 0 {
-				w.batchAdd(j, v)
-			}
-		}
-		if w.acc != nil {
-			_ = w.acc.AddScaled(-w.alphaEff, w.g)
-		}
+	for k, j := range w.nz {
+		w.batchAdd(j, w.nzv[k])
 	}
 	w.batchPending++
 	if w.batchPending < w.opts.batch {

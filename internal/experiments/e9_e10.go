@@ -8,7 +8,6 @@ import (
 	"asyncsgd/internal/contention"
 	"asyncsgd/internal/core"
 	"asyncsgd/internal/grad"
-	"asyncsgd/internal/hogwild"
 	"asyncsgd/internal/report"
 	"asyncsgd/internal/sched"
 	"asyncsgd/internal/shm"
@@ -184,7 +183,7 @@ func RenderFigure1(tr *contention.Tracker, d, horizon int) string {
 // other), and returns results in deterministic cell order.
 func E10Throughput(s Scale) ([]*report.Table, error) {
 	lockFree := sweep.LockFree()
-	lockFree.Layout = hogwild.LayoutPadded // the lock-free arm measures throughput: pad out false sharing
+	lockFree.Padded = true // the lock-free arm measures throughput: pad out false sharing
 	results, err := sweep.Run(sweep.Spec{
 		Name:    "e10-throughput",
 		Seed:    31,

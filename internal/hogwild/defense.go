@@ -22,8 +22,8 @@ import (
 // median is taken), which is exactly the guarantee clipping cannot give
 // against coordinated corruption.
 //
-// The round barrier is crash-safe through the Leaver/Joiner stepper
-// capabilities: Run retires every exiting worker (normal or crashed)
+// The round barrier is crash-safe through the Member stepper
+// capability: Run retires every exiting worker (normal or crashed)
 // from the membership, and a departure that completes the current round
 // closes it, so survivors never wait on the gone. The price of
 // consistency is a barrier per round — this is a defense, not a
@@ -62,11 +62,7 @@ func (s *medianAggregate) Bind(model *atomicfloat.Vector, alpha float64) error {
 }
 
 func (s *medianAggregate) NewStepper(_ int, oracle grad.Oracle, r *rng.Rand) (Stepper, error) {
-	d := s.model.Dim()
-	return &medianStepper{
-		s: s, oracle: oracle, r: r,
-		view: vec.NewDense(d), g: vec.NewDense(d),
-	}, nil
+	return &medianStepper{newPipeline(s.model, s.alpha, oracle, nil, r), s}, nil
 }
 
 // join admits one worker into the membership.
@@ -149,25 +145,22 @@ func median(vals []float64) float64 {
 }
 
 type medianStepper struct {
-	s      *medianAggregate
-	oracle grad.Oracle
-	r      *rng.Rand
-	view   vec.Dense
-	g      vec.Dense
+	pipeline
+	s *medianAggregate
 }
 
+// Step draws a dense gradient and contributes it to the current round
+// in place of pipeline.apply: the round's closer applies the median.
+//
 //asgd:hotpath
 func (w *medianStepper) Step() int {
-	s := w.s
-	s.model.LoadAll(w.view)
-	w.oracle.Grad(w.g, w.view, w.r)
 	// w.g is safe to hand to the round buffer: this stepper blocks in
 	// contribute until the round that read it has closed.
-	return len(w.view) + s.contribute(w.g)
+	return w.gradient() + w.s.contribute(w.g)
 }
 
-// Join implements Joiner.
+// Join implements Member.
 func (w *medianStepper) Join() { w.s.join() }
 
-// Leave implements Leaver.
+// Leave implements Member.
 func (w *medianStepper) Leave() { w.s.leave() }

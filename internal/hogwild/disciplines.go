@@ -220,50 +220,32 @@ func (s *boundedStaleness) NewStepper(_ int, oracle grad.Oracle, r *rng.Rand) (S
 		func(t int64) int64 { return t - tau }), nil
 }
 
-// gatedStepper is the shared iteration body of the window-gated
-// disciplines (bounded staleness, epoch fencing): acquire a ticket
-// through the discipline's gate, run one lock-free iteration, record the
-// observed staleness, publish completion in the worker's announce slot.
-// With a grad.SparseOracle the iteration body is the sparse pipeline
-// (PlanSparse → GatherInto → GradSparseAt → scatter fetch&add), so a
-// gated run pays O(|support|+nnz) shared operations per iteration, same
-// as SparseLockFree — the gate changes when an iteration may take its
-// view, not how much of the model it touches. Dense and sparse applies
-// both go through the bulk run kernels.
+// gatedStepper is the shared stepper of the window-gated disciplines
+// (bounded staleness, epoch fencing): acquire a ticket through the
+// discipline's gate, run one pipeline iteration, record the observed
+// staleness, publish completion in the worker's announce slot. With a
+// grad.SparseOracle the pipeline takes its sparse path, so a gated run
+// pays O(|support|+nnz) shared operations per iteration, same as
+// SparseLockFree — the gate changes when an iteration may take its view,
+// not how much of the model it touches.
 type gatedStepper struct {
-	model   *atomicfloat.Vector
-	alpha   float64
+	pipeline
 	win     *stripedWindow
 	slot    int // this worker's announce slot in win
 	obs     *atomic.Int64
-	oracle  grad.Oracle
-	so      grad.SparseOracle // non-nil ⇒ sparse view reads
-	r       *rng.Rand
 	minDone func(t int64) int64
-	view    vec.Dense
-	g       vec.Dense
-	vals    []float64  // sparse path: gathered support values
-	sg      vec.Sparse // sparse path: the per-iteration gradient
 }
 
 func newGatedStepper(model *atomicfloat.Vector, alpha float64, win *stripedWindow,
 	obs *atomic.Int64, oracle grad.Oracle, r *rng.Rand, minDone func(t int64) int64) *gatedStepper {
-	w := &gatedStepper{
-		model: model, alpha: alpha, win: win, slot: win.register(),
-		obs: obs, oracle: oracle, r: r,
-		minDone: minDone,
+	so, _ := grad.AsSparse(oracle)
+	return &gatedStepper{
+		pipeline: newPipeline(model, alpha, oracle, so, r),
+		win:      win, slot: win.register(), obs: obs, minDone: minDone,
 	}
-	if so, ok := grad.AsSparse(oracle); ok {
-		w.so = so
-	} else {
-		d := model.Dim()
-		w.view = vec.NewDense(d)
-		w.g = vec.NewDense(d)
-	}
-	return w
 }
 
-// AbandonTicket implements TicketAbandoner: acquire a ticket through the
+// AbandonTicket implements TicketHolder: acquire a ticket through the
 // normal admission gate and return without releasing it — the in-flight
 // state a crash leaves behind. The held ticket pins the window's
 // low-water mark at or below it, so survivors block at the ≤ τ admission
@@ -276,7 +258,7 @@ func (w *gatedStepper) AbandonTicket() {
 	w.win.acquire(w.slot, w.minDone)
 }
 
-// ReclaimTicket implements TicketReclaimer: publish the tombstone for
+// ReclaimTicket implements TicketHolder: publish the tombstone for
 // this stepper's abandoned in-flight ticket by releasing its announce
 // slot, letting the low-water mark advance past the orphan. Idempotent
 // (releasing an idle slot is a no-op store). Called by Run's supervisor
@@ -288,18 +270,7 @@ func (w *gatedStepper) ReclaimTicket() {
 //asgd:hotpath
 func (w *gatedStepper) Step() int {
 	t := w.win.acquire(w.slot, w.minDone)
-	var ops int
-	if w.so != nil {
-		support := w.so.PlanSparse(w.r)
-		w.vals = sizedFor(w.vals, len(support))
-		w.model.GatherInto(w.vals, support)
-		w.so.GradSparseAt(&w.sg, w.vals, w.r)
-		ops = len(support) + scatterRuns(w.model, w.alpha, w.sg.Indices, w.sg.Values)
-	} else {
-		w.model.LoadAll(w.view)
-		w.oracle.Grad(w.g, w.view, w.r)
-		ops = len(w.view) + applyDenseRuns(w.model, w.alpha, w.g)
-	}
+	ops := w.gradient() + w.apply()
 	if span := w.win.begun(t); span > w.obs.Load() {
 		for {
 			m := w.obs.Load()
@@ -344,30 +315,18 @@ func (s *updateBatching) Bind(model *atomicfloat.Vector, alpha float64) error {
 
 func (s *updateBatching) NewStepper(_ int, oracle grad.Oracle, r *rng.Rand) (Stepper, error) {
 	d := s.model.Dim()
-	w := &batchStepper{
-		s: s, oracle: oracle, r: r,
-		acc:  vec.NewDense(d),
-		seen: make([]bool, d),
-	}
-	if so, ok := grad.AsSparse(oracle); ok {
-		w.so = so
-	} else {
-		w.view = vec.NewDense(d)
-		w.g = vec.NewDense(d)
-	}
-	return w, nil
+	so, _ := grad.AsSparse(oracle)
+	return &batchStepper{
+		pipeline: newPipeline(s.model, s.alpha, oracle, so, r),
+		b:        s.b,
+		acc:      vec.NewDense(d),
+		seen:     make([]bool, d),
+	}, nil
 }
 
 type batchStepper struct {
-	s      *updateBatching
-	oracle grad.Oracle
-	so     grad.SparseOracle // non-nil ⇒ sparse view reads
-	r      *rng.Rand
-
-	view vec.Dense
-	g    vec.Dense
-	vals []float64  // sparse path: gathered support values
-	sg   vec.Sparse // sparse path: the per-iteration gradient
+	pipeline
+	b int // batch size
 
 	acc     vec.Dense  // local gradient accumulator (sum of buffered g̃)
 	touched []int      // coordinates with buffered mass
@@ -378,21 +337,12 @@ type batchStepper struct {
 
 //asgd:hotpath
 func (w *batchStepper) Step() int {
-	s := w.s
-	var ops int
+	ops := w.gradient()
 	if w.so != nil {
-		support := w.so.PlanSparse(w.r)
-		w.vals = sizedFor(w.vals, len(support))
-		s.model.GatherInto(w.vals, support)
-		w.so.GradSparseAt(&w.sg, w.vals, w.r)
-		ops = len(support)
 		for k, j := range w.sg.Indices {
 			w.accumulate(j, w.sg.Values[k])
 		}
 	} else {
-		s.model.LoadAll(w.view)
-		w.oracle.Grad(w.g, w.view, w.r)
-		ops = len(w.view)
 		for j, gj := range w.g {
 			if gj != 0 {
 				w.accumulate(j, gj)
@@ -400,7 +350,7 @@ func (w *batchStepper) Step() int {
 		}
 	}
 	w.pending++
-	if w.pending >= s.b {
+	if w.pending >= w.b {
 		ops += w.Flush()
 	}
 	return ops
@@ -434,7 +384,7 @@ func (w *batchStepper) Flush() int {
 	w.pending = 0
 	// touched was sorted above, so buf.Indices is ascending and dense
 	// batches flush as whole coordinate runs.
-	return scatterRuns(w.s.model, w.s.alpha, w.buf.Indices, w.buf.Values)
+	return scatterRuns(w.model, w.alpha, w.buf.Indices, w.buf.Values)
 }
 
 // --- epoch fence ------------------------------------------------------------

@@ -25,11 +25,10 @@ type WorkerFault struct {
 	AfterIters int
 	// InFlight makes the victim die holding an acquired, unpublished gate
 	// ticket (window-gated strategies only — the stepper must implement
-	// TicketAbandoner; ignored otherwise). This is the crash that pins
-	// the gate's low-water mark: without FaultPlan.Recover every survivor
-	// would spin at the ≤ τ admission forever, so Run rejects the
-	// combination up front (the bare deadlock is demonstrated by the
-	// stripedWindow regression test instead).
+	// TicketHolder; ignored otherwise). This is the crash that pins the
+	// gate's low-water mark; Run's supervisor reclaims the orphan, so
+	// survivors keep the ≤ τ admission bound (the bare deadlock is
+	// demonstrated by the stripedWindow regression test instead).
 	InFlight bool
 	// Rejoin spawns a replacement worker after the crash.
 	Rejoin bool
@@ -45,19 +44,12 @@ type WorkerFault struct {
 // placement (the sweep's faults axis) draw victims and crash iterations
 // from their own seeded RNG and hand the materialized plan over, so a
 // run's outcome is a function of (Config.Seed, plan) alone.
-type FaultPlan struct {
-	// Recover arms crash-safe ticket reclamation: when an InFlight victim
-	// dies, Run publishes a tombstone for its orphaned ticket (the
-	// TicketReclaimer capability), so the window's low-water mark advances
-	// and survivors keep the ≤ τ admission bound.
-	Recover bool
-	Faults  []WorkerFault
-}
+type FaultPlan []WorkerFault
 
 // validate checks the plan against a run's worker count.
-func (p *FaultPlan) validate(workers int) error {
-	seen := make(map[int]bool, len(p.Faults))
-	for _, f := range p.Faults {
+func (p FaultPlan) validate(workers int) error {
+	seen := make(map[int]bool, len(p))
+	for _, f := range p {
 		if f.Worker < 0 || f.Worker >= workers {
 			return fmt.Errorf("%w: fault worker %d (want in [0,%d))", ErrBadConfig, f.Worker, workers)
 		}
@@ -69,35 +61,27 @@ func (p *FaultPlan) validate(workers int) error {
 			return fmt.Errorf("%w: negative fault delay in %+v", ErrBadConfig, f)
 		}
 	}
-	if len(p.Faults) >= workers {
+	if len(p) >= workers {
 		return fmt.Errorf("%w: %d faults for %d workers (at least one worker must survive, mirroring the machine's n-1 crash bound)",
-			ErrBadConfig, len(p.Faults), workers)
+			ErrBadConfig, len(p), workers)
 	}
 	return nil
 }
 
-// faultFor returns the plan's fault for one worker, or nil (always nil
-// for a nil plan).
-func (p *FaultPlan) faultFor(w int) *WorkerFault {
-	if p == nil {
-		return nil
-	}
-	for i := range p.Faults {
-		if p.Faults[i].Worker == w {
-			return &p.Faults[i]
+// faultFor returns the plan's fault for one worker, or nil.
+func (p FaultPlan) faultFor(w int) *WorkerFault {
+	for i := range p {
+		if p[i].Worker == w {
+			return &p[i]
 		}
 	}
 	return nil
 }
 
-// rejoins counts faults that request a replacement worker (0 for a nil
-// plan).
-func (p *FaultPlan) rejoins() int {
-	if p == nil {
-		return 0
-	}
+// rejoins counts faults that request a replacement worker.
+func (p FaultPlan) rejoins() int {
 	n := 0
-	for _, f := range p.Faults {
+	for _, f := range p {
 		if f.Rejoin {
 			n++
 		}
@@ -105,36 +89,27 @@ func (p *FaultPlan) rejoins() int {
 	return n
 }
 
-// TicketAbandoner is the optional Stepper capability behind
-// WorkerFault.InFlight: AbandonTicket acquires a gate ticket through the
+// TicketHolder is the optional Stepper capability behind
+// WorkerFault.InFlight, implemented by the bounded-staleness and
+// epoch-fence steppers. AbandonTicket acquires a gate ticket through the
 // stepper's admission protocol and returns without releasing it — the
 // worker then dies holding it, exactly the state a real crash leaves a
-// window-gated discipline in. Implemented by the bounded-staleness and
-// epoch-fence steppers.
-type TicketAbandoner interface {
+// window-gated discipline in. ReclaimTicket is the recovery: it
+// publishes a tombstone for the dead worker's in-flight ticket
+// (releasing its announce slot), letting the window's low-water mark
+// advance past it. Run invokes ReclaimTicket from the supervisor, never
+// from the dead worker's goroutine.
+type TicketHolder interface {
 	AbandonTicket()
-}
-
-// TicketReclaimer is the recovery counterpart: ReclaimTicket publishes a
-// tombstone for the dead worker's in-flight ticket (releasing its
-// announce slot), letting the window's low-water mark advance past it.
-// Run invokes it from the supervisor — never the dead worker's goroutine
-// — when FaultPlan.Recover is set.
-type TicketReclaimer interface {
 	ReclaimTicket()
 }
 
-// Leaver is the optional Stepper capability of round-membership
-// strategies (the coordinate-median defense): Leave retires the worker
-// from the strategy's membership. Run calls it on every worker exit,
-// normal or crashed, so a strategy whose rounds barrier on membership
-// never waits for a worker that is gone.
-type Leaver interface {
-	Leave()
-}
-
-// Joiner is Leaver's admission counterpart: a replacement worker calls
-// Join before its first Step.
-type Joiner interface {
+// Member is the optional Stepper capability of round-membership
+// strategies (the coordinate-median defense). Run calls Join before a
+// worker's first Step, and Leave on every exit, normal or crashed, so a
+// strategy whose rounds barrier on membership never waits for a worker
+// that is gone.
+type Member interface {
 	Join()
+	Leave()
 }

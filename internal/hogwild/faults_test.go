@@ -3,7 +3,6 @@ package hogwild
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -25,35 +24,18 @@ func quadCfg(t *testing.T, workers, iters int) Config {
 
 func TestFaultPlanValidation(t *testing.T) {
 	base := quadCfg(t, 2, 50)
-	for name, plan := range map[string]*FaultPlan{
-		"worker out of range": {Faults: []WorkerFault{{Worker: 2}}},
-		"negative worker":     {Faults: []WorkerFault{{Worker: -1}}},
-		"duplicate worker":    {Faults: []WorkerFault{{Worker: 0}, {Worker: 0, AfterIters: 3}}},
-		"negative delay":      {Faults: []WorkerFault{{Worker: 0, AfterIters: -1}}},
-		"no survivor":         {Faults: []WorkerFault{{Worker: 0}, {Worker: 1}}},
+	for name, plan := range map[string]FaultPlan{
+		"worker out of range": {{Worker: 2}},
+		"negative worker":     {{Worker: -1}},
+		"duplicate worker":    {{Worker: 0}, {Worker: 0, AfterIters: 3}},
+		"negative delay":      {{Worker: 0, AfterIters: -1}},
+		"no survivor":         {{Worker: 0}, {Worker: 1}},
 	} {
 		cfg := base
 		cfg.Faults = plan
 		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%s: err = %v, want ErrBadConfig", name, err)
 		}
-	}
-}
-
-// TestInFlightWithoutRecoverRejected: an in-flight crash under a gated
-// strategy with recovery off would deadlock every survivor at the ≤ τ
-// admission (the stripedWindow regression below demonstrates the bare
-// mechanism), so Run must refuse the combination up front.
-func TestInFlightWithoutRecoverRejected(t *testing.T) {
-	cfg := quadCfg(t, 3, 50)
-	cfg.Strategy = NewBoundedStaleness(2)
-	cfg.Faults = &FaultPlan{
-		Recover: false,
-		Faults:  []WorkerFault{{Worker: 1, AfterIters: 3, InFlight: true}},
-	}
-	_, err := Run(cfg)
-	if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "Recover") {
-		t.Fatalf("err = %v, want ErrBadConfig mentioning Recover", err)
 	}
 }
 
@@ -113,7 +95,7 @@ func TestStripedWindowOrphanPinsGateUntilReclaimed(t *testing.T) {
 func TestPlannedCrashAlwaysFires(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		cfg := quadCfg(t, 3, 200)
-		cfg.Faults = &FaultPlan{Faults: []WorkerFault{{Worker: 2, AfterIters: 5}}}
+		cfg.Faults = FaultPlan{{Worker: 2, AfterIters: 5}}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -140,12 +122,9 @@ func TestTicketCrashRecoveryKeepsLivenessAndTau(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		cfg := quadCfg(t, 4, 400)
 		cfg.Strategy = NewBoundedStaleness(tau)
-		cfg.Faults = &FaultPlan{
-			Recover: true,
-			Faults: []WorkerFault{
-				{Worker: 0, AfterIters: 3, InFlight: true},
-				{Worker: 2, AfterIters: 6, InFlight: true},
-			},
+		cfg.Faults = FaultPlan{
+			{Worker: 0, AfterIters: 3, InFlight: true},
+			{Worker: 2, AfterIters: 6, InFlight: true},
 		}
 		res, err := Run(cfg)
 		if err != nil {
@@ -169,10 +148,7 @@ func TestTicketCrashRecoveryKeepsLivenessAndTau(t *testing.T) {
 func TestRejoinSpawnsReplacement(t *testing.T) {
 	cfg := quadCfg(t, 3, 300)
 	cfg.Strategy = NewBoundedStaleness(3)
-	cfg.Faults = &FaultPlan{
-		Recover: true,
-		Faults:  []WorkerFault{{Worker: 1, AfterIters: 4, InFlight: true, Rejoin: true, RejoinAfter: 5}},
-	}
+	cfg.Faults = FaultPlan{{Worker: 1, AfterIters: 4, InFlight: true, Rejoin: true, RejoinAfter: 5}}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +172,7 @@ func TestCrashRejoinCoordOpsExact(t *testing.T) {
 		var last Telemetry
 		cfg := Config{
 			Workers: 3, TotalIters: T, Alpha: 0.001, Oracle: constOracle{d: d}, Seed: 5,
-			Faults: &FaultPlan{Faults: []WorkerFault{{Worker: 1, AfterIters: 5, Rejoin: true}}},
+			Faults: FaultPlan{{Worker: 1, AfterIters: 5, Rejoin: true}},
 		}
 		if telemetry {
 			cfg.OnTelemetry = func(tel Telemetry) { last = tel }
@@ -246,14 +222,14 @@ func TestStrategyBusyDetection(t *testing.T) {
 
 // TestMedianAggregateConvergesAndSurvivesCrash: the coordinate-median
 // defense makes progress on a quadratic, and a crashed member does not
-// wedge the round barrier (Leaver retires it).
+// wedge the round barrier (Member.Leave retires it).
 func TestMedianAggregateConvergesAndSurvivesCrash(t *testing.T) {
 	q, err := grad.NewIsoQuadratic(4, 1, 0.05, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x0 := vec.Constant(4, 2)
-	run := func(plan *FaultPlan) *Result {
+	run := func(plan FaultPlan) *Result {
 		t.Helper()
 		res, err := Run(Config{
 			Workers: 3, TotalIters: 600, Alpha: 0.1, Oracle: q, Seed: 23,
@@ -270,7 +246,7 @@ func TestMedianAggregateConvergesAndSurvivesCrash(t *testing.T) {
 		t.Fatalf("median aggregate made no progress: %v -> %v", start, end)
 	}
 
-	crashed := run(&FaultPlan{Faults: []WorkerFault{{Worker: 1, AfterIters: 10}}})
+	crashed := run(FaultPlan{{Worker: 1, AfterIters: 10}})
 	if crashed.Crashed != 1 {
 		t.Fatalf("crashed = %d, want 1", crashed.Crashed)
 	}

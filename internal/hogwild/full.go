@@ -23,9 +23,6 @@ type FullConfig struct {
 	Seed          uint64
 	Strategy      Strategy // nil ⇒ lock-free (re-Bind-ed every epoch)
 	Epochs        int      // 0 ⇒ the Corollary-7.1 count ⌈log₂(α²Mn/√ε)⌉
-	// Layout is forwarded to every epoch's Run — see Config. Each epoch
-	// allocates a fresh model in the chosen layout.
-	Layout Layout
 }
 
 // FullResult is the outcome of the real-thread Algorithm 2. Beyond the
@@ -70,7 +67,6 @@ func RunFull(cfg FullConfig) (*FullResult, error) {
 			Oracle:     cfg.Oracle,
 			Seed:       cfg.Seed + uint64(e)*0x9E3779B9,
 			Strategy:   cfg.Strategy,
-			Layout:     cfg.Layout,
 			X0:         x,
 		})
 		if err != nil {

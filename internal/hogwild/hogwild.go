@@ -52,9 +52,9 @@ type Config struct {
 	// per seed. A victim whose planned iteration never arrives (the run
 	// completes first) dies at its exit point instead: a planned crash
 	// always fires, making Result.Crashed/Rejoined/RecoveredTickets
-	// deterministic functions of the plan. Nil runs fault-free. Fault
-	// runs imply FairYield.
-	Faults *FaultPlan
+	// deterministic functions of the plan. An empty plan runs fault-free.
+	// Fault runs imply FairYield.
+	Faults FaultPlan
 	// FairYield makes every worker yield the processor after each
 	// iteration. Hogwild throughput runs never want this, but robustness
 	// experiments do: on hosts with fewer cores than workers the Go
@@ -63,10 +63,11 @@ type Config struct {
 	// Byzantine workers of their share. The yield costs throughput, never
 	// changes convergence semantics, and is implied by Faults.
 	FairYield bool
-	// Layout pins the model's memory layout explicitly, overriding the
-	// dimension-based auto-pick (LayoutAuto, the zero value). Benchmarks
-	// use this to hold the layout fixed while varying everything else.
-	Layout Layout
+	// Padded gives every model coordinate its own aligned cache line
+	// (atomicfloat.Padded, 8x the memory): no false sharing between
+	// coordinates, the choice for a small write-hot model. The default is
+	// the compact cache-line-aligned layout (atomicfloat.Banked).
+	Padded bool
 	X0     vec.Dense // nil ⇒ zeros
 	// SampleStaleness records every claimed iteration's window in
 	// claim-counter time — Start the claim, End the counter read at
@@ -121,48 +122,6 @@ type progressSlot struct {
 	_   [56]byte
 }
 
-// Layout selects the model vector's memory layout in Config.
-type Layout uint8
-
-// Model layout choices. The zero value (LayoutAuto) derives the layout
-// from the dimension: banked when d ≥ BankedAbove, packed otherwise.
-const (
-	LayoutAuto Layout = iota
-	// LayoutPacked is the compact unaligned layout (atomicfloat.Packed).
-	LayoutPacked
-	// LayoutBanked is the cache-line-aligned compact layout
-	// (atomicfloat.Banked): same memory as packed, unit-stride banks.
-	LayoutBanked
-	// LayoutPadded is one aligned cache line per coordinate
-	// (atomicfloat.Padded, ~8x memory): no false sharing between
-	// coordinates, viable for small write-hot models only.
-	LayoutPadded
-)
-
-// BankedAbove is the dimension threshold of the LayoutAuto pick: at and
-// above it the model uses the banked layout. It is also where
-// LayoutPadded stops paying: padding costs 64 bytes per coordinate, so a
-// d = 65536 padded model (4 MiB) already overflows typical per-core L2 —
-// past that point false-sharing relief is paid for with an 8x larger
-// working set, and the aligned compact layout wins.
-const BankedAbove = 1 << 16
-
-// modelLayout resolves a Config's layout choice to an atomicfloat layout.
-func modelLayout(cfg *Config, d int) atomicfloat.Layout {
-	switch cfg.Layout {
-	case LayoutPacked:
-		return atomicfloat.Packed
-	case LayoutBanked:
-		return atomicfloat.Banked
-	case LayoutPadded:
-		return atomicfloat.Padded
-	}
-	if d >= BankedAbove {
-		return atomicfloat.Banked
-	}
-	return atomicfloat.Packed
-}
-
 // Result is the outcome of a run.
 type Result struct {
 	Final vec.Dense
@@ -188,8 +147,8 @@ type Result struct {
 	Windows []contention.Window
 	// Crashed / Rejoined count the fault plan's executed crashes and
 	// replacement workers; RecoveredTickets counts orphaned gate tickets
-	// the supervisor tombstoned on behalf of in-flight victims
-	// (FaultPlan.Recover). All zero on fault-free runs.
+	// the supervisor tombstoned on behalf of in-flight victims. All zero
+	// on fault-free runs.
 	Crashed          int
 	Rejoined         int
 	RecoveredTickets int
@@ -230,10 +189,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	plan := cfg.Faults
-	if plan != nil && len(plan.Faults) == 0 {
-		plan = nil
-	}
-	if plan != nil {
+	if len(plan) > 0 {
 		if err := plan.validate(cfg.Workers); err != nil {
 			return nil, err
 		}
@@ -246,7 +202,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 	defer activeStrategies.Delete(strat)
 
-	model := atomicfloat.New(d, modelLayout(&cfg, d))
+	layout := atomicfloat.Banked
+	if cfg.Padded {
+		layout = atomicfloat.Padded
+	}
+	model := atomicfloat.New(d, layout)
 	model.StoreAll(x0)
 	if err := strat.Bind(model, cfg.Alpha); err != nil {
 		return nil, err
@@ -265,18 +225,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 		steppers[w] = st
 	}
-	if plan != nil && !plan.Recover {
-		for _, f := range plan.Faults {
-			if !f.InFlight {
-				continue
-			}
-			if _, ok := steppers[f.Worker].(TicketAbandoner); ok {
-				return nil, fmt.Errorf("%w: an InFlight crash under the %s gate without FaultPlan.Recover pins the low-water mark and deadlocks every survivor (the stripedWindow regression test demonstrates it); set Recover",
-					ErrBadConfig, strat.Name())
-			}
-		}
-	}
-
 	var (
 		counter atomic.Int64 // iteration claims (over-claims by one per finishing worker)
 		done    atomic.Int64 // iterations that completed their updates
@@ -303,23 +251,24 @@ func Run(cfg Config) (*Result, error) {
 		return s
 	}
 
-	yield := cfg.FairYield || plan != nil
+	yield := cfg.FairYield || len(plan) > 0
 
 	// runWorker is the body of stepper w, original or replacement. It
 	// returns true when the worker died by its planned fault. Exits of
 	// every kind retire the worker from round-membership strategies
-	// (Leaver), so a barrier-shaped discipline never waits on the gone.
+	// (Member), so a barrier-shaped discipline never waits on the gone.
 	runWorker := func(w int, fault *WorkerFault) (crashed bool) {
 		st, slot := steppers[w], &progress[w].ops
-		if j, ok := st.(Joiner); ok {
-			j.Join()
+		m, member := st.(Member)
+		if member {
+			m.Join()
 		}
 		var ops int64
 		steps := 0
 		defer func() {
 			slot.Store(ops)
-			if l, ok := st.(Leaver); ok {
-				l.Leave()
+			if member {
+				m.Leave()
 			}
 		}()
 		// die executes the planned crash: InFlight victims first acquire a
@@ -328,7 +277,7 @@ func Run(cfg Config) (*Result, error) {
 		// buffered updates: they die with it.
 		die := func() bool {
 			if fault.InFlight {
-				if a, ok := st.(TicketAbandoner); ok {
+				if a, ok := st.(TicketHolder); ok {
 					a.AbandonTicket()
 				}
 			}
@@ -448,8 +397,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		crashedN++
 		fault := plan.faultFor(ex.w)
-		if fault.InFlight && plan.Recover {
-			if rec, ok := steppers[ex.w].(TicketReclaimer); ok {
+		if fault.InFlight {
+			if rec, ok := steppers[ex.w].(TicketHolder); ok {
 				rec.ReclaimTicket()
 				recoveredN++
 			}

@@ -57,10 +57,10 @@ func TestNoLostUpdatesAllModes(t *testing.T) {
 	// paper says is necessary (a delayed plain write could erase work).
 	const T, alpha = 20000, 0.001
 	for _, mk := range lockDisciplines {
-		for _, layout := range []Layout{LayoutAuto, LayoutPadded} {
+		for _, padded := range []bool{false, true} {
 			res, err := Run(Config{
 				Workers: 8, TotalIters: T, Alpha: alpha,
-				Oracle: constOracle{d: 4}, Strategy: mk(), Layout: layout,
+				Oracle: constOracle{d: 4}, Strategy: mk(), Padded: padded,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -68,8 +68,8 @@ func TestNoLostUpdatesAllModes(t *testing.T) {
 			want := -alpha * T
 			for j, got := range res.Final {
 				if math.Abs(got-want) > 1e-6*math.Abs(want) {
-					t.Errorf("%v layout=%v: X[%d] = %v, want %v (lost updates)",
-						res.Strategy, layout, j, got, want)
+					t.Errorf("%v padded=%v: X[%d] = %v, want %v (lost updates)",
+						res.Strategy, padded, j, got, want)
 				}
 			}
 		}

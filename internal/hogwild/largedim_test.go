@@ -87,7 +87,7 @@ var _ grad.SparseOracle = (*benchSparseOracle)(nil)
 // TestLayoutsBitIdentical is the cross-layout golden check of the
 // acceptance criteria: the memory layout is invisible to the arithmetic,
 // so a single-worker trajectory must produce bit-identical final models
-// on packed, banked and padded vectors — for the dense strategies, the
+// on the compact and the padded vector — for the dense strategies, the
 // gated disciplines and the sparse pipeline alike.
 func TestLayoutsBitIdentical(t *testing.T) {
 	const d, iters = 512, 200
@@ -108,15 +108,14 @@ func TestLayoutsBitIdentical(t *testing.T) {
 		{"update-batching", func() Strategy { return NewUpdateBatching(4) }, quad},
 		{"sparse-lock-free", NewSparseLockFree, sparse},
 	}
-	layouts := []Layout{LayoutPacked, LayoutBanked, LayoutPadded}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var ref vec.Dense
-			for _, layout := range layouts {
+			for _, padded := range []bool{false, true} {
 				res, err := Run(Config{
 					Workers: 1, TotalIters: iters, Alpha: 0.02,
 					Oracle: tc.oracle, Seed: 11,
-					Strategy: tc.mk(), Layout: layout,
+					Strategy: tc.mk(), Padded: padded,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -127,35 +126,12 @@ func TestLayoutsBitIdentical(t *testing.T) {
 				}
 				for j := range ref {
 					if res.Final[j] != ref[j] {
-						t.Fatalf("layout %v: final[%d] = %x, want %x (bit mismatch vs packed)",
-							layout, j, res.Final[j], ref[j])
+						t.Fatalf("padded: final[%d] = %x, want %x (bit mismatch vs compact)",
+							j, res.Final[j], ref[j])
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestAutoLayoutPicksBanked pins the LayoutAuto policy — banked at and
-// above BankedAbove, packed below it — and that an explicit Layout wins
-// over it on either side of the threshold.
-func TestAutoLayoutPicksBanked(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		d    int
-		want string
-	}{
-		{Config{}, 128, "packed"},
-		{Config{Layout: LayoutPadded}, 128, "padded"},
-		{Config{}, BankedAbove, "banked"},
-		{Config{Layout: LayoutPadded}, BankedAbove, "padded"},
-		{Config{Layout: LayoutPacked}, 128, "packed"},
-	}
-	for _, tc := range cases {
-		if got := modelLayout(&tc.cfg, tc.d).String(); got != tc.want {
-			t.Errorf("modelLayout(Layout=%v, d=%d) = %s, want %s",
-				tc.cfg.Layout, tc.d, got, tc.want)
-		}
 	}
 }
 
@@ -291,26 +267,26 @@ func (w *legacyScalarStepper) Step() int {
 }
 
 // benchDenseVariants maps the historical d = 10⁶ before/after rows:
-// padded-scalar is the pre-PR hot path (padded layout, per-coordinate
+// padded-scalar is the old hot path (padded layout, per-coordinate
 // FetchAdd), padded isolates the bulk kernel on the old layout, banked
-// is what the auto-pick now runs at large d.
+// is the compact layout every unpadded run uses.
 var benchDenseVariants = []struct {
 	name   string
-	layout Layout
+	padded bool
 	strat  func() Strategy // nil ⇒ the current lock-free strategy
 }{
-	{"padded-scalar", LayoutPadded, func() Strategy { return &legacyScalar{} }},
-	{"padded", LayoutPadded, nil},
-	{"banked", LayoutBanked, nil},
+	{"padded-scalar", true, func() Strategy { return &legacyScalar{} }},
+	{"padded", true, nil},
+	{"banked", false, nil},
 }
 
 // benchLayouts is the layout-only axis for the gated and sparse rows.
 var benchLayouts = []struct {
 	name   string
-	layout Layout
+	padded bool
 }{
-	{"padded", LayoutPadded},
-	{"banked", LayoutBanked},
+	{"padded", true},
+	{"banked", false},
 }
 
 // BenchmarkLargeDimDense measures whole dense lock-free runs (8 workers,
@@ -334,7 +310,7 @@ func BenchmarkLargeDimDense(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					cfg := Config{
 						Workers: 8, TotalIters: iters, Alpha: 0.001,
-						Oracle: oracle, Seed: 7, Layout: l.layout,
+						Oracle: oracle, Seed: 7, Padded: l.padded,
 					}
 					if l.strat != nil {
 						cfg.Strategy = l.strat()
@@ -364,7 +340,7 @@ func BenchmarkLargeDimGated(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := Run(Config{
 					Workers: 8, TotalIters: iters, Alpha: 0.001,
-					Oracle: oracle, Seed: 7, Layout: l.layout,
+					Oracle: oracle, Seed: 7, Padded: l.padded,
 					Strategy: NewBoundedStaleness(4),
 				})
 				if err != nil {
@@ -391,7 +367,7 @@ func BenchmarkLargeDimSparse(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := Run(Config{
 					Workers: 8, TotalIters: iters, Alpha: 0.001,
-					Oracle: oracle, Seed: 7, Layout: l.layout,
+					Oracle: oracle, Seed: 7, Padded: l.padded,
 					Strategy: NewSparseLockFree(),
 				})
 				if err != nil {

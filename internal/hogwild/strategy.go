@@ -96,19 +96,93 @@ func scatterRuns(m *atomicfloat.Vector, alpha float64, idx []int, vals []float64
 // bounded table beyond that.
 const DefaultStripes = 256
 
+// pipeline is Algorithm 1's iteration body, written once for every
+// stepper but the striped lock's: gradient reads an inconsistent view
+// and draws g̃ at it, apply fetch&adds −α·g̃ into each register. A
+// discipline changes only when a view may be taken (a gate, a lock) or
+// when updates land (a batch, a median round), so its stepper wraps
+// these two calls rather than restating them. With a grad.SparseOracle
+// (so non-nil) the view is the planned support and the update its
+// non-zeros — O(|support| + nnz) shared operations instead of O(d).
+type pipeline struct {
+	model  *atomicfloat.Vector
+	alpha  float64
+	oracle grad.Oracle
+	so     grad.SparseOracle // non-nil ⇒ the sparse path
+	r      *rng.Rand
+	view   vec.Dense  // dense path: the view
+	g      vec.Dense  // dense path: the gradient
+	vals   []float64  // sparse path: gathered support values (reused)
+	sg     vec.Sparse // sparse path: the gradient (reused)
+}
+
+// newPipeline returns the iteration body over model for one worker; a
+// nil so selects the dense path.
+func newPipeline(model *atomicfloat.Vector, alpha float64, oracle grad.Oracle,
+	so grad.SparseOracle, r *rng.Rand) pipeline {
+	p := pipeline{model: model, alpha: alpha, oracle: oracle, so: so, r: r}
+	if so == nil {
+		d := model.Dim()
+		p.view, p.g = vec.NewDense(d), vec.NewDense(d)
+	}
+	return p
+}
+
+// gradient reads the view and draws the gradient at it, returning the
+// number of coordinate reads.
+//
+//asgd:hotpath
+func (p *pipeline) gradient() int {
+	if p.so == nil {
+		p.model.LoadAll(p.view)
+		p.oracle.Grad(p.g, p.view, p.r)
+		return len(p.view)
+	}
+	support := p.so.PlanSparse(p.r)
+	p.vals = sizedFor(p.vals, len(support))
+	p.model.GatherInto(p.vals, support)
+	p.so.GradSparseAt(&p.sg, p.vals, p.r)
+	return len(support)
+}
+
+// apply fetch&adds −α times the last gradient into the model and returns
+// the number of coordinate writes. vec.Sparse keeps indices strictly
+// sorted, so consecutive support coordinates scatter as whole runs.
+//
+//asgd:hotpath
+func (p *pipeline) apply() int {
+	if p.so == nil {
+		return applyDenseRuns(p.model, p.alpha, p.g)
+	}
+	return scatterRuns(p.model, p.alpha, p.sg.Indices, p.sg.Values)
+}
+
 // --- lock-free -------------------------------------------------------------
 
 // lockFree is Algorithm 1 verbatim: snapshot an inconsistent view, apply
-// non-zero gradient coordinates with atomic fetch&add.
+// non-zero gradient coordinates with atomic fetch&add. The sparse
+// variant reads only the support its oracle plans (PlanSparse) and
+// writes only the gradient's non-zeros — on sparse workloads the
+// difference between scanning the model and touching it.
 type lockFree struct {
-	model *atomicfloat.Vector
-	alpha float64
+	model  *atomicfloat.Vector
+	alpha  float64
+	sparse bool
 }
 
 // NewLockFree returns the Algorithm-1 lock-free strategy.
 func NewLockFree() Strategy { return &lockFree{} }
 
-func (s *lockFree) Name() string { return "lock-free" }
+// NewSparseLockFree returns the sparse-aware lock-free strategy. Its
+// steppers require an oracle with the grad.SparseOracle capability.
+func NewSparseLockFree() Strategy { return &lockFree{sparse: true} }
+
+func (s *lockFree) Name() string {
+	if s.sparse {
+		return "sparse-lock-free"
+	}
+	return "lock-free"
+}
 
 func (s *lockFree) Bind(model *atomicfloat.Vector, alpha float64) error {
 	s.model, s.alpha = model, alpha
@@ -116,28 +190,21 @@ func (s *lockFree) Bind(model *atomicfloat.Vector, alpha float64) error {
 }
 
 func (s *lockFree) NewStepper(_ int, oracle grad.Oracle, r *rng.Rand) (Stepper, error) {
-	d := s.model.Dim()
-	return &lockFreeStepper{
-		s: s, oracle: oracle, r: r,
-		view: vec.NewDense(d), g: vec.NewDense(d),
-	}, nil
+	var so grad.SparseOracle
+	if s.sparse {
+		var ok bool
+		if so, ok = grad.AsSparse(oracle); !ok {
+			return nil, fmt.Errorf("%w: %s strategy needs a grad.SparseOracle (got %T)",
+				ErrBadConfig, s.Name(), oracle)
+		}
+	}
+	return &lockFreeStepper{newPipeline(s.model, s.alpha, oracle, so, r)}, nil
 }
 
-type lockFreeStepper struct {
-	s      *lockFree
-	oracle grad.Oracle
-	r      *rng.Rand
-	view   vec.Dense
-	g      vec.Dense
-}
+type lockFreeStepper struct{ pipeline }
 
 //asgd:hotpath
-func (w *lockFreeStepper) Step() int {
-	m := w.s.model
-	m.LoadAll(w.view)
-	w.oracle.Grad(w.g, w.view, w.r)
-	return len(w.view) + applyDenseRuns(m, w.s.alpha, w.g)
-}
+func (w *lockFreeStepper) Step() int { return w.gradient() + w.apply() }
 
 // --- coarse lock -----------------------------------------------------------
 
@@ -161,31 +228,21 @@ func (s *coarseLock) Bind(model *atomicfloat.Vector, alpha float64) error {
 }
 
 func (s *coarseLock) NewStepper(_ int, oracle grad.Oracle, r *rng.Rand) (Stepper, error) {
-	d := s.model.Dim()
-	return &coarseLockStepper{
-		s: s, oracle: oracle, r: r,
-		view: vec.NewDense(d), g: vec.NewDense(d),
-	}, nil
+	return &coarseLockStepper{newPipeline(s.model, s.alpha, oracle, nil, r), &s.mu}, nil
 }
 
 type coarseLockStepper struct {
-	s      *coarseLock
-	oracle grad.Oracle
-	r      *rng.Rand
-	view   vec.Dense
-	g      vec.Dense
+	pipeline
+	mu *sync.Mutex
 }
 
 //asgd:hotpath
 func (w *coarseLockStepper) Step() int {
-	s := w.s
-	s.mu.Lock()
-	s.model.LoadAll(w.view)
-	w.oracle.Grad(w.g, w.view, w.r)
+	w.mu.Lock()
 	// Under the run-wide mutex fetch&add and load-store are the same
 	// serial read-modify-write, so the bulk kernel applies verbatim.
-	ops := len(w.view) + applyDenseRuns(s.model, s.alpha, w.g)
-	s.mu.Unlock()
+	ops := w.gradient() + w.apply()
+	w.mu.Unlock()
 	return ops
 }
 
@@ -292,60 +349,6 @@ func (w *stripedLockStepper) Step() int {
 	s.loadView(w.view)
 	w.oracle.Grad(w.g, w.view, w.r)
 	return len(w.view) + s.applyDense(w.g)
-}
-
-// --- sparse lock-free ------------------------------------------------------
-
-// sparseLockFree is the sparse-aware Algorithm 1: the oracle announces
-// the coordinates the sampled gradient reads (PlanSparse), the stepper
-// loads exactly those, and the update fetch&adds only the gradient's
-// non-zeros. Per iteration that is O(|support| + nnz) shared-memory
-// operations instead of the dense path's O(d) — on sparse workloads the
-// difference between scanning the model and touching it.
-type sparseLockFree struct {
-	model *atomicfloat.Vector
-	alpha float64
-}
-
-// NewSparseLockFree returns the sparse-aware lock-free strategy. Its
-// steppers require an oracle with the grad.SparseOracle capability.
-func NewSparseLockFree() Strategy { return &sparseLockFree{} }
-
-func (s *sparseLockFree) Name() string { return "sparse-lock-free" }
-
-func (s *sparseLockFree) Bind(model *atomicfloat.Vector, alpha float64) error {
-	s.model, s.alpha = model, alpha
-	return nil
-}
-
-func (s *sparseLockFree) NewStepper(_ int, oracle grad.Oracle, r *rng.Rand) (Stepper, error) {
-	so, ok := grad.AsSparse(oracle)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s strategy needs a grad.SparseOracle (got %T)",
-			ErrBadConfig, s.Name(), oracle)
-	}
-	return &sparseStepper{s: s, oracle: so, r: r}, nil
-}
-
-type sparseStepper struct {
-	s      *sparseLockFree
-	oracle grad.SparseOracle
-	r      *rng.Rand
-	vals   []float64  // gathered support values (reused)
-	g      vec.Sparse // sparse gradient (reused)
-}
-
-//asgd:hotpath
-func (w *sparseStepper) Step() int {
-	s := w.s
-	support := w.oracle.PlanSparse(w.r)
-	w.vals = sizedFor(w.vals, len(support))
-	s.model.GatherInto(w.vals, support)
-	w.oracle.GradSparseAt(&w.g, w.vals, w.r)
-	// vec.Sparse keeps indices strictly sorted, so consecutive support
-	// coordinates (common under contiguous-block sampling) scatter as
-	// whole runs.
-	return len(support) + scatterRuns(s.model, s.alpha, w.g.Indices, w.g.Values)
 }
 
 // sizedFor returns buf resized to length n, reusing its capacity when

@@ -74,29 +74,29 @@ func TestSparseLockFreeNoLostUpdates(t *testing.T) {
 // TestSparseCoordOpsScaleWithNNZ is the counting-oracle acceptance check:
 // the sparse lock-free path performs O(nnz) shared coordinate accesses
 // per iteration — exactly 2k here (k reads + k writes) — independent of
-// the model dimension, while the dense path pays d per snapshot.
+// the model dimension, while the dense paths pay d per snapshot. Plain
+// lock-free and coarse-lock stay dense on a sparse oracle.
 func TestSparseCoordOpsScaleWithNNZ(t *testing.T) {
 	const T, k = 500, 4
 	for _, d := range []int{64, 512} {
-		sparse, err := Run(Config{
-			Workers: 2, TotalIters: T, Alpha: 0.01,
-			Oracle: constSparseOracle{d: d, k: k}, Strategy: NewSparseLockFree(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := sparse.CoordOps, int64(T*2*k); got != want {
-			t.Errorf("d=%d: sparse CoordOps = %d, want %d (O(nnz))", d, got, want)
-		}
-		dense, err := Run(Config{
-			Workers: 2, TotalIters: T, Alpha: 0.01,
-			Oracle: constSparseOracle{d: d, k: k}, Strategy: NewLockFree(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := dense.CoordOps, int64(T*(d+k)); got != want {
-			t.Errorf("d=%d: dense CoordOps = %d, want %d (O(d))", d, got, want)
+		for _, tc := range []struct {
+			mk   func() Strategy
+			want int64
+		}{
+			{NewSparseLockFree, T * 2 * k},
+			{NewLockFree, T * int64(d+k)},
+			{NewCoarseLock, T * int64(d+k)},
+		} {
+			res, err := Run(Config{
+				Workers: 2, TotalIters: T, Alpha: 0.01,
+				Oracle: constSparseOracle{d: d, k: k}, Strategy: tc.mk(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CoordOps != tc.want {
+				t.Errorf("d=%d %s: CoordOps = %d, want %d", d, res.Strategy, res.CoordOps, tc.want)
+			}
 		}
 	}
 }

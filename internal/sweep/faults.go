@@ -35,9 +35,9 @@ const machineRejoinDelay = 64
 
 // Faults is one entry of the fault axis: a recipe for a seeded
 // crash/rejoin schedule applied to a cell. On Hogwild cells it
-// materializes a hogwild.FaultPlan (with Recover armed); on Machine
-// cells a sched.Faulty adversary plus core.EpochConfig.CrashRecovery —
-// which also means fault-injected Machine cells override Spec.Policy.
+// materializes a hogwild.FaultPlan; on Machine cells a sched.Faulty
+// adversary plus core.EpochConfig.CrashRecovery — which also means
+// fault-injected Machine cells override Spec.Policy.
 // Victim count is clamped to workers−1 (someone must survive, the
 // paper's n−1 crash bound); single-worker cells run fault-free.
 type Faults struct {
@@ -106,14 +106,14 @@ func (f *Faults) victims(workers int, r *rng.Rand) []int {
 
 // hogwildPlan materializes the fault plan for a Hogwild cell (nil when
 // the recipe is neutral or the cell has a single worker).
-func (f *Faults) hogwildPlan(workers int, r *rng.Rand) *hogwild.FaultPlan {
+func (f *Faults) hogwildPlan(workers int, r *rng.Rand) hogwild.FaultPlan {
 	vs := f.victims(workers, r)
 	if len(vs) == 0 {
 		return nil
 	}
-	plan := &hogwild.FaultPlan{Recover: true, Faults: make([]hogwild.WorkerFault, len(vs))}
+	plan := make(hogwild.FaultPlan, len(vs))
 	for i, v := range vs {
-		plan.Faults[i] = hogwild.WorkerFault{
+		plan[i] = hogwild.WorkerFault{
 			Worker:      v,
 			AfterIters:  DefaultCrashAfter + i,
 			InFlight:    f.Ticket,

@@ -231,16 +231,22 @@ func cellWeight(c Cell, capacity int) int {
 	return w
 }
 
+// cacheDim is the model dimension at which a hogwild cell stops fitting
+// a core's private cache: 2¹⁶ coordinates are 512 KiB compact, and the
+// same model padded to a line per coordinate (4 MiB) already overflows a
+// typical per-core L2.
+const cacheDim = 1 << 16
+
 // dimClass buckets a cell's model dimension into a pool-slot multiplier:
-// 1 below the banked-layout threshold (the model fits in-cache; cells
-// share fine), 2 up to a quarter-million coordinates (last-level-cache
-// sized), 4 beyond (DRAM-bandwidth bound — the cell wants the machine).
-// Dim 0 means "oracle picks its own (small) size" and stays class 1.
+// 1 below cacheDim (the model fits in-cache; cells share fine), 2 up to a
+// quarter-million coordinates (last-level-cache sized), 4 beyond
+// (DRAM-bandwidth bound — the cell wants the machine). Dim 0 means
+// "oracle picks its own (small) size" and stays class 1.
 func dimClass(d int) int {
 	switch {
 	case d >= 1<<18:
 		return 4
-	case d >= hogwild.BankedAbove:
+	case d >= cacheDim:
 		return 2
 	default:
 		return 1
@@ -363,7 +369,7 @@ func hogwildConfig(s *Spec, c Cell, oracle grad.Oracle, x0 vec.Dense) (hogwild.C
 		Oracle:          oracle,
 		Seed:            c.Seed,
 		Strategy:        strat,
-		Layout:          c.strategy.Layout,
+		Padded:          c.strategy.Padded,
 		X0:              x0,
 		SampleStaleness: s.Probe,
 	}

@@ -85,10 +85,10 @@ type Strategy struct {
 	Hogwild func() hogwild.Strategy
 	Machine func(cfg *core.EpochConfig)
 	Tau     int
-	// Layout pins the hogwild atomic model vector's layout for this
-	// strategy's cells — LayoutPadded is what lock-free throughput
-	// measurements want on multi-core hosts. Irrelevant to Machine cells.
-	Layout hogwild.Layout
+	// Padded gives this strategy's hogwild cells a model with one cache
+	// line per coordinate — what lock-free throughput measurements want
+	// on multi-core hosts. Irrelevant to Machine cells.
+	Padded bool
 }
 
 // Built-in strategy-axis entries, mirroring the hogwild roster and its

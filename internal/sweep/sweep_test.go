@@ -454,7 +454,7 @@ func TestCellWeightScalesWithDimClass(t *testing.T) {
 		{"machine-ignores-dim", Machine, 4, 1 << 20, 16, 1},
 		{"hogwild-small-dim", Hogwild, 2, 8, 16, 2},
 		{"hogwild-dim-zero", Hogwild, 3, 0, 16, 3},
-		{"hogwild-llc-class", Hogwild, 2, hogwild.BankedAbove, 16, 4},
+		{"hogwild-llc-class", Hogwild, 2, cacheDim, 16, 4},
 		{"hogwild-dram-class", Hogwild, 2, 1 << 18, 16, 8},
 		{"hogwild-million-dim", Hogwild, 2, 1 << 20, 16, 8},
 		{"capped-at-capacity", Hogwild, 4, 1 << 20, 8, 8},
@@ -497,7 +497,7 @@ func TestLargeDimCellsDoNotCoSchedule(t *testing.T) {
 		Oracles:       []Oracle{bigOracle},
 		Strategies:    []Strategy{LockFree()},
 		Workers:       []int{1},
-		Dims:          []int{hogwild.BankedAbove},
+		Dims:          []int{cacheDim},
 		Alphas:        []float64{0.001},
 		Replicates:    2,
 		Iters:         2,
