@@ -205,9 +205,9 @@ type (
 	ParallelConfig = hogwild.Config
 	// ParallelResult is its outcome.
 	ParallelResult = hogwild.Result
-	// Strategy is the pluggable synchronization discipline of the
-	// real-thread runtime; implement it to add new disciplines without
-	// touching RunParallel.
+	// Strategy is the synchronization discipline of the real-thread
+	// runtime, chosen from the New*Strategy constructors. Only this
+	// module can implement it: Bind takes the internal model vector.
 	Strategy = hogwild.Strategy
 )
 
@@ -216,10 +216,6 @@ func NewLockFreeStrategy() Strategy { return hogwild.NewLockFree() }
 
 // NewCoarseLockStrategy returns the consistent coarse-locking baseline.
 func NewCoarseLockStrategy() Strategy { return hogwild.NewCoarseLock() }
-
-// NewStripedLockStrategy returns striped per-coordinate locking with the
-// given stripe count (0 ⇒ the package default).
-func NewStripedLockStrategy(stripes int) Strategy { return hogwild.NewStripedLock(stripes) }
 
 // NewSparseLockFreeStrategy returns the sparse-aware lock-free strategy
 // (requires a SparseOracle; O(nnz) shared-memory operations per

@@ -209,7 +209,6 @@ func BenchmarkHogwildModes(b *testing.B) {
 	}
 	for _, mk := range []func() hogwild.Strategy{
 		hogwild.NewLockFree, hogwild.NewCoarseLock,
-		func() hogwild.Strategy { return hogwild.NewStripedLock(0) },
 	} {
 		b.Run(mk().Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -1,10 +1,9 @@
 // Sparse: the sparse update pipeline end to end. Build a least-squares
 // problem over sparse feature rows, then minimize it with the dense
-// lock-free strategy, the sparse lock-free strategy (O(nnz) shared
-// coordinate accesses per iteration), and a custom striped-lock
-// strategy — all through the same RunParallel entry point. Finally run
-// the sparse pipeline on the simulated adversarial machine and report
-// touched-coordinate contention.
+// lock-free strategy and the sparse lock-free strategy (O(nnz) shared
+// coordinate accesses per iteration), both through the same RunParallel
+// entry point. Finally run the sparse pipeline on the simulated
+// adversarial machine and report touched-coordinate contention.
 package main
 
 import (
@@ -46,7 +45,6 @@ func run() error {
 	for _, cfg := range []asyncsgd.ParallelConfig{
 		{Strategy: asyncsgd.NewLockFreeStrategy()},
 		{Strategy: asyncsgd.NewSparseLockFreeStrategy()},
-		{Strategy: asyncsgd.NewStripedLockStrategy(16)},
 	} {
 		cfg.Workers = 4
 		cfg.TotalIters = 30000

@@ -183,10 +183,12 @@ func TestPublicAPISparsePipeline(t *testing.T) {
 		t.Errorf("sparse solution quality off: %v vs %v",
 			v, sls.Value(dense.Final))
 	}
-	// Custom strategies plug into the same entry point.
+	// Every built-in strategy runs through the same entry point. No type
+	// outside this module can implement Strategy: its Bind takes the
+	// internal *atomicfloat.Vector.
 	if _, err := RunParallel(ParallelConfig{
 		Workers: 2, TotalIters: 500, Alpha: alpha, Oracle: sls, Seed: 24,
-		Strategy: NewStripedLockStrategy(4),
+		Strategy: NewCoarseLockStrategy(),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -98,9 +98,9 @@ func (l Layout) String() string {
 // a single cell slice indexed with a power-of-two stride (coordinate i
 // lives at cells[i<<shift], with shift 0 for Packed/Banked and 3 for
 // Padded), so the per-coordinate accessors are branch-free: the old split
-// packed/padded fields cost a taken-or-not branch inside every FetchAdd
-// and Load of the hogwild inner loop. Banked and Padded additionally
-// align cells[0] to a cache-line boundary.
+// packed/padded fields cost a taken-or-not branch inside every coordinate
+// access of the hogwild inner loop. Banked and Padded additionally align
+// cells[0] to a cache-line boundary.
 type Vector struct {
 	cells []Float64
 	shift uint8
@@ -144,12 +144,6 @@ func (v *Vector) Dim() int { return len(v.cells) >> v.shift }
 // 8·d for Packed/Banked, 64·d for Padded (the documented ~8x cost;
 // alignment slack of up to one cache line is excluded).
 func (v *Vector) MemBytes() int { return len(v.cells) * int(unsafe.Sizeof(Float64{})) }
-
-// Load returns coordinate i.
-func (v *Vector) Load(i int) float64 { return v.cells[i<<v.shift].Load() }
-
-// Store sets coordinate i.
-func (v *Vector) Store(i int, x float64) { v.cells[i<<v.shift].Store(x) }
 
 // FetchAdd atomically adds delta to coordinate i, returning the prior value.
 func (v *Vector) FetchAdd(i int, delta float64) float64 {

@@ -7,6 +7,16 @@ import (
 	"unsafe"
 )
 
+// loadAt reads coordinate i of v through the gather path.
+func loadAt(v *Vector, i int) float64 {
+	var x [1]float64
+	v.GatherInto(x[:], []int{i})
+	return x[0]
+}
+
+// storeAt sets coordinate i of v through the run-store path.
+func storeAt(v *Vector, i int, x float64) { v.StoreRun(i, []float64{x}) }
+
 func TestFloat64LoadStore(t *testing.T) {
 	var f Float64
 	if f.Load() != 0 {
@@ -56,15 +66,15 @@ func TestVectorBasics(t *testing.T) {
 		if v.Dim() != 4 {
 			t.Fatalf("Dim = %d", v.Dim())
 		}
-		v.Store(2, 7)
-		if v.Load(2) != 7 {
-			t.Errorf("Load(2) = %v", v.Load(2))
+		storeAt(v, 2, 7)
+		if loadAt(v, 2) != 7 {
+			t.Errorf("Load(2) = %v", loadAt(v, 2))
 		}
 		if old := v.FetchAdd(2, -3); old != 7 {
 			t.Errorf("FetchAdd prior = %v", old)
 		}
-		if v.Load(2) != 4 {
-			t.Errorf("after FetchAdd = %v", v.Load(2))
+		if loadAt(v, 2) != 4 {
+			t.Errorf("after FetchAdd = %v", loadAt(v, 2))
 		}
 		dst := make([]float64, 4)
 		v.LoadAll(dst)
@@ -72,7 +82,7 @@ func TestVectorBasics(t *testing.T) {
 			t.Errorf("LoadAll = %v", dst)
 		}
 		v.StoreAll([]float64{1, 2, 3, 4})
-		if v.Load(0) != 1 || v.Load(3) != 4 {
+		if loadAt(v, 0) != 1 || loadAt(v, 3) != 4 {
 			t.Errorf("StoreAll wrong")
 		}
 	}
@@ -111,7 +121,7 @@ func TestConcurrentVectorFetchAdd(t *testing.T) {
 	wg.Wait()
 	var total float64
 	for i := 0; i < 8; i++ {
-		total += v.Load(i)
+		total += loadAt(v, i)
 	}
 	want := float64(workers*perWorker) * 0.5
 	if math.Abs(total-want) > 1e-9 {

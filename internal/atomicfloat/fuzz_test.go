@@ -45,7 +45,7 @@ func FuzzVectorOpsAcrossLayouts(f *testing.F) {
 			case 1: // scalar Store
 				i := ((pos % d) + d) % d
 				for _, v := range vecs {
-					v.Store(i, val)
+					storeAt(v, i, val)
 				}
 				ref[i] = val
 			case 2, 3, 4: // FetchAddScaledRun(…, 1) / StoreRun / FetchAddScaledRun, possibly out of range

@@ -38,17 +38,17 @@ func TestLongRunsTakePairPath(t *testing.T) {
 		for _, n := range []int{pairRunMin - 1, pairRunMin} {
 			v, ref := New(n+1, l), New(n+1, l)
 			for i := 0; i <= n; i++ {
-				v.Store(i, 1)
-				ref.Store(i, 1)
+				storeAt(v, i, 1)
+				storeAt(ref, i, 1)
 			}
 			src := unsafe.Slice((*float64)(unsafe.Pointer(&v.cells[0])), n)
 			v.FetchAddScaledRun(1, src, 1)
 			for k := 0; k < n; k++ {
-				ref.FetchAdd(k+1, ref.Load(k))
+				ref.FetchAdd(k+1, loadAt(ref, k))
 			}
 			same := true
 			for i := 0; i <= n; i++ {
-				same = same && math.Float64bits(v.Load(i)) == math.Float64bits(ref.Load(i))
+				same = same && math.Float64bits(loadAt(v, i)) == math.Float64bits(loadAt(ref, i))
 			}
 			if long := n >= pairRunMin; same == long {
 				t.Errorf("%v run of %d (threshold %d): matches the scalar loop = %v, want %v",

@@ -33,7 +33,7 @@ func checkRunMatchesScalar(t *testing.T, l Layout, init []float64, start int, sr
 		ref.FetchAdd(start+k, scale*x)
 	}
 	for i := range init {
-		if got, want := math.Float64bits(v.Load(i)), math.Float64bits(ref.Load(i)); got != want {
+		if got, want := math.Float64bits(loadAt(v, i)), math.Float64bits(loadAt(ref, i)); got != want {
 			t.Fatalf("%v run(start=%d, n=%d, scale=%v): coordinate %d = %#016x, scalar FetchAdd gives %#016x",
 				l, start, len(src), scale, i, got, want)
 		}
@@ -134,7 +134,7 @@ func TestPairRunsNoLostUpdates(t *testing.T) {
 			if i == 0 || i == n {
 				want /= 2 // covered by one start's runs only
 			}
-			if got := v.Load(i); got != want {
+			if got := loadAt(v, i); got != want {
 				t.Fatalf("%v: coordinate %d = %v after %d concurrent runs, want %v", l, i, got, workers*runs, want)
 			}
 		}

@@ -56,7 +56,6 @@ func E15SparsePipeline(s Scale) ([]*report.Table, error) {
 	}{
 		{"lock-free (dense)", hogwild.Config{Strategy: hogwild.NewLockFree()}},
 		{"sparse-lock-free", hogwild.Config{Strategy: hogwild.NewSparseLockFree()}},
-		{"striped-lock/64", hogwild.Config{Strategy: hogwild.NewStripedLock(64)}},
 		{"coarse-lock", hogwild.Config{Strategy: hogwild.NewCoarseLock()}},
 	}
 	for _, rn := range runs {

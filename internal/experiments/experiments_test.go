@@ -231,15 +231,18 @@ func TestE10Throughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables[0].Rows) != 12 {
-		t.Fatalf("rows = %d, want 12", len(tables[0].Rows))
+	if len(tables[0].Rows) != 8 {
+		t.Fatalf("rows = %d, want 8", len(tables[0].Rows))
 	}
 	for _, row := range tables[0].Rows {
 		if parseF(t, row[2]) <= 0 {
 			t.Errorf("non-positive throughput in row %v", row)
 		}
-		if n := parseF(t, row[1]); parseF(t, row[4]) > 2*n {
-			t.Errorf("τavg above 2n in row %v", row)
+		// Windows give τavg ≤ 2(n−1) on every schedule, tighter than the
+		// paper's 2n (hogwild's TestWindowsBoundAvgStaleness has the
+		// argument).
+		if n := parseF(t, row[1]); parseF(t, row[4]) > 2*(n-1) {
+			t.Errorf("τavg above 2(n−1) in row %v", row)
 		}
 	}
 }

@@ -39,7 +39,6 @@ func TestStepperStepAllocFree(t *testing.T) {
 	}{
 		{"lock-free", NewLockFree, quad},
 		{"coarse-lock", NewCoarseLock, quad},
-		{"striped-lock", func() Strategy { return NewStripedLock(8) }, quad},
 		{"sparse-lock-free", NewSparseLockFree, sls},
 		{"bounded-staleness", func() Strategy { return NewBoundedStaleness(4) }, quad},
 		{"bounded-staleness-sparse", func() Strategy { return NewBoundedStaleness(4) }, sls},

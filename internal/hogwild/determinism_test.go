@@ -20,7 +20,6 @@ func TestStrategyDeterminism(t *testing.T) {
 	}{
 		{"lock-free", NewLockFree, false},
 		{"coarse-lock", NewCoarseLock, false},
-		{"striped-lock", func() Strategy { return NewStripedLock(8) }, false},
 		{"sparse-lock-free", NewSparseLockFree, true},
 		{"bounded-staleness", func() Strategy { return NewBoundedStaleness(4) }, false},
 		{"update-batching", func() Strategy { return NewUpdateBatching(8) }, false},

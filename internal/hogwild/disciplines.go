@@ -17,11 +17,12 @@ import (
 // promised beyond the lock-free/lock-based built-ins:
 //
 //   - NewBoundedStaleness(tau): a staleness gate. Iterations acquire
-//     tickets and publish completions in ticket order, and a ticket may
-//     take its view only once every ticket older than τ has fully
-//     completed. The maximum delay an execution can exhibit — the τ that
-//     parameterizes Theorem 6.5's bound and that the Section-5 adversary
-//     inflates — is therefore capped at τ by construction.
+//     tickets from the striped window below and publish completions in
+//     any order, and a ticket may take its view only once every ticket
+//     older than τ has fully completed. The maximum delay an execution
+//     can exhibit — the τ that parameterizes Theorem 6.5's bound and
+//     that the Section-5 adversary inflates — is therefore capped at τ
+//     by construction.
 //   - NewUpdateBatching(b): local update batching. Each worker accumulates
 //     b gradients in a local vec.Sparse buffer and applies them in one
 //     scatter fetch&add pass, cutting shared-memory write traffic ~b×.

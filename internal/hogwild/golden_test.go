@@ -31,9 +31,9 @@ func assertGolden(t *testing.T, name string, got vec.Dense, want []uint64) {
 }
 
 // lockStepBits is the shared trajectory of every consistent-ordering
-// strategy with one worker: lock-free, coarse-lock, striped-lock,
-// bounded-staleness and epoch-fence all apply the same updates in the
-// same order and must land on identical bits.
+// strategy with one worker: lock-free, coarse-lock, bounded-staleness
+// and epoch-fence all apply the same updates in the same order and must
+// land on identical bits.
 var lockStepBits = []uint64{
 	0x3f9abac95fae5cf9, 0x3f98b5880d851b22, 0x3fa58f428abb02d9, 0x3faa401c65a63a04,
 	0x3f6360da7f13e8d6, 0xbfa3ef8e328172dd, 0xbf84806924c5c394, 0xbf9f8da72f1522ae,
@@ -51,8 +51,6 @@ func TestGoldenSingleWorkerStrategies(t *testing.T) {
 	}{
 		{"lock-free", NewLockFree, lockStepBits},
 		{"coarse-lock", NewCoarseLock, lockStepBits},
-		{"striped-lock", func() Strategy { return NewStripedLock(8) }, lockStepBits},
-		{"striped-lock-default", func() Strategy { return NewStripedLock(0) }, lockStepBits},
 		{"bounded-staleness", func() Strategy { return NewBoundedStaleness(2) }, lockStepBits},
 		{"epoch-fence", func() Strategy { return NewEpochFence(8) }, lockStepBits},
 		{"update-batching", func() Strategy { return NewUpdateBatching(4) }, []uint64{

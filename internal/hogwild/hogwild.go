@@ -2,10 +2,9 @@
 // same lock-free Algorithm 1 executed by actual goroutines over an atomic
 // float vector (CAS-emulated fetch&add), plus the coarse-lock baseline the
 // paper contrasts it with (Langford et al.'s consistent locking), a
-// striped-lock middle ground, a sparse-aware lock-free path that does
-// O(nnz) shared-memory operations per iteration, and the three gated
-// disciplines of disciplines.go: bounded-staleness, update batching and
-// epoch fencing.
+// sparse-aware lock-free path that does O(nnz) shared-memory operations
+// per iteration, and the three gated disciplines of disciplines.go:
+// bounded-staleness, update batching and epoch fencing.
 //
 // The synchronization discipline is a pluggable Strategy (see strategy.go).
 // The discrete simulator (internal/core) is the vehicle for the paper's

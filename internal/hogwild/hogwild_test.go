@@ -45,11 +45,9 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// lockDisciplines are the paper's lock-free Algorithm 1 and the two
-// locking baselines it is contrasted with.
-var lockDisciplines = []func() Strategy{
-	NewLockFree, NewCoarseLock, func() Strategy { return NewStripedLock(0) },
-}
+// lockDisciplines are the paper's lock-free Algorithm 1 and the locking
+// baseline it is contrasted with.
+var lockDisciplines = []func() Strategy{NewLockFree, NewCoarseLock}
 
 func TestNoLostUpdatesAllModes(t *testing.T) {
 	// With a constant gradient, X_final[j] = −α·T exactly; any lost update
@@ -156,7 +154,7 @@ func TestStalenessStatsOnePass(t *testing.T) {
 
 // TestWindowsBoundAvgStaleness checks every SampleStaleness window —
 // claim c's is [c+1, End] with c+1 ≤ End ≤ T — and the paper's τavg ≤ 2n
-// on lock-free, striped-lock and bounded-staleness runs. The windows give
+// on lock-free, coarse-lock and bounded-staleness runs. The windows give
 // the tighter 2(n−1): a worker's own windows never overlap, so a claim
 // lies inside at most one window of each other worker, and each
 // overlapping pair is counted once from its later claim and once from
@@ -165,7 +163,7 @@ func TestWindowsBoundAvgStaleness(t *testing.T) {
 	const T = 3000
 	strategies := map[string]func() Strategy{
 		"lock-free":         func() Strategy { return NewLockFree() },
-		"striped-lock":      func() Strategy { return NewStripedLock(4) },
+		"coarse-lock":       func() Strategy { return NewCoarseLock() },
 		"bounded-staleness": func() Strategy { return NewBoundedStaleness(3) },
 	}
 	for name, mk := range strategies {

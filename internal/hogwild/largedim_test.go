@@ -102,7 +102,6 @@ func TestLayoutsBitIdentical(t *testing.T) {
 		oracle grad.Oracle
 	}{
 		{"lock-free", NewLockFree, quad},
-		{"striped-lock", func() Strategy { return NewStripedLock(64) }, quad},
 		{"bounded-staleness", func() Strategy { return NewBoundedStaleness(3) }, quad},
 		{"epoch-fence", func() Strategy { return NewEpochFence(16) }, quad},
 		{"update-batching", func() Strategy { return NewUpdateBatching(4) }, quad},

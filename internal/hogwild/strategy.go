@@ -12,9 +12,9 @@ import (
 
 // Strategy is the pluggable synchronization discipline of the real-thread
 // runtime. It replaces the monolithic mode switch that used to live in
-// Run: a strategy owns the run-wide shared state of its discipline (lock
-// tables, nothing for lock-free) and stamps out one Stepper per worker
-// goroutine. New disciplines — batched application, epoch fencing,
+// Run: a strategy owns the run-wide shared state of its discipline (a
+// mutex, a gate, nothing for lock-free) and stamps out one Stepper per
+// worker goroutine. New disciplines — batched application, epoch fencing,
 // bounded-staleness gates — plug in here without touching Run.
 //
 // Lifecycle: Run calls Bind exactly once before launching workers, then
@@ -91,19 +91,14 @@ func scatterRuns(m *atomicfloat.Vector, alpha float64, idx []int, vals []float64
 	return n
 }
 
-// DefaultStripes is the lock-table size of NewStripedLock(0): one lock
-// per coordinate for the model sizes the experiments use (d ≤ 256), a
-// bounded table beyond that.
-const DefaultStripes = 256
-
 // pipeline is Algorithm 1's iteration body, written once for every
-// stepper but the striped lock's: gradient reads an inconsistent view
-// and draws g̃ at it, apply fetch&adds −α·g̃ into each register. A
-// discipline changes only when a view may be taken (a gate, a lock) or
-// when updates land (a batch, a median round), so its stepper wraps
-// these two calls rather than restating them. With a grad.SparseOracle
-// (so non-nil) the view is the planned support and the update its
-// non-zeros — O(|support| + nnz) shared operations instead of O(d).
+// stepper: gradient reads an inconsistent view and draws g̃ at it,
+// apply fetch&adds −α·g̃ into each register. A discipline changes only
+// when a view may be taken (a gate, a lock) or when updates land (a
+// batch, a median round), so its stepper wraps these two calls rather
+// than restating them. With a grad.SparseOracle (so non-nil) the view
+// is the planned support and the update its non-zeros —
+// O(|support| + nnz) shared operations instead of O(d).
 type pipeline struct {
 	model  *atomicfloat.Vector
 	alpha  float64
@@ -244,111 +239,6 @@ func (w *coarseLockStepper) Step() int {
 	ops := w.gradient() + w.apply()
 	w.mu.Unlock()
 	return ops
-}
-
-// --- striped lock ----------------------------------------------------------
-
-// stripedLock guards coordinates with a fixed table of lock stripes
-// (coordinate j maps to stripe j mod stripes): consistent per-coordinate
-// access, inconsistent cross-coordinate views. With stripes ≥ d it is
-// one lock per coordinate; smaller tables trade contention for
-// memory — one mutex per coordinate at d = 10⁶ is not a real design.
-type stripedLock struct {
-	model   *atomicfloat.Vector
-	alpha   float64
-	stripes []sync.Mutex
-	n       int
-}
-
-// NewStripedLock returns the striped-locking strategy with the given
-// stripe count (0 ⇒ DefaultStripes; negative is rejected at Bind).
-func NewStripedLock(stripes int) Strategy { return &stripedLock{n: stripes} }
-
-func (s *stripedLock) Name() string { return "striped-lock" }
-
-func (s *stripedLock) Bind(model *atomicfloat.Vector, alpha float64) error {
-	if s.n == 0 {
-		s.n = DefaultStripes
-	}
-	if s.n < 0 {
-		return fmt.Errorf("%w: stripe count %d", ErrBadConfig, s.n)
-	}
-	s.model, s.alpha = model, alpha
-	s.stripes = make([]sync.Mutex, s.n)
-	return nil
-}
-
-func (s *stripedLock) NewStepper(_ int, oracle grad.Oracle, r *rng.Rand) (Stepper, error) {
-	d := s.model.Dim()
-	return &stripedLockStepper{
-		s: s, oracle: oracle, r: r,
-		view: vec.NewDense(d), g: vec.NewDense(d),
-	}, nil
-}
-
-// loadView fills view with a stripe-grouped locked read: each stripe
-// lock is taken once for all d/n coordinates it guards instead of once
-// per coordinate. The view remains the usual cross-coordinate
-// inconsistent snapshot (only per-coordinate reads are consistent), so
-// grouping by stripe instead of scanning in index order changes nothing
-// a caller may observe — each coordinate is still read exactly once.
-func (s *stripedLock) loadView(view []float64) {
-	d := len(view)
-	for st := 0; st < s.n && st < d; st++ {
-		mu := &s.stripes[st]
-		mu.Lock()
-		for j := st; j < d; j += s.n {
-			view[j] = s.model.Load(j)
-		}
-		mu.Unlock()
-	}
-}
-
-// applyDense subtracts alpha·g from the model and returns the number of
-// coordinate writes. The write pass visits each stripe once, holding its
-// lock across all the stripe's non-zero gradient coordinates —
-// O(min(n,d)) lock acquisitions per iteration instead of O(nnz).
-// Per-coordinate arithmetic is the scalar path's read-modify-write, so
-// single-worker trajectories keep their exact bits (coordinate updates
-// commute across the reordering because each touches only its own
-// register).
-func (s *stripedLock) applyDense(g []float64) int {
-	writes := 0
-	d := len(g)
-	for st := 0; st < s.n && st < d; st++ {
-		locked := false
-		for j := st; j < d; j += s.n {
-			if g[j] == 0 {
-				continue
-			}
-			if !locked {
-				s.stripes[st].Lock()
-				locked = true
-			}
-			s.model.Store(j, s.model.Load(j)-s.alpha*g[j])
-			writes++
-		}
-		if locked {
-			s.stripes[st].Unlock()
-		}
-	}
-	return writes
-}
-
-type stripedLockStepper struct {
-	s      *stripedLock
-	oracle grad.Oracle
-	r      *rng.Rand
-	view   vec.Dense
-	g      vec.Dense
-}
-
-//asgd:hotpath
-func (w *stripedLockStepper) Step() int {
-	s := w.s
-	s.loadView(w.view)
-	w.oracle.Grad(w.g, w.view, w.r)
-	return len(w.view) + s.applyDense(w.g)
 }
 
 // sizedFor returns buf resized to length n, reusing its capacity when

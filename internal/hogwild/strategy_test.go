@@ -114,53 +114,10 @@ func TestSparseStrategyNeedsCapability(t *testing.T) {
 	}
 }
 
-func TestStripedLockBadStripes(t *testing.T) {
-	q, err := grad.NewIsoQuadratic(4, 1, 0.1, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(Config{
-		Workers: 1, TotalIters: 10, Alpha: 0.05, Oracle: q,
-		Strategy: NewStripedLock(-1),
-	})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Errorf("negative stripe count accepted: %v", err)
-	}
-}
-
-func TestCustomStrategyAndStripes(t *testing.T) {
-	q, err := grad.NewIsoQuadratic(8, 1, 0.2, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stripe counts below d (several coordinates per lock) must converge
-	// like any other consistent-locking discipline.
-	cfgs := []Config{
-		{Workers: 4, TotalIters: 3000, Alpha: 0.05, Oracle: q, Seed: 3,
-			Strategy: NewStripedLock(4), X0: vec.Constant(8, 1)},
-		{Workers: 4, TotalIters: 3000, Alpha: 0.05, Oracle: q, Seed: 3,
-			Strategy: NewStripedLock(2), X0: vec.Constant(8, 1)},
-	}
-	for i, cfg := range cfgs {
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, err := vec.Dist2Sq(res.Final, q.Optimum())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d2 > 0.5 {
-			t.Errorf("config %d: final dist² = %v", i, d2)
-		}
-		if res.Strategy != "striped-lock" {
-			t.Errorf("config %d: strategy %q", i, res.Strategy)
-		}
-	}
-}
-
 // TestStrategyReusableAcrossSequentialRuns covers the RunFull pattern:
-// the same Strategy value is re-Bind-ed every epoch.
+// the same Strategy value is re-Bind-ed every epoch. Bounded staleness
+// carries the most run-wide state (the ticket window and its gauge), so
+// a Bind that left any of it behind would stall or mis-gate epoch two.
 func TestStrategyReusableAcrossSequentialRuns(t *testing.T) {
 	q, err := grad.NewIsoQuadratic(4, 1, 0.2, 4, nil)
 	if err != nil {
@@ -168,7 +125,7 @@ func TestStrategyReusableAcrossSequentialRuns(t *testing.T) {
 	}
 	res, err := RunFull(FullConfig{
 		Workers: 2, Epsilon: 0.1, Alpha0: 0.4, ItersPerEpoch: 1200,
-		Oracle: q, Seed: 5, Strategy: NewStripedLock(8),
+		Oracle: q, Seed: 5, Strategy: NewBoundedStaleness(2),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -115,16 +115,6 @@ func CoarseLock() Strategy {
 	}
 }
 
-// StripedLock guards coordinates with a striped lock table (real threads
-// only semantics; the machine counterpart is plain Algorithm 1).
-func StripedLock(stripes int) Strategy {
-	return Strategy{
-		Name:    fmt.Sprintf("striped-lock/%d", stripes),
-		Hogwild: func() hogwild.Strategy { return hogwild.NewStripedLock(stripes) },
-		Machine: func(*core.EpochConfig) {},
-	}
-}
-
 // BoundedStaleness is the τ-gated discipline on both runtimes. Sparse
 // oracles run the sparse view-read path on both sides.
 func BoundedStaleness(tau int) Strategy {
